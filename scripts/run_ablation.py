@@ -27,7 +27,7 @@ def main(argv=None) -> int:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("variant",) + REPORT_COLUMNS)
         for label, rc in zip(labels, rows):
-            rep = run(rc.to_sim_config(), rc.records())
+            rep = run(rc, rc.records())
             writer.writerow([label] + rep.csv_row())
             forest[label] = rep.dram.get("forest", 0)
             print(f"{label:<13} forest DRAM accesses: {forest[label]}")

@@ -25,7 +25,7 @@ def main(argv=None) -> int:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("fault_penalty",) + REPORT_COLUMNS)
         for rc in rows:
-            rep = run(rc.to_sim_config(), rc.records())
+            rep = run(rc, rc.records())
             writer.writerow([rc.latency.sgx_fault_penalty] + rep.csv_row())
             totals.append((rc.latency.sgx_fault_penalty, rep.total_cycles))
             print(f"penalty {rc.latency.sgx_fault_penalty:>6}: {rep.total_cycles} cycles")

@@ -27,7 +27,7 @@ def main(argv=None) -> int:
         writer.writerow(REPORT_COLUMNS)
         for seed in range(args.seeds):
             cfg = load_config(preset="trend", overrides={"seed": seed})
-            reports = compare(cfg.to_sim_config(), cfg.records(), cfg.models)
+            reports = compare(cfg, cfg.records(), cfg.models)
             writer.writerows(reports[m].csv_row() for m in cfg.models)
             c = {m: reports[m].total_cycles for m in cfg.models}
             ordered = (

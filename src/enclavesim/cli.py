@@ -2,8 +2,9 @@
 
 Exit codes are a stable contract: 0 for benign completion, 2 when a security
 event (catastrophic integrity failure) occurred, 1 for usage or configuration
-errors.  All outputs are reproducible byte for byte for a fixed config and
-seed.
+errors, 3 when compared models end in different final memory (a model is
+wrong, so no report is written).  All outputs are reproducible byte for byte
+for a fixed config and seed.
 """
 
 from __future__ import annotations
@@ -28,14 +29,15 @@ from .config import (
 from .forest import ForestConfig, forest_storage
 from .layout import KEY_SLOT_BYTES, PAGE_SIZE
 from .merkle import MerkleTreeConfig, merkle_storage_bytes
-from .sim import MODELS, REPORT_COLUMNS, Report, compare, run
-from .workload import PATTERNS, SyntheticSpec, format_record, generate
+from .sim import MODELS, REPORT_COLUMNS, Report, StateMismatch, compare, run
+from .workload import PATTERNS, SPEC_KEYS, SyntheticSpec, format_record, generate
 
 logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_SECURITY = 2
+EXIT_MISMATCH = 3
 
 MIB = 1 << 20
 
@@ -66,6 +68,14 @@ def _report_files(reports: list[Report], out: str) -> tuple[str, str]:
     return jpath, cpath
 
 
+def _attack_files(results, out: str) -> list[dict]:
+    rows = [dataclasses.asdict(r) for r in results]
+    columns = list(rows[0])
+    _write_json(f"{out}.json", rows)
+    _write_csv(f"{out}.csv", columns, [[r[c] for c in columns] for r in rows])
+    return rows
+
+
 def _config_overrides(args) -> dict:
     overrides = {}
     for key in ("model", "seed", "out"):
@@ -82,16 +92,12 @@ def cmd_run(args) -> int:
     out = cfg.out or "report"
 
     if cfg.attack is not None:
-        results = run_suite(cfg.attack.kinds, range(cfg.attack.seeds))
-        rows = [dataclasses.asdict(r) for r in results]
-        columns = list(rows[0])
-        _write_json(f"{out}.json", rows)
-        _write_csv(f"{out}.csv", columns, [[r[c] for c in columns] for r in rows])
+        rows = _attack_files(run_suite(cfg.attack.kinds, range(cfg.attack.seeds)), out)
         detected = sum(r["detected"] for r in rows)
         print(f"attacks detected: {detected}/{len(rows)}  -> {out}.json {out}.csv")
         return EXIT_SECURITY if detected else EXIT_OK
 
-    report = run(cfg.to_sim_config(), cfg.records())
+    report = run(cfg, cfg.records())
     jpath, cpath = _report_files([report], out)
     print(
         f"{report.model} seed={report.seed}: {report.total_cycles} cycles, "
@@ -110,7 +116,7 @@ def cmd_compare(args) -> int:
 
     if merged.get("sweep"):
         rows = expand_sweep(merged)
-        reports = [run(rc.to_sim_config(), rc.records()) for rc in rows]
+        reports = [run(rc, rc.records()) for rc in rows]
         first = reports[0].total_cycles
         for rep in reports:
             rep.slowdown = rep.total_cycles / first if first else 0.0
@@ -118,7 +124,11 @@ def cmd_compare(args) -> int:
         names = cfg.models or MODELS
         if len(names) < 2:
             raise ConfigError("compare needs at least two models (or a sweep)")
-        table = compare(cfg.to_sim_config(), cfg.records(), tuple(dict.fromkeys(names)))
+        try:
+            table = compare(cfg, cfg.records(), tuple(dict.fromkeys(names)))
+        except StateMismatch as e:
+            print(f"error: {e}", file=sys.stderr)
+            return EXIT_MISMATCH
         reports = [table[name] for name in names]  # duplicates keep their rows
 
     jpath, cpath = _report_files(reports, out)
@@ -169,12 +179,8 @@ def cmd_attack(args) -> int:
     for k in kinds:
         if k not in ATTACK_KINDS:
             raise ConfigError(f"unknown attack kind {k!r}")
-    results = run_suite(kinds, range(args.seeds))
-    rows = [dataclasses.asdict(r) for r in results]
     out = args.out or "attacks"
-    columns = list(rows[0])
-    _write_json(f"{out}.json", rows)
-    _write_csv(f"{out}.csv", columns, [[r[c] for c in columns] for r in rows])
+    rows = _attack_files(run_suite(kinds, range(args.seeds)), out)
     for kind in kinds:
         sub = [r for r in rows if r["kind"] == kind]
         hits = sum(r["detected"] for r in sub)
@@ -186,17 +192,7 @@ def cmd_attack(args) -> int:
 
 def cmd_gen_trace(args) -> int:
     try:
-        spec = SyntheticSpec(
-            pattern=args.pattern,
-            footprint_bytes=args.footprint,
-            n_accesses=args.n_accesses,
-            read_frac=args.read_frac,
-            accesses_per_instruction=args.accesses_per_instruction,
-            zipf_s=args.zipf_s,
-            stride_bytes=args.stride,
-            enclave_id=args.enclave_id,
-            seed=args.seed or 0,
-        )
+        spec = SyntheticSpec(**{name: getattr(args, name) for name in SPEC_KEYS.values()})
     except ValueError as e:
         raise ConfigError(str(e)) from e
     records = generate(spec)
@@ -246,17 +242,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_att.set_defaults(func=cmd_attack)
 
     p_gen = sub.add_parser("gen-trace", help="write a synthetic trace file")
-    p_gen.add_argument("--pattern", choices=PATTERNS, default="uniform")
-    p_gen.add_argument("--footprint", type=_size, default=16 * MIB)
-    p_gen.add_argument("--n-accesses", type=int, default=10000)
-    p_gen.add_argument("--read-frac", type=float, default=0.7)
-    p_gen.add_argument(
-        "--accesses-per-instruction", type=float, default=0.01, metavar="RATIO"
-    )
-    p_gen.add_argument("--zipf-s", type=float, default=1.0)
-    p_gen.add_argument("--stride", type=_size, default=PAGE_SIZE + 64)
-    p_gen.add_argument("--enclave-id", type=int, default=1)
-    p_gen.add_argument("--seed", type=int, default=0)
+    defaults = SyntheticSpec()
+    for key, name in SPEC_KEYS.items():
+        default = getattr(defaults, name)
+        p_gen.add_argument(
+            "--" + key.replace("_", "-"),
+            dest=name,
+            default=default,
+            type=_size if name.endswith("_bytes") else type(default),
+            choices=PATTERNS if name == "pattern" else None,
+        )
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=cmd_gen_trace)
     return parser

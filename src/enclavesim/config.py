@@ -21,7 +21,15 @@ from dataclasses import dataclass, field
 from .adversary import ATTACK_KINDS
 from .sim import MODELS, SimConfig
 from .timing import LatencyConfig
-from .workload import PATTERNS, SyntheticSpec, TraceRecord, generate, open_trace, parse_trace
+from .workload import (
+    PATTERNS,
+    SPEC_KEYS,
+    SyntheticSpec,
+    TraceRecord,
+    generate,
+    open_trace,
+    parse_trace,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -69,57 +77,45 @@ def _deep_merge(base: dict, override: dict) -> dict:
 # ------------------------------------------------------------------ schema
 @dataclass(frozen=True)
 class WorkloadConfig:
-    """Either a trace file to replay or a synthetic generator spec."""
+    """A trace file to replay, or the SyntheticSpec fields a config sets.
+
+    The generator seed follows the run seed unless the config pins it.
+    """
 
     trace: str | None = None
-    pattern: str = "uniform"
-    footprint: int = 16 << 20
-    n_accesses: int = 10000
-    read_frac: float = 0.7
-    accesses_per_instruction: float = 0.01
-    zipf_s: float = 1.0
-    stride: int | None = None
-    enclave_id: int = 1
-    seed: int | None = None  # None: follow the run seed
+    synthetic: dict = field(default_factory=dict)  # SyntheticSpec field -> value
 
     @classmethod
     def from_dict(cls, d: dict, path: str = "workload") -> "WorkloadConfig":
-        _check_keys(d, (f.name for f in dataclasses.fields(cls)), path)
-        d = dict(d)
-        if "footprint" in d:
-            d["footprint"] = parse_size(d["footprint"], f"{path}.footprint")
-        if d.get("stride") is not None:
-            d["stride"] = parse_size(d["stride"], f"{path}.stride")
+        _check_keys(d, ("trace", *SPEC_KEYS), path)
         if "pattern" in d and d["pattern"] not in PATTERNS:
             raise ConfigError(
                 f"{path}.pattern: must be one of {PATTERNS}, got {d['pattern']!r}"
             )
-        cfg = cls(**d)
+        synthetic = {}
+        for key, value in d.items():
+            if key == "trace" or value is None:  # null keeps the default
+                continue
+            name = SPEC_KEYS[key]
+            if name.endswith("_bytes"):
+                value = parse_size(value, f"{path}.{key}")
+            synthetic[name] = value
+        cfg = cls(trace=d.get("trace"), synthetic=synthetic)
         if cfg.trace is None:
             try:
-                cfg._spec(seed=0)  # range checks fire at load time
+                cfg.spec(seed=0)  # range checks fire at load time
             except ValueError as e:
                 raise ConfigError(f"{path}: {e}") from e
         return cfg
 
-    def _spec(self, seed: int) -> SyntheticSpec:
-        return SyntheticSpec(
-            pattern=self.pattern,
-            footprint_bytes=self.footprint,
-            n_accesses=self.n_accesses,
-            read_frac=self.read_frac,
-            accesses_per_instruction=self.accesses_per_instruction,
-            zipf_s=self.zipf_s,
-            enclave_id=self.enclave_id,
-            seed=self.seed if self.seed is not None else seed,
-            **({"stride_bytes": self.stride} if self.stride is not None else {}),
-        )
+    def spec(self, seed: int) -> SyntheticSpec:
+        return SyntheticSpec(**{"seed": seed, **self.synthetic})
 
     def records(self, default_seed: int) -> list[TraceRecord]:
         if self.trace is not None:
             with open_trace(self.trace) as fh:
                 return list(parse_trace(fh))
-        return generate(self._spec(default_seed))
+        return generate(self.spec(default_seed))
 
 
 @dataclass(frozen=True)
@@ -149,20 +145,10 @@ def _latency_from_dict(d: dict, path: str = "latency") -> LatencyConfig:
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    model: str = "secscale"
+class RunConfig(SimConfig):
+    """A SimConfig plus what selects the trace, the models and the outputs."""
+
     models: tuple[str, ...] = ()
-    total_size: int = 64 << 20
-    epc_size: int = 1 << 20
-    seed: int = 0
-    deferred: bool = True
-    clubbing: bool = True
-    top_cache: bool = True
-    eshr_entries: int = 32
-    freshness_mode: str = "prng"
-    dfp_accuracy: float = 0.5
-    dfp_lookahead: int = 256
-    latency: LatencyConfig = field(default_factory=LatencyConfig)
     workload: WorkloadConfig = field(default_factory=WorkloadConfig)
     attack: AttackPlan | None = None
     sweep: tuple[dict, ...] = ()
@@ -193,29 +179,10 @@ class RunConfig:
             if not isinstance(rows, (list, tuple)):
                 raise ConfigError("sweep: must be a list of override objects")
             d["sweep"] = tuple(rows)
-        cfg = cls(**d)
-        # surface model-layer range errors now, with schema context
-        try:
-            cfg.to_sim_config()
+        try:  # model-layer range errors, surfaced with schema context
+            return cls(**d)
         except ValueError as e:
             raise ConfigError(str(e)) from e
-        return cfg
-
-    def to_sim_config(self, model: str | None = None) -> SimConfig:
-        return SimConfig(
-            model=model or self.model,
-            total_size=self.total_size,
-            epc_size=self.epc_size,
-            seed=self.seed,
-            deferred=self.deferred,
-            clubbing=self.clubbing,
-            top_cache=self.top_cache,
-            eshr_entries=self.eshr_entries,
-            freshness_mode=self.freshness_mode,
-            dfp_accuracy=self.dfp_accuracy,
-            dfp_lookahead=self.dfp_lookahead,
-            latency=self.latency,
-        )
 
     def records(self) -> list[TraceRecord]:
         return self.workload.records(self.seed)

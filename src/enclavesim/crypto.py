@@ -129,20 +129,8 @@ def split_key(key: bytes) -> KeyFields:
 # ----------------------------------------------------------------- ciphers
 
 
-def ecb_encrypt_block(block_key: bytes, data: bytes) -> bytes:
-    """Encrypt one 64-byte block (four AES blocks) under its block key."""
-    if len(data) != BLOCK_SIZE:
-        raise ValueError("ECB block must be 64 bytes")
-    return aes_encrypt(block_key, data)
-
-
-def ecb_decrypt_block(block_key: bytes, data: bytes) -> bytes:
-    if len(data) != BLOCK_SIZE:
-        raise ValueError("ECB block must be 64 bytes")
-    return aes_decrypt(block_key, data)
-
-
 def ecb_encrypt_page(page_key: bytes, page: bytes) -> bytes:
+    """Encrypt a page block by block, each 64-byte block under its block key."""
     if len(page) != PAGE_SIZE:
         raise ValueError("page must be 4096 bytes")
     return b"".join(
@@ -164,27 +152,6 @@ def ecb_decrypt_page(page_key: bytes, page: bytes) -> bytes:
     )
 
 
-@lru_cache(maxsize=65536)
-def _ctr_keystream(key: bytes, page: int, block: int, counter: int, nblocks16: int) -> bytes:
-    # Counter blocks: high quad identifies (page, block), low quad carries the
-    # write counter scaled by 4 so consecutive counters use disjoint streams.
-    # Cached: reads between writes replay the same (key, counter) stream.
-    hi = ((page << 6) | block).to_bytes(8, "big")
-    base = counter << 2
-    blocks = b"".join(hi + (base + i).to_bytes(8, "big") for i in range(nblocks16))
-    return aes_encrypt(key, blocks)
-
-
-def ctr_crypt_block(key: bytes, page: int, block: int, counter: int, data: bytes) -> bytes:
-    """Counter-mode en/decrypt one 64-byte block (XOR is its own inverse)."""
-    if len(data) != BLOCK_SIZE:
-        raise ValueError("CTR block must be 64 bytes")
-    ks = _ctr_keystream(key, page, block, counter, 4)
-    return (int.from_bytes(ks, "big") ^ int.from_bytes(data, "big")).to_bytes(
-        BLOCK_SIZE, "big"
-    )
-
-
 # -------------------------------------------------------------------- MACs
 
 
@@ -201,17 +168,6 @@ def page_mac(page_key: bytes, plaintext_page: bytes) -> bytes:
     if len(plaintext_page) != PAGE_SIZE:
         raise ValueError("page must be 4096 bytes")
     return keyed_mac8(page_key, b"page-mac", plaintext_page)
-
-
-def level_mac(ssk_bytes: bytes, level: int, node_index: int, children: bytes) -> bytes:
-    """Upper-level MAC over concatenated child MACs, bound to the node index."""
-    return keyed_mac8(
-        ssk_bytes,
-        b"level-mac",
-        level.to_bytes(1, "big"),
-        node_index.to_bytes(8, "big"),
-        children,
-    )
 
 
 # ------------------------------------------------------------ key wrapping

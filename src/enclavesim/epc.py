@@ -72,6 +72,12 @@ logger = logging.getLogger(__name__)
 SCRATCH_VBASE = 0xFFFF0  # virtual pages at/above this index address scratch
 
 
+def scratch_page(layout: MemoryLayout, vpage: int) -> int:
+    """Physical page behind a scratch virtual page; all enclaves share it."""
+    base = layout.scratch_base // PAGE_SIZE
+    return base + (vpage - SCRATCH_VBASE) % layout.scratch_pages
+
+
 def write_value(eid: int, vaddr: int, icount: int) -> bytes:
     """Deterministic 8-byte store value; shared with reference executions."""
     x = eid * 0x9E3779B97F4A7C15 ^ vaddr * 0xC2B2AE3D27D4EB4F ^ icount * 0x165667B19E3779F9
@@ -127,13 +133,11 @@ class EshrEntry:
     index: int
     slot: int
     lpage: int  # physical page being loaded
-    epage: int | None  # physical page evicted to make room, if any
-    e_bit: bool
+    e_bit: bool  # a page was evicted to make room
     v_bit: bool = True
     ls_vector: int = 0  # bit b set <=> block b of lpage loaded
     cursor: int = 0  # next block index the lane will move
     demand: bool = False  # a read restart is waiting on this entry
-    write_only: bool = False
     born_icount: int = 0
     born_instructions: int = 0
     born_cycles: int = 0
@@ -403,19 +407,14 @@ class SecScaleEngine:
         if job is None:
             return
         before = self.stats.dram_total
-        forest_before = self.stats.dram_reads["forest"] + self.stats.dram_writes["forest"]
         try:
             if job.kind == "verify":
                 for page, key, pt in zip(job.pages, job.page_keys, job.plaintexts):
-                    self.forest.verify_page(page, page_mac(key, pt))
-                per_page = (
-                    self.stats.dram_reads["forest"]
-                    + self.stats.dram_writes["forest"]
-                    - forest_before
-                ) // len(job.pages)
-                self.stats.events["max_verify_forest_accesses"] = max(
-                    self.stats.events["max_verify_forest_accesses"], per_page
-                )
+                    res = self.forest.verify_page(page, page_mac(key, pt))
+                    self.stats.events["max_verify_forest_accesses"] = max(
+                        self.stats.events["max_verify_forest_accesses"],
+                        res.total_accesses,
+                    )
             else:
                 self.forest.update(
                     [
@@ -572,7 +571,6 @@ class SecScaleEngine:
         entry_idx = self._free_eshr_index()
         slot = self._claim_slot()
         e_bit = slot.occupied
-        epage = slot.home if e_bit else None
         if e_bit:
             self._evict_slot(slot, icount=icount)
 
@@ -624,10 +622,8 @@ class SecScaleEngine:
             index=entry_idx,
             slot=slot.index,
             lpage=phys,
-            epage=epage,
             e_bit=e_bit,
             demand=is_read,
-            write_only=not is_read,
             born_icount=icount,
             born_instructions=self.stats.instructions,
             born_cycles=self.stats.critical_cycles,
@@ -749,12 +745,8 @@ class SecScaleEngine:
         return outcome, value
 
     # ------------------------------------------------------------- scratch
-    def _scratch_phys(self, vpage: int) -> int:
-        base_page = self.layout.scratch_base // PAGE_SIZE
-        return base_page + (vpage - SCRATCH_VBASE) % self.layout.scratch_pages
-
     def _scratch_access(self, eid, vaddr, op, icount):
-        phys = self._scratch_phys(vaddr // PAGE_SIZE)
+        phys = scratch_page(self.layout, vaddr // PAGE_SIZE)
         addr = phys * PAGE_SIZE + vaddr % PAGE_SIZE
         if op == "R":
             block_addr = addr & ~(BLOCK_SIZE - 1)

@@ -159,9 +159,6 @@ class MacForest:
         self.top_write = top_write
         self._top_cache: OrderedDict[int, bytes] = OrderedDict()
         self.touched: set[int] = set()
-        self.verifies = 0
-        self.updates = 0
-        self.clubbed_updates = 0
         self.top_cache_hits = 0
         self.top_cache_misses = 0
 
@@ -189,9 +186,6 @@ class MacForest:
 
     def region_of(self, page: int) -> int:
         return self.group_of(page) // self.config.region_arity
-
-    def is_touched(self, page: int) -> bool:
-        return page in self.touched
 
     # ------------------------------------------------------------- MACs
     def _mid_mac(self, group: int, leaf_blob: bytes) -> bytes:
@@ -247,7 +241,6 @@ class MacForest:
         """Compare recomputed vs stored MACs at leaf, mid and top level."""
         if len(expected_leaf) != MAC_BYTES:
             raise ValueError("leaf MAC must be 8 bytes")
-        self.verifies += 1
         group = self.group_of(page)
         region = self.region_of(page)
         ga = self.config.group_arity
@@ -311,9 +304,6 @@ class MacForest:
                 raise ValueError(f"page {page} outside forest range")
             if len(leaf) != MAC_BYTES:
                 raise ValueError("leaf MAC must be 8 bytes")
-        self.updates += len(items)
-        if len(items) > 1 and len({self.region_of(p) for p, _ in items}) == 1:
-            self.clubbed_updates += len(items)
 
         reads = writes = top_writes = top_reads = 0
         by_region: dict[int, list[tuple[int, bytes]]] = {}

@@ -276,7 +276,7 @@ class EpcMerkle:
         return self._unpack_counters(bytes(trusted[parent_level]))[slot]
 
     # ---------------------------------------------------------------- ops
-    def read_verify(self, page: int, block: int = 0) -> ReadResult:
+    def read_verify(self, page: int) -> ReadResult:
         """Authenticate the counter path of a page; returns its major counter."""
         trusted, reads = self._fetch_verified_path(page)
         major, dmac, _ = self._leaf_fields(bytes(trusted[0]))

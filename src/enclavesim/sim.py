@@ -34,7 +34,13 @@ import random
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-from .epc import SCRATCH_VBASE, EngineConfig, SecScaleEngine, write_value
+from .epc import (
+    SCRATCH_VBASE,
+    EngineConfig,
+    SecScaleEngine,
+    scratch_page,
+    write_value,
+)
 from .forest import ForestConfig, forest_storage
 from .layout import (
     BLOCK_SIZE,
@@ -44,7 +50,7 @@ from .layout import (
     MemoryLayout,
 )
 from .merkle import EpcMerkle, MerkleTreeConfig, merkle_storage_bytes
-from .timing import CycleStats, LatencyConfig, MeteredDram
+from .timing import DRAM_CAUSES, CycleStats, LatencyConfig, MeteredDram
 from .verifier import CatastrophicFailure
 from .workload import TraceRecord
 
@@ -91,10 +97,15 @@ def make_layout(total_size: int, epc_size: int) -> MemoryLayout:
 # --------------------------------------------------------------------------
 # Comparison models
 # --------------------------------------------------------------------------
-class BaselineModel:
-    """Unprotected memory: one DRAM access per reference."""
+class _PlainModel:
+    """What the plaintext comparison models share.
 
-    name = "baseline"
+    Emulated memory behind a metered port, one cycle account, enclaves
+    mapped to consecutive home pages in the eEPC, and unprotected DRAM
+    accesses for the pages that bypass protection.
+    """
+
+    name: str
 
     def __init__(self, cfg: SimConfig):
         self.cfg = cfg
@@ -102,7 +113,7 @@ class BaselineModel:
         self.stats = CycleStats(cfg.latency)
         self.dram = EmulatedDram(self.layout)
         self.port = MeteredDram(self.dram, self.stats)
-        self.enclaves: dict[int, int] = {}  # eid -> base physical page
+        self.enclaves: dict[int, tuple[int, int]] = {}  # eid -> (home page, pages)
         self._next_page = self.layout.eepc_base // PAGE_SIZE
         self.last_icount = 0
 
@@ -110,22 +121,12 @@ class BaselineModel:
         self.enclaves[eid] = (self._next_page, n_pages)
         self._next_page += n_pages
 
-    def _addr(self, eid: int, vaddr: int) -> int:
-        vpage = vaddr // PAGE_SIZE
-        if vpage >= SCRATCH_VBASE:
-            base = self.layout.scratch_base // PAGE_SIZE
-            phys = base + (vpage - SCRATCH_VBASE) % self.layout.scratch_pages
-        else:
-            phys = self.enclaves[eid][0] + vpage
-        return phys * PAGE_SIZE + vaddr % PAGE_SIZE
-
     def _advance(self, icount: int):
         self.stats.advance_instructions(icount - self.last_icount)
         self.last_icount = icount
 
-    def access(self, eid: int, vaddr: int, op: str, icount: int):
-        self._advance(icount)
-        addr = self._addr(eid, vaddr)
+    def _dram_access(self, addr: int, eid: int, vaddr: int, op: str, icount: int):
+        """One unprotected 8-byte access at physical address `addr`."""
         if op == "R":
             block = addr & ~(BLOCK_SIZE - 1)
             data = self.port.read(block, BLOCK_SIZE, cause="data")
@@ -146,6 +147,23 @@ class BaselineModel:
             v: self.dram.peek((base + v) * PAGE_SIZE, PAGE_SIZE)
             for v in range(n_pages)
         }
+
+
+class BaselineModel(_PlainModel):
+    """Unprotected memory: one DRAM access per reference."""
+
+    name = "baseline"
+
+    def access(self, eid: int, vaddr: int, op: str, icount: int):
+        self._advance(icount)
+        vpage = vaddr // PAGE_SIZE
+        if vpage >= SCRATCH_VBASE:
+            phys = scratch_page(self.layout, vpage)
+        else:
+            phys = self.enclaves[eid][0] + vpage
+        return self._dram_access(
+            phys * PAGE_SIZE + vaddr % PAGE_SIZE, eid, vaddr, op, icount
+        )
 
 
 class PenglaiModel(BaselineModel):
@@ -187,7 +205,7 @@ class PenglaiModel(BaselineModel):
         return super().access(eid, vaddr, op, icount)
 
 
-class SgxClientModel:
+class SgxClientModel(_PlainModel):
     """EPC cache with a counter tree and a synchronous software paging path.
 
     Every fault exits to a kernel handler (flat penalty), which copies and
@@ -197,11 +215,7 @@ class SgxClientModel:
     name = "sgx-client"
 
     def __init__(self, cfg: SimConfig):
-        self.cfg = cfg
-        self.layout = make_layout(cfg.total_size, cfg.epc_size)
-        self.stats = CycleStats(cfg.latency)
-        self.dram = EmulatedDram(self.layout)
-        self.port = MeteredDram(self.dram, self.stats)
+        super().__init__(cfg)
         self.n_slots = self._carve(self.layout.epc_pages)
         self.merkle = EpcMerkle(
             self.port,
@@ -210,14 +224,11 @@ class SgxClientModel:
             ssk_bytes=hashlib.sha256(b"sgx" + cfg.seed.to_bytes(8, "big")).digest(),
             config=MerkleTreeConfig(),
         )
-        self.enclaves: dict[int, tuple[int, int]] = {}
-        self._next_page = self.layout.eepc_base // PAGE_SIZE
         self.resident: dict[tuple[int, int], int] = {}
         self.slot_owner: list[tuple[int, int] | None] = [None] * self.n_slots
         self.slot_ts = [0] * self.n_slots
         self.free = list(range(self.n_slots - 1, -1, -1))
         self._clock = 0
-        self.last_icount = 0
 
     @staticmethod
     def _merkle_pages(n_pages: int) -> int:
@@ -235,17 +246,8 @@ class SgxClientModel:
             raise ValueError("EPC too small for tree storage plus two slots")
         return slots
 
-    def register_enclave(self, eid: int, n_pages: int):
-        self.enclaves[eid] = (self._next_page, n_pages)
-        self._next_page += n_pages
-
-    def _advance(self, icount: int):
-        self.stats.advance_instructions(icount - self.last_icount)
-        self.last_icount = icount
-
     def _touch(self, slot: int):
-        self._clock += 1
-        self.slot_ts[slot] = self._clock
+        self.slot_ts[slot] = self._next_ts()
 
     def _victim(self) -> int:
         return min(
@@ -294,11 +296,15 @@ class SgxClientModel:
         res = self.merkle.write_update(
             slot, self.dram.peek(slot * PAGE_SIZE, PAGE_SIZE)
         )
-        cost = self.cfg.latency.dram_access_cycles * (res.dram_reads + res.dram_writes)
+        lat = self.cfg.latency
+        accesses = res.dram_reads + res.dram_writes
         if cold:
-            self.stats.lane_charge(0, cost // 10)
+            # background tree work costs occupancy per access, as in epc.py;
+            # at the 100/10 access/occupancy cycles of every preset this is
+            # the same charge as a tenth of the critical-path cost
+            self.stats.lane_charge(0, lat.dram_occupancy_cycles * accesses)
         else:
-            self.stats.charge_critical(cost)
+            self.stats.charge_critical(lat.dram_access_cycles * accesses)
         self.resident[(eid, vpage)] = slot
         self.slot_owner[slot] = (eid, vpage)
         # cold inserts park at the LRU end: first out unless referenced
@@ -320,25 +326,14 @@ class SgxClientModel:
         lat = self.cfg.latency
         vpage, off = vaddr // PAGE_SIZE, vaddr % PAGE_SIZE
         if vpage >= SCRATCH_VBASE:
-            base = self.layout.scratch_base // PAGE_SIZE
-            phys = base + (vpage - SCRATCH_VBASE) % self.layout.scratch_pages
-            addr = phys * PAGE_SIZE + off
-            if op == "R":
-                data = self.port.read(addr & ~63, 64, cause="data")
-                self.stats.charge_critical(lat.dram_access_cycles)
-                o = off & 63 & ~7
-                return data[o : o + 8]
-            value = write_value(eid, vaddr, icount)
-            self.port.write(addr & ~7, value, cause="data")
-            self.stats.charge_critical(lat.dram_access_cycles)
-            return value
+            addr = scratch_page(self.layout, vpage) * PAGE_SIZE + off
+            return self._dram_access(addr, eid, vaddr, op, icount)
 
         slot = self.resident.get((eid, vpage))
         if slot is None:
             slot = self._fault(eid, vpage, op)
         else:
             self.stats.events["epc_hits"] += 1
-            self.on_hit(eid, vpage)
         self._touch(slot)
         base = slot * PAGE_SIZE
         if op == "R":
@@ -358,12 +353,6 @@ class SgxClientModel:
             lat.dram_access_cycles * (res.dram_reads + res.dram_writes)
         )
         return value
-
-    def on_hit(self, eid: int, vpage: int):
-        pass
-
-    def finalize(self):
-        pass
 
     def final_state(self, eid: int) -> dict[int, bytes]:
         base, n_pages = self.enclaves[eid]
@@ -418,7 +407,7 @@ class DfpModel(SgxClientModel):
                 ):
                     return cand
             return None
-        base, n_pages = self.enclaves[faulting[0]]
+        n_pages = self.enclaves[faulting[0]][1]
         return faulting[0], self.rng.randrange(n_pages)
 
     def _fault(self, eid: int, vpage: int, op: str) -> int:
@@ -485,43 +474,14 @@ MODEL_CLASSES = {
 # --------------------------------------------------------------------------
 # Reports
 # --------------------------------------------------------------------------
-REPORT_COLUMNS = (
-    "model",
-    "seed",
-    "accesses",
-    "instructions",
-    "total_cycles",
-    "critical_cycles",
-    "lane_busy_cycles",
-    "stall_cycles",
-    "slowdown",
-    "dram_data",
-    "dram_merkle",
-    "dram_forest",
-    "dram_key_table",
-    "dram_total",
-    "read_faults",
-    "write_faults",
-    "refaults",
-    "evictions",
-    "evictions_per_kilo_instructions",
-    "epc_miss_frac",
-    "clubbed_pairs",
-    "club_frac",
-    "top_cache_hit_rate",
-    "max_verify_forest_accesses",
-    "verifier_jobs",
-    "verifier_max_depth",
-    "eshr_stalls",
-    "barriers",
-    "security_failure",
-    "speculative_instructions",
-    "final_state_digest",
-)
-
-
-@dataclass
+@dataclass(kw_only=True)
 class Report:
+    """One run's summary; the field order is the column order of every row.
+
+    `dram` becomes one `dram_<cause>` column per DRAM cause; `events` is the
+    raw event counter and has no column.
+    """
+
     model: str
     seed: int
     accesses: int
@@ -530,6 +490,7 @@ class Report:
     critical_cycles: int
     lane_busy_cycles: int
     stall_cycles: int
+    slowdown: float | None = None  # total cycles over the baseline's
     dram: dict[str, int]
     dram_total: int
     read_faults: int
@@ -550,44 +511,10 @@ class Report:
     security_failure: str | None = None
     speculative_instructions: int | None = None
     final_state_digest: str = ""
-    slowdown: float | None = None  # total cycles over the baseline's
 
     def to_dict(self) -> dict:
-        flat = {
-            "model": self.model,
-            "seed": self.seed,
-            "accesses": self.accesses,
-            "instructions": self.instructions,
-            "total_cycles": self.total_cycles,
-            "critical_cycles": self.critical_cycles,
-            "lane_busy_cycles": self.lane_busy_cycles,
-            "stall_cycles": self.stall_cycles,
-            "slowdown": self.slowdown,
-            "dram_data": self.dram.get("data", 0),
-            "dram_merkle": self.dram.get("merkle", 0),
-            "dram_forest": self.dram.get("forest", 0),
-            "dram_key_table": self.dram.get("key_table", 0),
-            "dram_total": self.dram_total,
-            "read_faults": self.read_faults,
-            "write_faults": self.write_faults,
-            "refaults": self.refaults,
-            "evictions": self.evictions,
-            "evictions_per_kilo_instructions": self.evictions_per_kilo_instructions,
-            "epc_miss_frac": self.epc_miss_frac,
-            "clubbed_pairs": self.clubbed_pairs,
-            "club_frac": self.club_frac,
-            "top_cache_hit_rate": self.top_cache_hit_rate,
-            "max_verify_forest_accesses": self.max_verify_forest_accesses,
-            "verifier_jobs": self.verifier_jobs,
-            "verifier_max_depth": self.verifier_max_depth,
-            "eshr_stalls": self.eshr_stalls,
-            "barriers": self.barriers,
-            "security_failure": self.security_failure,
-            "speculative_instructions": self.speculative_instructions,
-            "final_state_digest": self.final_state_digest,
-        }
-        assert set(flat) == set(REPORT_COLUMNS)
-        return flat
+        dram = {f"dram_{c}": self.dram.get(c, 0) for c in DRAM_CAUSES}
+        return {c: dram[c] if c in dram else getattr(self, c) for c in REPORT_COLUMNS}
 
     def to_json(self) -> str:
         d = self.to_dict()
@@ -595,8 +522,17 @@ class Report:
         return json.dumps(d, indent=2, sort_keys=False)
 
     def csv_row(self) -> list:
-        d = self.to_dict()
-        return [d[c] for c in REPORT_COLUMNS]
+        return list(self.to_dict().values())
+
+
+REPORT_COLUMNS = tuple(
+    column
+    for f in dataclasses.fields(Report)
+    if f.name != "events"
+    for column in (
+        [f"dram_{c}" for c in DRAM_CAUSES] if f.name == "dram" else [f.name]
+    )
+)
 
 
 def state_digest(states: dict[int, dict[int, bytes]]) -> str:
@@ -702,22 +638,28 @@ def run(cfg: SimConfig, records: list[TraceRecord]) -> Report:
     return report
 
 
+class StateMismatch(RuntimeError):
+    """Completed models disagree on final memory: some model is wrong."""
+
+
 def compare(
     cfg: SimConfig, records: list[TraceRecord], models: tuple[str, ...] = MODELS
 ) -> dict[str, Report]:
-    """Run the same trace through several models; slowdowns vs baseline."""
+    """Run the same trace through several models; slowdowns vs baseline.
+
+    Every model that completes must end in the same memory state, or
+    StateMismatch is raised.
+    """
     reports = {}
     for name in models:
         reports[name] = run(dataclasses.replace(cfg, model=name), records)
+    digests = {
+        name: r.final_state_digest for name, r in reports.items() if r.final_state_digest
+    }
+    if len(set(digests.values())) > 1:
+        raise StateMismatch(f"models disagree on final memory state: {digests}")
     base = reports.get("baseline")
     if base is not None and base.total_cycles:
         for rep in reports.values():
             rep.slowdown = rep.total_cycles / base.total_cycles
-        digests = {
-            r.final_state_digest
-            for r in reports.values()
-            if r.final_state_digest
-        }
-        if len(digests) > 1:
-            logger.warning("models disagree on final memory state: %s", digests)
     return reports

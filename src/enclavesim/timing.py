@@ -92,10 +92,6 @@ class CycleStats:
     def charge_critical(self, cycles: int):
         self.critical_cycles += cycles
 
-    def critical_dram(self, cause: str, *, write: bool = False):
-        self.count_dram(cause, write=write)
-        self.critical_cycles += self.cfg.dram_access_cycles
-
     def critical_crypto(self, kind: str, blocks: int = 1):
         self.crypto_blocks[kind] += blocks
         self.critical_cycles += self.cfg.crypto_block_cycles * blocks
@@ -107,11 +103,6 @@ class CycleStats:
         self.lane_free = start + duration
         self.lane_busy_cycles += duration
         return self.lane_free
-
-    def lane_dram(self, cause: str, *, write: bool = False, count: int = 1):
-        for _ in range(count):
-            self.count_dram(cause, write=write)
-        self.lane_charge(0, self.cfg.dram_occupancy_cycles * count)
 
     def stall_until_lane(self):
         """Critical path waits for the lane to drain (barriers, full tables)."""

@@ -67,9 +67,6 @@ class VerificationJob:
         ):
             raise ValueError("pages, page_keys and plaintexts must align")
 
-    def work_bytes(self) -> int:
-        return sum(len(pt) for pt in self.plaintexts)
-
 
 class VerifierQueue:
     """Strict FIFO of pending jobs with depth/retirement accounting."""
@@ -94,9 +91,6 @@ class VerifierQueue:
             return None
         self.jobs_retired += 1
         return self.pending.popleft()
-
-    def peek(self) -> VerificationJob | None:
-        return self.pending[0] if self.pending else None
 
     def __len__(self) -> int:
         return len(self.pending)

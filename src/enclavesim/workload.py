@@ -16,7 +16,7 @@ import gzip
 import logging
 import random
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import IO, Iterable, Iterator
 
 from .layout import BLOCK_SIZE, PAGE_SIZE
@@ -120,6 +120,11 @@ class SyntheticSpec:
     @property
     def footprint_pages(self) -> int:
         return self.footprint_bytes // PAGE_SIZE
+
+
+# Config keys and gen-trace flags name each field without its "_bytes"
+# suffix; those fields take byte sizes.
+SPEC_KEYS = {f.name.removesuffix("_bytes"): f.name for f in fields(SyntheticSpec)}
 
 
 def _zipf_cdf(n: int, s: float) -> list[float]:

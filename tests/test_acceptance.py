@@ -14,6 +14,8 @@ under pytest's -rP) and asserting the stated tolerance:
 
 import random
 
+import pytest
+
 from enclavesim.adversary import ATTACK_KINDS, run_benign, run_suite
 from enclavesim.cli import main as cli_main
 from enclavesim.config import expand_sweep, load_config, merge_layers
@@ -70,6 +72,7 @@ def test_a1_storage_arithmetic(capsys):
 
 
 # --------------------------------------------------------------------- A2
+@pytest.mark.slow
 def test_a2_attack_detection_and_no_false_positives():
     results = run_suite(ATTACK_KINDS, range(100))
     detected = sum(r.detected for r in results)
@@ -89,6 +92,7 @@ def test_a2_attack_detection_and_no_false_positives():
 
 
 # --------------------------------------------------------------------- A3
+@pytest.mark.slow
 def test_a3_every_eviction_rekeys():
     # smallest legal cache: two data slots, so a three-page round robin
     # evicts the target page once per lap
@@ -119,6 +123,7 @@ def test_a3_every_eviction_rekeys():
 
 
 # --------------------------------------------------------------------- A4
+@pytest.mark.slow
 def test_a4_metadata_equals_brute_force_recomputation():
     records = generate(
         SyntheticSpec(
@@ -221,12 +226,13 @@ def test_a5_deferral_never_loses_to_blocking():
 
 
 # --------------------------------------------------------------------- A6
+@pytest.mark.slow
 def test_a6_trend_reproduction():
     ordered = 0
     max_verify = 0
     for seed in range(10):
         cfg = load_config(preset="trend", overrides={"seed": seed})
-        reports = compare(cfg.to_sim_config(), cfg.records(), cfg.models)
+        reports = compare(cfg, cfg.records(), cfg.models)
         c = {name: reports[name].total_cycles for name in cfg.models}
         ordered += (
             c["baseline"] < c["secscale"] < c["penglai"] < c["dfp"] <= c["sgx-client"]
@@ -234,7 +240,7 @@ def test_a6_trend_reproduction():
         max_verify = max(max_verify, reports["secscale"].max_verify_forest_accesses)
 
     sweep = [
-        run(rc.to_sim_config(), rc.records())
+        run(rc, rc.records())
         for rc in expand_sweep(merge_layers(preset="fault-sweep"))
     ]
     penalties = [r.total_cycles for r in sweep]
@@ -242,7 +248,7 @@ def test_a6_trend_reproduction():
     degrades = penalties[-1] > penalties[0]
 
     ablation = [
-        run(rc.to_sim_config(), rc.records())
+        run(rc, rc.records())
         for rc in expand_sweep(merge_layers(preset="ablation"))
     ]
     full, noclub, nocache = (r.dram.get("forest", 0) for r in ablation)

@@ -1,8 +1,9 @@
 """Command-line contract tests.
 
-The exit-code contract (0 benign, 2 security event, 1 usage/config error) and
-byte-for-byte reproducibility of written reports are stable interfaces; these
-tests drive `main` in process with real files in a temp directory.
+The exit-code contract (0 benign, 2 security event, 1 usage/config error,
+3 models disagreeing on final memory) and byte-for-byte reproducibility of
+written reports are stable interfaces; these tests drive `main` in process
+with real files in a temp directory.
 """
 
 import csv
@@ -11,7 +12,7 @@ import re
 
 import pytest
 
-from enclavesim.cli import EXIT_OK, EXIT_SECURITY, EXIT_USAGE, main
+from enclavesim.cli import EXIT_MISMATCH, EXIT_OK, EXIT_SECURITY, EXIT_USAGE, main
 from enclavesim.sim import REPORT_COLUMNS
 
 
@@ -142,6 +143,13 @@ def test_compare_reports_slowdown_vs_baseline(workdir):
     assert by_model["baseline"]["slowdown"] == 1.0
     assert by_model["secscale"]["slowdown"] > 1.0
     assert by_model["secscale"]["dram_forest"] > 0
+
+
+def test_compare_exits_three_when_models_disagree(workdir, capsys, broken_penglai):
+    cfg = write_config(workdir, models=["secscale", "penglai"])
+    assert main(["compare", cfg, "--out", "cmp"]) == EXIT_MISMATCH
+    assert "disagree" in capsys.readouterr().err
+    assert not (workdir / "cmp.json").exists()
 
 
 def test_compare_sweep_rows_normalize_to_first(workdir):

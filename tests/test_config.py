@@ -4,6 +4,7 @@ Every bad input must fail at load time with the offending key path in the
 message — a run should never start on a half-understood config.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -19,6 +20,7 @@ from enclavesim.config import (
     merge_layers,
     parse_size,
 )
+from enclavesim.sim import SimConfig
 
 
 # ------------------------------------------------------------------- sizes
@@ -121,8 +123,9 @@ def test_nested_merge_keeps_sibling_keys(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"workload": {"n_accesses": 42}}))
     cfg = load_config(str(path), preset="trend")
-    assert cfg.workload.n_accesses == 42
-    assert cfg.workload.footprint == 2 << 20  # preset sibling preserved
+    spec = cfg.workload.spec(seed=0)
+    assert spec.n_accesses == 42
+    assert spec.footprint_bytes == 2 << 20  # preset sibling preserved
 
 
 def test_unknown_preset_rejected():
@@ -190,10 +193,12 @@ def test_empty_sweep_yields_single_base_row():
 
 
 # ---------------------------------------------------------------- plumbing
-def test_to_sim_config_model_override():
+def test_run_config_is_the_sim_config():
     cfg = load_config(preset="trend")
-    assert cfg.to_sim_config("dfp").model == "dfp"
-    assert cfg.to_sim_config().model == cfg.model
+    assert isinstance(cfg, SimConfig)
+    dfp = dataclasses.replace(cfg, model="dfp")
+    assert dfp.model == "dfp"
+    assert dfp.workload == cfg.workload and dfp.latency == cfg.latency
 
 
 def test_workload_seed_follows_run_seed_unless_pinned():

@@ -14,6 +14,7 @@ from enclavesim.sim import (
     MODELS,
     REPORT_COLUMNS,
     SimConfig,
+    StateMismatch,
     compare,
     enclave_footprints,
     run,
@@ -72,6 +73,13 @@ def test_multi_enclave_footprints_and_state():
         reports["secscale"].final_state_digest
         == reports["baseline"].final_state_digest
     )
+
+
+@pytest.mark.parametrize("models", [("secscale", "penglai"), MODELS])
+def test_compare_raises_when_models_disagree(broken_penglai, models):
+    records = trace(n=300, seed=8)
+    with pytest.raises(StateMismatch, match="penglai"):
+        compare(cfg(seed=8), records, models=models)
 
 
 def test_state_digest_is_order_independent():
