@@ -32,7 +32,7 @@ import logging
 import random
 from dataclasses import dataclass
 
-from .epc import EngineConfig, SecScaleEngine, write_value
+from .epc import SCRATCH_VBASE, EngineConfig, SecScaleEngine, write_value
 from .layout import KEY_SLOT_BYTES, PAGE_SIZE, MemoryLayout
 from .merkle import MerkleTreeConfig
 from .sim import make_layout
@@ -320,7 +320,7 @@ def run_benign(n_ops: int = 100_000, seed: int = 0) -> dict:
         if i % 1024 == 1023:
             # interleave a second enclave, scratch traffic and a barrier
             eng.access(EID_B, rng.randrange(64) * PAGE_SIZE, "W", ic)
-            eng.access(EID_A, (0xFFFF0 + rng.randrange(4)) * PAGE_SIZE, "R", ic)
+            eng.access(EID_A, (SCRATCH_VBASE + rng.randrange(4)) * PAGE_SIZE, "R", ic)
             if i % 8192 == 8191:
                 eng.syscall_barrier()
     eng.finalize()

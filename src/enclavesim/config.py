@@ -3,7 +3,8 @@
 A run is described by a plain JSON object (human-editable key/value text).
 Values merge with precedence flag > file > preset > built-in default, and
 unknown keys are rejected with the full key path so a typo never silently
-falls back to a default.  Byte sizes accept suffixed strings ("64M", "2GiB")
+falls back to a default; so is a value whose type is not the one its
+dataclass field declares.  Byte sizes accept suffixed strings ("64M", "2GiB")
 anywhere the schema wants bytes.
 
 Presets cover the shipped experiment families; each is a full config the
@@ -16,6 +17,8 @@ import dataclasses
 import json
 import logging
 import re
+import types
+import typing
 from dataclasses import dataclass, field
 
 from .adversary import ATTACK_KINDS
@@ -58,10 +61,41 @@ def parse_size(value, path: str = "size") -> int:
 
 
 def _check_keys(d: dict, allowed, path: str):
+    if not isinstance(d, dict):
+        raise ConfigError(f"{path}: expected an object, got {d!r}")
     unknown = sorted(set(d) - set(allowed))
     if unknown:
         where = f"{path}.{unknown[0]}" if path else unknown[0]
         raise ConfigError(f"unknown config key {where!r}")
+
+
+def _has_type(value, hint) -> bool:
+    """isinstance against a field annotation; ints pass as floats, bools
+    pass only as bools."""
+    if isinstance(hint, types.UnionType):
+        return any(_has_type(value, h) for h in typing.get_args(hint))
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, typing.get_origin(hint) or hint)
+
+
+def _build(cls, kwargs: dict, path: str):
+    """cls(**kwargs), once each value has the type its field declares.
+
+    The dataclass's own range errors come back as ConfigErrors.
+    """
+    hints = typing.get_type_hints(cls)
+    for key, value in kwargs.items():
+        if not _has_type(value, hints[key]):
+            where = f"{path}.{key}" if path else key
+            expected = getattr(hints[key], "__name__", hints[key])
+            raise ConfigError(f"{where}: expected {expected}, got {value!r}")
+    try:
+        return cls(**kwargs)
+    except ValueError as e:
+        raise ConfigError(f"{path}: {e}" if path else str(e)) from e
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -100,12 +134,9 @@ class WorkloadConfig:
             if name.endswith("_bytes"):
                 value = parse_size(value, f"{path}.{key}")
             synthetic[name] = value
-        cfg = cls(trace=d.get("trace"), synthetic=synthetic)
+        cfg = _build(cls, {"trace": d.get("trace"), "synthetic": synthetic}, path)
         if cfg.trace is None:
-            try:
-                cfg.spec(seed=0)  # range checks fire at load time
-            except ValueError as e:
-                raise ConfigError(f"{path}: {e}") from e
+            _build(SyntheticSpec, {"seed": 0, **synthetic}, path)  # checks at load
         return cfg
 
     def spec(self, seed: int) -> SyntheticSpec:
@@ -130,18 +161,15 @@ class AttackPlan:
         for k in kinds:
             if k not in ATTACK_KINDS:
                 raise ConfigError(f"{path}.kinds: unknown attack kind {k!r}")
-        seeds = d.get("seeds", 100)
-        if not isinstance(seeds, int) or seeds <= 0:
+        plan = _build(cls, {"kinds": kinds, "seeds": d.get("seeds", 100)}, path)
+        if plan.seeds <= 0:
             raise ConfigError(f"{path}.seeds: must be a positive integer")
-        return cls(kinds=kinds, seeds=seeds)
+        return plan
 
 
 def _latency_from_dict(d: dict, path: str = "latency") -> LatencyConfig:
     _check_keys(d, (f.name for f in dataclasses.fields(LatencyConfig)), path)
-    try:
-        return dataclasses.replace(LatencyConfig(), **d)
-    except ValueError as e:
-        raise ConfigError(f"{path}: {e}") from e
+    return _build(LatencyConfig, d, path)
 
 
 @dataclass(frozen=True)
@@ -179,10 +207,7 @@ class RunConfig(SimConfig):
             if not isinstance(rows, (list, tuple)):
                 raise ConfigError("sweep: must be a list of override objects")
             d["sweep"] = tuple(rows)
-        try:  # model-layer range errors, surfaced with schema context
-            return cls(**d)
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
+        return _build(cls, d, "")
 
     def records(self) -> list[TraceRecord]:
         return self.workload.records(self.seed)

@@ -59,6 +59,7 @@ _HW_SHIFT = _EID_SHIFT + ENCLAVE_ID_BITS
 
 MAC_BYTES = 8
 WRAPPED_KEY_BYTES = 16
+FRESHNESS_MODES = ("prng", "counter")
 
 
 @lru_cache(maxsize=32768)
@@ -215,7 +216,7 @@ class FreshnessSource:
     """
 
     def __init__(self, boot_time: bytes, hw_key: int, mode: str = "prng"):
-        if mode not in ("prng", "counter"):
+        if mode not in FRESHNESS_MODES:
             raise ValueError(f"unknown freshness mode {mode!r}")
         self.mode = mode
         self.draws = 0

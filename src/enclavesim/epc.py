@@ -40,6 +40,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import logging
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from .crypto import (
@@ -119,9 +120,6 @@ class EpcSlot:
     eid: int | None = None
     vpage: int | None = None
     home: int | None = None  # eEPC physical page this slot caches
-    dirty: bool = False
-    ts: int = 0
-    entry: int | None = None  # live ESHR entry index, if in flight
 
     @property
     def occupied(self) -> bool:
@@ -130,12 +128,10 @@ class EpcSlot:
 
 @dataclass
 class EshrEntry:
-    index: int
     slot: int
-    lpage: int  # physical page being loaded
     e_bit: bool  # a page was evicted to make room
     v_bit: bool = True
-    ls_vector: int = 0  # bit b set <=> block b of lpage loaded
+    ls_vector: int = 0  # bit b set <=> block b of the page loaded
     cursor: int = 0  # next block index the lane will move
     demand: bool = False  # a read restart is waiting on this entry
     born_icount: int = 0
@@ -198,8 +194,8 @@ class SecScaleEngine:
         if protected * PAGE_SIZE + self.merkle.storage_bytes > layout.epc_size:
             raise AssertionError("counter-tree nodes overflow the EPC carve")
 
-        self.slots = [EpcSlot(i) for i in range(self.n_slots)]
-        self.free_slots = list(range(self.n_slots - 1, -1, -1))
+        # LRU order, least recently touched first; never-used slots lead it
+        self.slots = OrderedDict((i, EpcSlot(i)) for i in range(self.n_slots))
         self.resident: dict[tuple[int, int], int] = {}  # (eid, vpage) -> slot
         self.inverted: dict[int, int] = {}  # physical eEPC page -> slot
         self.enclaves: dict[int, Enclave] = {}
@@ -207,13 +203,10 @@ class SecScaleEngine:
         self.eepc_initialized: set[int] = set()
         self._next_eepc_page = layout.eepc_base // PAGE_SIZE
 
-        self.eshr: list[EshrEntry | None] = [None] * config.eshr_entries
-        self._entry_order: list[int] = []  # live entry indices, oldest first
+        self.eshr: dict[int, EshrEntry] = {}  # slot -> live entry, oldest first
         self.queue = VerifierQueue()
         self._club: tuple[int, list[tuple[int, bytes, bytes]]] | None = None
 
-        self._clock = 0  # LRU timestamp source
-        self._evict_reg: int | None = None
         self.last_icount = 0
         self.failure: CatastrophicFailure | None = None
 
@@ -281,28 +274,14 @@ class SecScaleEngine:
 
     # ----------------------------------------------------------------- LRU
     def _touch(self, slot: EpcSlot):
-        self._clock += 1
-        slot.ts = self._clock
-        if self._evict_reg == slot.index:
-            self._evict_reg = None
-
-    def _lru_scan(self) -> int | None:
-        best = None
-        for s in self.slots:
-            if not s.occupied or s.entry is not None:
-                continue
-            if best is None or s.ts < best.ts:
-                best = s
-        return best.index if best is not None else None
+        self.slots.move_to_end(slot.index)
 
     def evict_select(self) -> int | None:
-        """Victim slot: the precomputed register when valid, else LRU scan."""
-        reg = self._evict_reg
-        if reg is not None:
-            s = self.slots[reg]
-            if s.occupied and s.entry is None:
-                return reg
-        return self._lru_scan()
+        """Victim slot: the least recently touched occupied one not in flight."""
+        for index, slot in self.slots.items():
+            if slot.occupied and index not in self.eshr:
+                return index
+        return None
 
     # ----------------------------------------------------- slot byte store
     def _slot_base(self, slot: EpcSlot) -> int:
@@ -311,30 +290,23 @@ class SecScaleEngine:
     def _slot_bytes(self, slot: EpcSlot) -> bytes:
         return self.dram.peek(self._slot_base(slot), PAGE_SIZE)
 
-    def _slot_checked_bytes(self, slot: EpcSlot, *, critical: bool) -> bytes:
-        """Fetch an EPC page and re-check it against the counter tree."""
-        pt = self._slot_bytes(slot)
-        res = self.merkle.read_verify(slot.index)
-        self.merkle.check_data(slot.index, res.major, pt, res.data_mac)
+    def _charge_tree(self, accesses: int, *, critical: bool):
+        """Counter-tree traffic: latency on the critical path, else lane time."""
         if critical:
-            self.stats.charge_critical(
-                self.latency.dram_access_cycles * res.dram_reads
-            )
+            self.stats.charge_critical(self.latency.dram_access_cycles * accesses)
         else:
-            self.stats.lane_charge(
-                0, self.latency.dram_occupancy_cycles * res.dram_reads
-            )
-        return pt
+            self.stats.lane_charge(0, self.latency.dram_occupancy_cycles * accesses)
 
-    def _slot_install(self, slot: EpcSlot, plaintext: bytes, *, critical: bool):
-        """Write an EPC page and rebind it into the counter tree."""
-        self.port.write_span(self._slot_base(slot), plaintext, cause="data")
+    def _check_slot(self, slot: EpcSlot, plaintext: bytes, *, critical: bool):
+        """Re-check an EPC page's bytes against the counter tree."""
+        res = self.merkle.read_verify(slot.index)
+        self.merkle.check_data(slot.index, res.major, plaintext, res.data_mac)
+        self._charge_tree(res.dram_reads, critical=critical)
+
+    def _rebind_slot(self, slot: EpcSlot, plaintext: bytes, *, critical: bool):
+        """Bind an EPC page's new bytes into the counter tree."""
         res = self.merkle.write_update(slot.index, plaintext)
-        cost = res.dram_reads + res.dram_writes
-        if critical:
-            self.stats.charge_critical(self.latency.dram_access_cycles * cost)
-        else:
-            self.stats.lane_charge(0, self.latency.dram_occupancy_cycles * cost)
+        self._charge_tree(res.dram_reads + res.dram_writes, critical=critical)
 
     # ------------------------------------------------------ lane scheduling
     def _entry_step_cycles(self, entry: EshrEntry, load_needed: bool) -> int:
@@ -364,12 +336,7 @@ class SecScaleEngine:
 
     def _complete_entry(self, entry: EshrEntry):
         entry.v_bit = False
-        slot = self.slots[entry.slot]
-        if slot.entry == entry.index:
-            slot.entry = None
-            self._evict_reg = None  # slot becomes eviction-eligible
-        self.eshr[entry.index] = None
-        self._entry_order.remove(entry.index)
+        del self.eshr[entry.slot]  # the slot becomes eviction-eligible
         if entry.verify_payload is not None:
             page, key, pt = entry.verify_payload
             self._submit_job(
@@ -438,20 +405,14 @@ class SecScaleEngine:
 
     def _lane_pull(self) -> bool:
         """One unit of background work: demand entries, oldest entry, jobs."""
-        pick = None
-        for idx in self._entry_order:
-            e = self.eshr[idx]
-            if e is not None and e.v_bit and e.demand:
-                pick = e
+        entries = self.eshr.values()
+        for entry in entries:
+            if entry.demand:
                 break
-        if pick is None:
-            for idx in self._entry_order:
-                e = self.eshr[idx]
-                if e is not None and e.v_bit:
-                    pick = e
-                    break
-        if pick is not None:
-            self.fault_step(pick)
+        else:
+            entry = next(iter(entries), None)
+        if entry is not None:
+            self.fault_step(entry)
             return True
         if self.queue:
             self._retire_head()
@@ -506,36 +467,38 @@ class SecScaleEngine:
 
     # -------------------------------------------------------------- faults
     def _stall_complete_oldest(self):
-        oldest = self.eshr[self._entry_order[0]]
+        oldest = next(iter(self.eshr.values()))
         while oldest.v_bit:
             self.fault_step(oldest)
         self.stats.stall_until_lane()
         self.stats.events["eshr_stalls"] += 1
 
-    def _free_eshr_index(self) -> int:
-        while True:
-            for i, e in enumerate(self.eshr):
-                if e is None:
-                    return i
-            self._stall_complete_oldest()
-
     def _claim_slot(self) -> EpcSlot:
-        if self.free_slots:
-            return self.slots[self.free_slots.pop()]
-        while True:
-            victim = self.evict_select()
-            if victim is not None:
-                return self.slots[victim]
+        first = next(iter(self.slots.values()))
+        if not first.occupied:  # free slots lead the order, lowest index first
+            return first
+        while (victim := self.evict_select()) is None:
             # every occupied slot is mid-flight: finish the oldest fault
             self._stall_complete_oldest()
+        return self.slots[victim]
+
+    def _critical_restart(self, phys: int, block: int) -> bytes:
+        """Restart a read that misses: the wrapped key and the demanded block
+        are the two critical DRAM reads, plus one block decrypt."""
+        wrapped = self.port.read(
+            self.layout.key_table_slot(phys), KEY_SLOT_BYTES, cause="key_table"
+        )
+        self.port.read(phys * PAGE_SIZE + block * BLOCK_SIZE, BLOCK_SIZE, cause="data")
+        self.stats.charge_critical(2 * self.latency.dram_access_cycles)
+        self.stats.critical_crypto("ecb", 1)
+        self.stats.events["fault_critical_reads"] += 2
+        return wrapped
 
     def _evict_slot(self, slot: EpcSlot, *, icount: int):
         """Eagerly re-key, re-encrypt and write back a victim page."""
         # integrity gate before the page leaves hardware protection
         plaintext = self.port.read_span(self._slot_base(slot), PAGE_SIZE, cause="data")
-        res = self.merkle.read_verify(slot.index)
-        self.merkle.check_data(slot.index, res.major, plaintext, res.data_mac)
-        self.stats.lane_charge(0, self.latency.dram_occupancy_cycles * res.dram_reads)
+        self._check_slot(slot, plaintext, critical=False)
 
         key = compose_page_key(self.hw_key, slot.eid, self.freshness.draw(), slot.home)
         self.port.write(
@@ -555,8 +518,6 @@ class SecScaleEngine:
         del self.resident[(slot.eid, slot.vpage)]
         del self.inverted[slot.home]
         self.stats.events["evictions"] += 1
-        if self._evict_reg == slot.index:
-            self._evict_reg = None
 
     def _start_fault(
         self, eid: int, vpage: int, phys: int, *, icount: int,
@@ -568,23 +529,17 @@ class SecScaleEngine:
                 "(inverted-table collision)",
                 page=phys,
             )
-        entry_idx = self._free_eshr_index()
+        while len(self.eshr) >= self.config.eshr_entries:
+            self._stall_complete_oldest()
         slot = self._claim_slot()
         e_bit = slot.occupied
         if e_bit:
             self._evict_slot(slot, icount=icount)
 
         is_read = demand_block is not None
-        # wrapped key slot: one of the two critical reads on a read miss
-        kt_addr = self.layout.key_table_slot(phys)
-        wrapped = self.port.read(kt_addr, KEY_SLOT_BYTES, cause="key_table")
         base = phys * PAGE_SIZE
         if is_read:
-            # demanded block read separately: the other critical read
-            self.port.read(base + demand_block * BLOCK_SIZE, BLOCK_SIZE, cause="data")
-            self.stats.charge_critical(2 * self.latency.dram_access_cycles)
-            self.stats.critical_crypto("ecb", 1)  # demand block decrypt
-            self.stats.events["fault_critical_reads"] += 2
+            wrapped = self._critical_restart(phys, demand_block)
             # the other 63 blocks stream in the background
             if demand_block > 0:
                 self.port.read_span(base, demand_block * BLOCK_SIZE, cause="data")
@@ -592,6 +547,9 @@ class SecScaleEngine:
                 after = (demand_block + 1) * BLOCK_SIZE
                 self.port.read_span(base + after, PAGE_SIZE - after, cause="data")
         else:
+            wrapped = self.port.read(
+                self.layout.key_table_slot(phys), KEY_SLOT_BYTES, cause="key_table"
+            )
             self.port.read_span(base, PAGE_SIZE, cause="data")
         ciphertext = self.dram.peek(base, PAGE_SIZE)
 
@@ -612,16 +570,15 @@ class SecScaleEngine:
             plaintext[offset : offset + len(value)] = value
 
         slot.eid, slot.vpage, slot.home = eid, vpage, phys
-        slot.dirty = pending_write is not None
         self._touch(slot)
         self.resident[(eid, vpage)] = slot.index
         self.inverted[phys] = slot.index
-        self._slot_install(slot, bytes(plaintext), critical=False)
+        page = bytes(plaintext)
+        self.port.write_span(self._slot_base(slot), page, cause="data")
+        self._rebind_slot(slot, page, critical=False)
 
         entry = EshrEntry(
-            index=entry_idx,
             slot=slot.index,
-            lpage=phys,
             e_bit=e_bit,
             demand=is_read,
             born_icount=icount,
@@ -631,11 +588,7 @@ class SecScaleEngine:
         )
         if is_read:
             entry.ls_vector |= 1 << demand_block
-        self.eshr[entry_idx] = entry
-        self._entry_order.append(entry_idx)
-        slot.entry = entry_idx
-        # precompute the next victim off the critical path
-        self._evict_reg = self._lru_scan()
+        self.eshr[slot.index] = entry
         return slot
 
     # -------------------------------------------------------------- access
@@ -686,24 +639,15 @@ class SecScaleEngine:
                 outcome = AccessOutcome.QUEUED_WRITE
         else:
             slot = self.slots[slot_idx]
-            entry = self.eshr[slot.entry] if slot.entry is not None else None
+            entry = self.eshr.get(slot_idx)
             self._touch(slot)
             if entry is not None and op == "R" and not (entry.ls_vector >> block) & 1:
                 # page in flight, demanded block not yet landed: restart costs
                 # the same two reads as a fresh miss
-                self.port.read(
-                    slot.home * PAGE_SIZE + block * BLOCK_SIZE, BLOCK_SIZE, cause="data"
-                )
-                self.port.read(
-                    self.layout.key_table_slot(slot.home), KEY_SLOT_BYTES,
-                    cause="key_table",
-                )
-                self.stats.charge_critical(2 * self.latency.dram_access_cycles)
-                self.stats.critical_crypto("ecb", 1)
+                self._critical_restart(slot.home, block)
                 entry.ls_vector |= 1 << block
                 entry.demand = True
                 self.stats.events["refaults"] += 1
-                self.stats.events["fault_critical_reads"] += 2
                 outcome = AccessOutcome.FAULT_STARTED
                 value = self._slot_bytes(slot)[offset : offset + 8]
             elif op == "R":
@@ -714,7 +658,8 @@ class SecScaleEngine:
                 )
                 self.stats.charge_critical(self.latency.dram_access_cycles)
                 self.stats.critical_crypto("ctr", 1)
-                pt = self._slot_checked_bytes(slot, critical=True)
+                pt = self._slot_bytes(slot)
+                self._check_slot(slot, pt, critical=True)
                 value = pt[offset : offset + 8]
             else:
                 # resident write: update the page and rebind the counter tree
@@ -725,18 +670,11 @@ class SecScaleEngine:
                 )
                 pt = bytearray(self._slot_bytes(slot))
                 pt[offset : offset + 8] = value
-                slot.dirty = True
                 self.port.write(
                     self._slot_base(slot) + offset, value, cause="data"
                 )
-                res = self.merkle.write_update(slot.index, bytes(pt))
-                cost = res.dram_reads + res.dram_writes
-                if in_flight:
-                    self.stats.lane_charge(
-                        0, self.latency.dram_occupancy_cycles * cost
-                    )
-                else:
-                    self.stats.charge_critical(self.latency.dram_access_cycles * cost)
+                self._rebind_slot(slot, bytes(pt), critical=not in_flight)
+                if not in_flight:
                     self.stats.charge_critical(self.latency.dram_access_cycles)
                     self.stats.critical_crypto("ctr", 1)
 
@@ -804,4 +742,4 @@ class SecScaleEngine:
 
     # ------------------------------------------------------------- metrics
     def live_entries(self) -> list[EshrEntry]:
-        return [e for e in self.eshr if e is not None and e.v_bit]
+        return list(self.eshr.values())

@@ -237,53 +237,59 @@ class MacForest:
             self._top_cache.popitem(last=False)
 
     # ------------------------------------------------------------ verify
-    def verify_page(self, page: int, expected_leaf: bytes) -> ForestVerifyResult:
-        """Compare recomputed vs stored MACs at leaf, mid and top level."""
-        if len(expected_leaf) != MAC_BYTES:
-            raise ValueError("leaf MAC must be 8 bytes")
-        group = self.group_of(page)
-        region = self.region_of(page)
-        ga = self.config.group_arity
+    def _check_region(
+        self, region: int, leaf_groups: dict[int, bytearray], page: int
+    ) -> tuple[bytearray, int, int]:
+        """Check leaf groups against their stored mids, the mids against the top.
 
-        start, nbytes = self._leaf_group_span(group)
-        leaves, reads = self._read_span(start, nbytes)
-        slot = (page % ga) * MAC_BYTES
-        stored_leaf = bytes(leaves[slot : slot + MAC_BYTES])
-        if stored_leaf != expected_leaf:
-            raise CatastrophicFailure(
-                f"page MAC mismatch at leaf level for page {page}", page=page
-            )
-
-        mid_recomputed = self._mid_mac(group, bytes(leaves))
+        The top comes from the region cache or the top_read callback, and the
+        authenticated top goes back into the cache.  Returns the mid group,
+        its block reads and the top reads (0 or 1); a mismatch raises,
+        naming `page`.
+        """
         mstart, mbytes = self._mid_group_span(region)
-        mids, mreads = self._read_span(mstart, mbytes)
-        reads += mreads
-        mslot = (group % self.config.region_arity) * MAC_BYTES
-        if bytes(mids[mslot : mslot + MAC_BYTES]) != mid_recomputed:
-            raise CatastrophicFailure(
-                f"MAC group digest mismatch above page {page}", page=page
-            )
-
-        top_recomputed = self._top_mac(region, bytes(mids))
-        cached = self._top_cached(region)
+        mids, reads = self._read_span(mstart, mbytes)
+        for g, leaves in leaf_groups.items():
+            mslot = (g % self.config.region_arity) * MAC_BYTES
+            if bytes(mids[mslot : mslot + MAC_BYTES]) != self._mid_mac(g, bytes(leaves)):
+                raise CatastrophicFailure(
+                    f"MAC group digest mismatch above page {page}", page=page
+                )
+        stored_top = self._top_cached(region)
         top_reads = 0
-        if cached is None:
+        if stored_top is None:
             self.top_cache_misses += 1
             stored_top = self.top_read(region)
             top_reads = 1
         else:
             self.top_cache_hits += 1
-            stored_top = cached
-        if stored_top != top_recomputed:
+        if stored_top != self._top_mac(region, bytes(mids)):
             raise CatastrophicFailure(
                 f"region digest mismatch above page {page}", page=page
             )
         self._top_cache_put(region, stored_top)
+        return mids, reads, top_reads
+
+    def verify_page(self, page: int, expected_leaf: bytes) -> ForestVerifyResult:
+        """Compare recomputed vs stored MACs at leaf, mid and top level."""
+        if len(expected_leaf) != MAC_BYTES:
+            raise ValueError("leaf MAC must be 8 bytes")
+        group = self.group_of(page)
+        start, nbytes = self._leaf_group_span(group)
+        leaves, reads = self._read_span(start, nbytes)
+        slot = (page % self.config.group_arity) * MAC_BYTES
+        if bytes(leaves[slot : slot + MAC_BYTES]) != expected_leaf:
+            raise CatastrophicFailure(
+                f"page MAC mismatch at leaf level for page {page}", page=page
+            )
+        _, mreads, top_reads = self._check_region(
+            self.region_of(page), {group: leaves}, page
+        )
         return ForestVerifyResult(
             page=page,
-            dram_reads=reads,
+            dram_reads=reads + mreads,
             top_reads=top_reads,
-            top_cache_hit=cached is not None,
+            top_cache_hit=not top_reads,
         )
 
     # ------------------------------------------------------------ update
@@ -313,40 +319,16 @@ class MacForest:
         ga = self.config.group_arity
         for region in sorted(by_region):
             batch = by_region[region]
-            groups = sorted({self.group_of(p) for p, _ in batch})
             bufs: dict[int, bytearray] = {}
-            for g in groups:
+            for g in sorted({self.group_of(p) for p, _ in batch}):
                 start, nbytes = self._leaf_group_span(g)
                 bufs[g], r = self._read_span(start, nbytes)
                 reads += r
 
-            mstart, mbytes = self._mid_group_span(region)
-            mids, mreads = self._read_span(mstart, mbytes)
-            reads += mreads
-
             # authenticate every byte the rebuild is about to trust
-            for g in groups:
-                mslot = (g % self.config.region_arity) * MAC_BYTES
-                if bytes(mids[mslot : mslot + MAC_BYTES]) != self._mid_mac(
-                    g, bytes(bufs[g])
-                ):
-                    raise CatastrophicFailure(
-                        f"MAC group digest mismatch above page {batch[0][0]}",
-                        page=batch[0][0],
-                    )
-            cached = self._top_cached(region)
-            if cached is None:
-                self.top_cache_misses += 1
-                stored_top = self.top_read(region)
-                top_reads += 1
-            else:
-                self.top_cache_hits += 1
-                stored_top = cached
-            if stored_top != self._top_mac(region, bytes(mids)):
-                raise CatastrophicFailure(
-                    f"region digest mismatch above page {batch[0][0]}",
-                    page=batch[0][0],
-                )
+            mids, r, t = self._check_region(region, bufs, batch[0][0])
+            reads += r
+            top_reads += t
 
             dirty_blocks: set[int] = set()
             for page, leaf in batch:
@@ -364,10 +346,10 @@ class MacForest:
                 )
                 writes += 1
 
-            for g in groups:
+            for g, leaves in bufs.items():
                 mslot = (g % self.config.region_arity) * MAC_BYTES
-                mids[mslot : mslot + MAC_BYTES] = self._mid_mac(g, bytes(bufs[g]))
-            writes += self._write_span(mstart, bytes(mids))
+                mids[mslot : mslot + MAC_BYTES] = self._mid_mac(g, bytes(leaves))
+            writes += self._write_span(self._mid_group_span(region)[0], bytes(mids))
 
             top = self._top_mac(region, bytes(mids))
             self.top_write(region, top)

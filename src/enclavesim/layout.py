@@ -53,10 +53,6 @@ def page_base(page: int) -> int:
     return page << PAGE_SHIFT
 
 
-def block_base(page: int, block: int) -> int:
-    return (page << PAGE_SHIFT) | (block << BLOCK_SHIFT)
-
-
 class Region(enum.Enum):
     EPC = "epc"
     EEPC = "eepc"
@@ -147,9 +143,6 @@ class MemoryLayout:
         if addr < self.scratch_base:
             return Region.KEY_TABLE
         return Region.SCRATCH
-
-    def region_of_page(self, page: int) -> Region:
-        return self.classify(page_base(page))
 
     def key_table_slot(self, page: int) -> int:
         """Address of the wrapped-key slot for a physical page."""

@@ -116,8 +116,6 @@ class EpcMerkle:
         # direct-mapped, write-through: line index -> (node_addr, bytes)
         self._cache_lines = max(1, self.config.counter_cache_bytes // NODE_BYTES)
         self._cache: dict[int, tuple[int, bytes]] = {}
-        self.cache_hits = 0
-        self.cache_misses = 0
         self._init_storage()
 
     # ------------------------------------------------------------ layout
@@ -236,12 +234,10 @@ class EpcMerkle:
             cached = self._cache_get(addr)
             if cached is not None:
                 trusted[level] = bytearray(cached)
-                self.cache_hits += 1
                 if not full:
                     break
             else:
                 to_fetch.append((level, idx, addr))
-        self.cache_misses += len(to_fetch)
 
         fetched: dict[int, tuple[int, bytes]] = {}
         reads = 0

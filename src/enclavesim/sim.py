@@ -34,6 +34,7 @@ import random
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
+from .crypto import FRESHNESS_MODES
 from .epc import (
     SCRATCH_VBASE,
     EngineConfig,
@@ -79,6 +80,11 @@ class SimConfig:
             raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
         if self.epc_size >= self.total_size:
             raise ValueError("epc_size must be smaller than total_size")
+        if self.freshness_mode not in FRESHNESS_MODES:
+            raise ValueError(
+                f"freshness_mode must be one of {FRESHNESS_MODES}, "
+                f"got {self.freshness_mode!r}"
+            )
         if not 0.0 <= self.dfp_accuracy <= 1.0:
             raise ValueError("dfp_accuracy must be within [0, 1]")
         if self.dfp_lookahead <= 0:
@@ -226,9 +232,9 @@ class SgxClientModel(_PlainModel):
         )
         self.resident: dict[tuple[int, int], int] = {}
         self.slot_owner: list[tuple[int, int] | None] = [None] * self.n_slots
-        self.slot_ts = [0] * self.n_slots
         self.free = list(range(self.n_slots - 1, -1, -1))
-        self._clock = 0
+        # touched occupied slots, least recently touched first
+        self._lru: OrderedDict[int, None] = OrderedDict()
 
     @staticmethod
     def _merkle_pages(n_pages: int) -> int:
@@ -247,13 +253,11 @@ class SgxClientModel(_PlainModel):
         return slots
 
     def _touch(self, slot: int):
-        self.slot_ts[slot] = self._next_ts()
+        self._lru[slot] = None
+        self._lru.move_to_end(slot)
 
     def _victim(self) -> int:
-        return min(
-            (s for s in range(self.n_slots) if self.slot_owner[s] is not None),
-            key=lambda s: self.slot_ts[s],
-        )
+        return next(iter(self._lru))
 
     def _copy_page(self, src: int, dst: int, *, critical: bool):
         """Software page copy: per-block read+write, plus crypto charges."""
@@ -283,6 +287,7 @@ class SgxClientModel(_PlainModel):
         )
         del self.resident[(eid, vpage)]
         self.slot_owner[slot] = None
+        self._lru.pop(slot, None)
         self.stats.events["evictions"] += 1
 
     def _insert(self, eid: int, vpage: int, *, cold: bool = False) -> int:
@@ -307,13 +312,9 @@ class SgxClientModel(_PlainModel):
             self.stats.charge_critical(lat.dram_access_cycles * accesses)
         self.resident[(eid, vpage)] = slot
         self.slot_owner[slot] = (eid, vpage)
-        # cold inserts park at the LRU end: first out unless referenced
-        self.slot_ts[slot] = 0 if cold else self._next_ts()
+        if not cold:
+            self._touch(slot)
         return slot
-
-    def _next_ts(self) -> int:
-        self._clock += 1
-        return self._clock
 
     def _fault(self, eid: int, vpage: int, op: str) -> int:
         lat = self.cfg.latency
@@ -381,16 +382,18 @@ class DfpModel(SgxClientModel):
         self.rng = random.Random(0xDF9 ^ cfg.seed)
         self._future: list[tuple[int, int]] = []  # (eid, vpage) per access
         self._pos = 0
-        self._prefetched: set[tuple[int, int]] = set()
+        # slots prefetched and not yet touched, lowest index first: they go
+        # before every touched slot
+        self._prefetched: OrderedDict[int, None] = OrderedDict()
 
     def set_trace(self, records: list[TraceRecord]):
         self._future = [(r.enclave_id, r.vaddr // PAGE_SIZE) for r in records]
         self._pos = 0
 
     def access(self, eid: int, vaddr: int, op: str, icount: int):
-        key = (eid, vaddr // PAGE_SIZE)
-        if key in self._prefetched and key in self.resident:
-            self._prefetched.discard(key)
+        slot = self.resident.get((eid, vaddr // PAGE_SIZE))
+        if slot in self._prefetched:
+            del self._prefetched[slot]
             self.stats.events["prefetch_hits"] += 1
         out = super().access(eid, vaddr, op, icount)
         self._pos += 1
@@ -415,14 +418,25 @@ class DfpModel(SgxClientModel):
         pred = self._predict((eid, vpage))
         if pred is not None and pred not in self.resident:
             self._insert(pred[0], pred[1], cold=True)
-            self._prefetched.add(pred)
             self.stats.events["prefetches"] += 1
         return slot
 
+    def _insert(self, eid: int, vpage: int, *, cold: bool = False) -> int:
+        slot = super()._insert(eid, vpage, cold=cold)
+        if cold:
+            # a free slot lies above every used one; a victim slot was the
+            # lowest prefetched one, or no prefetched slot was left
+            self._prefetched[slot] = None
+            if slot < next(iter(self._prefetched)):
+                self._prefetched.move_to_end(slot, last=False)
+        return slot
+
+    def _victim(self) -> int:
+        return next(iter(self._prefetched or self._lru))
+
     def _evict(self, slot: int):
-        owner = self.slot_owner[slot]
-        if owner in self._prefetched:
-            self._prefetched.discard(owner)
+        if slot in self._prefetched:
+            del self._prefetched[slot]
             self.stats.events["wasted_prefetches"] += 1
         super()._evict(slot)
 

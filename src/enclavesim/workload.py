@@ -1,12 +1,9 @@
-"""Trace ingestion, synthetic access patterns, and the LLC-miss filter.
+"""Trace ingestion and synthetic access patterns.
 
-Protection models consume the stream of last-level-cache misses, not raw
-loads and stores, so this module provides the plumbing in between: a text
-trace format (`R|W <hex vaddr> <enclave id> <icount>`), deterministic
-synthetic generators for the usual suspects (sequential, uniform-random,
-zipf, strided, pointer-chase), and a small non-inclusive L1/L2 hierarchy
-with 64-byte lines and per-set LRU that turns any record stream into the
-miss stream plus hit/miss statistics.
+Protection models consume a stream of memory accesses, each taken to miss
+the last-level cache: a text trace format (`R|W <hex vaddr> <enclave id>
+<icount>`) and deterministic synthetic generators for the usual suspects
+(sequential, uniform-random, zipf, strided, pointer-chase).
 """
 
 from __future__ import annotations
@@ -15,8 +12,7 @@ import bisect
 import gzip
 import logging
 import random
-from collections import OrderedDict
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import IO, Iterable, Iterator
 
 from .layout import BLOCK_SIZE, PAGE_SIZE
@@ -180,99 +176,3 @@ def generate(spec: SyntheticSpec) -> list[TraceRecord]:
         op = "R" if rng.random() < spec.read_frac else "W"
         out.append(TraceRecord(op, addr, spec.enclave_id, icount))
     return out
-
-
-# --------------------------------------------------------------------------
-# Cache hierarchy
-# --------------------------------------------------------------------------
-@dataclass(frozen=True)
-class CacheConfig:
-    l1_bytes: int = 32 << 10
-    l1_ways: int = 8
-    l2_bytes: int = 8 << 20
-    l2_ways: int = 8
-    line_bytes: int = BLOCK_SIZE
-
-    def __post_init__(self):
-        for lvl in ("l1", "l2"):
-            size = getattr(self, f"{lvl}_bytes")
-            ways = getattr(self, f"{lvl}_ways")
-            if size % (ways * self.line_bytes):
-                raise ValueError(f"{lvl} size must be a multiple of ways x line")
-
-
-class _SetAssocCache:
-    """One level: per-set LRU over line tags."""
-
-    def __init__(self, size: int, ways: int, line: int):
-        self.ways = ways
-        self.n_sets = size // (ways * line)
-        self.line = line
-        self.sets: list[OrderedDict[int, None]] = [
-            OrderedDict() for _ in range(self.n_sets)
-        ]
-
-    def access(self, line_addr: int) -> bool:
-        """Touch a line; True on hit.  Miss inserts, evicting LRU."""
-        s = self.sets[line_addr % self.n_sets]
-        if line_addr in s:
-            s.move_to_end(line_addr)
-            return True
-        s[line_addr] = None
-        if len(s) > self.ways:
-            s.popitem(last=False)
-        return False
-
-
-@dataclass
-class CacheStats:
-    accesses: int = 0
-    l1_hits: int = 0
-    l2_hits: int = 0
-    llc_misses: int = 0
-    reads: int = 0
-    writes: int = 0
-    final_icount: int = 0
-
-    @property
-    def llc_miss_rate(self) -> float:
-        return self.llc_misses / self.accesses if self.accesses else 0.0
-
-
-class CacheHierarchy:
-    """Non-inclusive L1/L2; emits the records that miss in both."""
-
-    def __init__(self, config: CacheConfig = CacheConfig()):
-        self.config = config
-        self.l1 = _SetAssocCache(config.l1_bytes, config.l1_ways, config.line_bytes)
-        self.l2 = _SetAssocCache(config.l2_bytes, config.l2_ways, config.line_bytes)
-        self.stats = CacheStats()
-
-    def feed(self, records: Iterable[TraceRecord]) -> Iterator[TraceRecord]:
-        st = self.stats
-        line = self.config.line_bytes
-        for rec in records:
-            st.accesses += 1
-            st.final_icount = rec.icount
-            if rec.op == "R":
-                st.reads += 1
-            else:
-                st.writes += 1
-            line_addr = rec.vaddr // line
-            if self.l1.access(line_addr):
-                st.l1_hits += 1
-                continue
-            if self.l2.access(line_addr):
-                st.l2_hits += 1
-                continue
-            st.llc_misses += 1
-            yield rec
-
-
-def llc_filter(
-    records: Iterable[TraceRecord], config: CacheConfig = CacheConfig()
-) -> tuple[list[TraceRecord], CacheStats]:
-    """Run records through the hierarchy; return (LLC misses, statistics)."""
-    h = CacheHierarchy(config)
-    misses = list(h.feed(records))
-    return misses, h.stats

@@ -71,6 +71,23 @@ def test_unknown_config_key_exits_one_with_path(workdir, capsys):
     assert "workload.patern" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "config, path",
+    [
+        ({"freshness_mode": "bogus"}, "freshness_mode"),
+        ({"workload": {"n_accesses": "100"}}, "workload.n_accesses"),
+        ({"latency": {"dram_access_cycles": "100"}}, "latency.dram_access_cycles"),
+        ({"eshr_entries": "4"}, "eshr_entries"),
+        ({"seed": "3"}, "seed"),
+    ],
+)
+def test_bad_config_value_exits_one_with_path(workdir, capsys, config, path):
+    bad = workdir / "bad.json"
+    bad.write_text(json.dumps(config))
+    assert main(["run", str(bad)]) == EXIT_USAGE
+    assert path in capsys.readouterr().err
+
+
 # ------------------------------------------------------------ reproducibility
 def test_same_config_twice_is_byte_identical(workdir):
     cfg = write_config(workdir)

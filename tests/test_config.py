@@ -107,6 +107,8 @@ def test_attack_plan_validates_kinds_and_seeds():
         RunConfig.from_dict({"attack": {"kinds": ["tamper-everything"]}})
     with pytest.raises(ConfigError, match="attack.seeds"):
         RunConfig.from_dict({"attack": {"seeds": 0}})
+    with pytest.raises(ConfigError, match="attack.seeds"):
+        RunConfig.from_dict({"attack": {"seeds": True}})  # not one seed
 
 
 # -------------------------------------------------------------- precedence

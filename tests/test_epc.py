@@ -293,17 +293,28 @@ def test_full_epc_with_all_slots_in_flight_completes_oldest():
 
 
 def test_evict_register_matches_lru_scan_after_every_access():
+    # the register is evict_select(); the scan is a reference LRU kept here:
+    # last touch per page, over resident pages, skipping slots in flight
     eng = make_engine(epc_size=16 * PAGE_SIZE, total_size=16 * MIB)
     eng.register_enclave(EID, 40)
     rng = random.Random(5)
+    last_touch = {}
     ic = 0
-    for _ in range(300):
+    for step in range(300):
         ic += rng.randrange(1, 50)
         vaddr = rng.randrange(40 * PAGE_SIZE)
         eng.access(EID, vaddr, "RW"[rng.random() < 0.5], ic)
-        reg = eng._evict_reg
-        if reg is not None:
-            assert reg == eng._lru_scan(), "stale eviction register"
+        last_touch[(EID, vaddr // PAGE_SIZE)] = step
+        live = eng.live_entries()
+        assert len(live) <= eng.config.eshr_entries
+        in_flight = {e.slot for e in live}
+        touch_of_slot = {
+            eng.resident[page]: t
+            for page, t in last_touch.items()
+            if page in eng.resident and eng.resident[page] not in in_flight
+        }
+        expected = min(touch_of_slot, key=touch_of_slot.get, default=None)
+        assert eng.evict_select() == expected, f"wrong victim after access {step}"
     eng.finalize()
 
 
@@ -315,13 +326,11 @@ def test_evict_register_invalidated_by_touching_its_slot():
         ic += 20000
         eng.access(EID, v * PAGE_SIZE, "W", ic)
     eng.syscall_barrier()
-    reg = eng._lru_scan()
-    assert reg is not None
-    eng._evict_reg = reg  # as a fault would have precomputed it
-    victim = eng.slots[reg]
+    victim = eng.evict_select()
+    assert victim is not None
     ic += 20000
-    eng.access(EID, victim.vpage * PAGE_SIZE, "R", ic)  # victim touched
-    assert eng._evict_reg is None, "register survived a touch of its slot"
+    eng.access(EID, eng.slots[victim].vpage * PAGE_SIZE, "R", ic)  # victim touched
+    assert eng.evict_select() not in (None, victim), "a touched slot stayed the victim"
 
 
 # ------------------------------------------------------- crypto round trip

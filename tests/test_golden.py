@@ -3,9 +3,10 @@
 Every preset runs through the CLI on a capped config (short workloads, two
 attack seeds), and the digests of its `.json`, `.csv` and stdout are compared
 with values recorded from an earlier version of the code.  `storage` at its
-defaults and two `gen-trace` files are pinned the same way.  A refactor that
-claims to keep outputs byte-identical must leave this file untouched; a
-change that means to move a number updates the digest it moves and says why.
+defaults, two `gen-trace` files and three secscale `run`s that reach paths no
+preset does are pinned the same way.  A refactor that claims to keep outputs
+byte-identical must leave the recorded digests untouched; a change that means
+to move a number updates the digest it moves and says why.
 """
 
 import hashlib
@@ -26,6 +27,20 @@ PRESET_RUNS = {
     "merkle-only": ("run", {"workload": {"n_accesses": CAPPED_ACCESSES}}),
     "fault-only": ("run", {"workload": {"n_accesses": CAPPED_ACCESSES}}),
     "attack-suite": ("run", {"attack": {"seeds": CAPPED_SEEDS}}),
+}
+
+# secscale paths no preset reaches: `run` on the capped trend config with one
+# override each (ESHR stalls and refaults, the blocking drain, counter keys)
+SECSCALE_RUNS = {
+    "eshr-2": {
+        "eshr_entries": 2,
+        "workload": {"n_accesses": CAPPED_ACCESSES, "accesses_per_instruction": 0.01},
+    },
+    "blocking": {"deferred": False, "workload": {"n_accesses": CAPPED_ACCESSES}},
+    "counter-freshness": {
+        "freshness_mode": "counter",
+        "workload": {"n_accesses": CAPPED_ACCESSES},
+    },
 }
 
 GEN_TRACE_ARGS = {
@@ -74,6 +89,24 @@ GOLDEN = {
         "json": "c8a0e44c9dac6f94e39298f4c333878b4de86d133471ac159fdc4d694e45ea3b",
         "csv": "eb96290e5b51c76cfc83ed47eb24684965fa3d550c01e7cc493b11c51d9abcc4",
     },
+    "secscale:blocking": {
+        "exit": 0,
+        "stdout": "130fef9cedd89a2f9ed7b8c949a2535ed4f898f56f9b1a44da987feb74d1d226",
+        "json": "cc6d39649f76b39fce460820b0722403528fe59b43b43b0230250a8f44f634fa",
+        "csv": "e3022efdba885519ccb4c556368f4d68bed8175064f7ec399de9a31fc6891bb6",
+    },
+    "secscale:counter-freshness": {
+        "exit": 0,
+        "stdout": "3b79f77ab6934883b2d49a34a98a61ae08cdeda1319560d5b95523de0a300e9c",
+        "json": "3226b66e78e5877fb6f6e50467871c326a946a69667cf519179cf0a8dfa41032",
+        "csv": "c23aa103a72d9ce7b96d9f63d13bd8d58b0a46f9ce1afdc138715c030adbcf33",
+    },
+    "secscale:eshr-2": {
+        "exit": 0,
+        "stdout": "1f0255b7d86989c8695c11c10ea2a8520b5a79b805d4842f17d5b4a4bcaade78",
+        "json": "fb8c3def04e2c103d7b1719574e7bcb20ea4d57d42616114d15da67a73f5f2e5",
+        "csv": "8fc8c6f7f175818793c421d64f1e6751cccbeae7b3c46943f5e5000073f28bb5",
+    },
     "storage": {
         "exit": 0,
         "stdout": "4753a4daa0c618bf1dcbd396b66d9b5d8c197f0efeda42e4d71d6f44af8e1222",
@@ -95,8 +128,7 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _preset_outputs(workdir, capsys, preset):
-    command, capped = PRESET_RUNS[preset]
+def _preset_outputs(workdir, capsys, preset, command, capped):
     cfg = workdir / "capped.json"
     cfg.write_text(json.dumps(capped))
     rc = main([command, str(cfg), "--preset", preset, "--out", "out"])
@@ -130,7 +162,14 @@ def workdir(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("preset", sorted(PRESET_RUNS))
 def test_preset_outputs_match_golden(workdir, capsys, preset):
-    assert _preset_outputs(workdir, capsys, preset) == GOLDEN[f"preset:{preset}"]
+    outputs = _preset_outputs(workdir, capsys, preset, *PRESET_RUNS[preset])
+    assert outputs == GOLDEN[f"preset:{preset}"]
+
+
+@pytest.mark.parametrize("name", sorted(SECSCALE_RUNS))
+def test_secscale_run_outputs_match_golden(workdir, capsys, name):
+    outputs = _preset_outputs(workdir, capsys, "trend", "run", SECSCALE_RUNS[name])
+    assert outputs == GOLDEN[f"secscale:{name}"]
 
 
 def test_storage_output_matches_golden(workdir, capsys):

@@ -13,6 +13,7 @@ from enclavesim.layout import PAGE_SIZE
 from enclavesim.sim import (
     MODELS,
     REPORT_COLUMNS,
+    DfpModel,
     SimConfig,
     StateMismatch,
     compare,
@@ -135,6 +136,22 @@ def test_dfp_accuracy_reduces_faults():
     assert faults[1.0] < faults[0.0]
     assert faults[1.0] < sgx.read_faults + sgx.write_faults
     assert faults[0.5] <= faults[0.0]
+
+
+def test_dfp_victims_are_cold_prefetches_lowest_slot_first():
+    model = DfpModel(cfg(model="dfp"))
+    model.register_enclave(1, 4096)
+    n = model.n_slots
+    for v in range(n):  # fill every slot; slots 1, 3 and 5 hold prefetches
+        assert model._insert(1, v, cold=v in (1, 3, 5)) == v
+    assert model._victim() == 1
+    assert model._insert(1, n) == 1  # a demand page takes the lowest
+    assert model._insert(1, n + 1, cold=True) == 3  # so does a prefetch
+    assert model._victim() == 3, "a refilled prefetch slot keeps its place"
+    model.access(1, (n + 1) * PAGE_SIZE, "R", 1)  # referenced: joins the LRU
+    assert model._victim() == 5
+    model.access(1, 5 * PAGE_SIZE, "R", 2)
+    assert model._victim() == 0  # then the least recently touched slot
 
 
 def test_penglai_mount_count_matches_regions_within_cache():

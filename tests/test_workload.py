@@ -1,4 +1,4 @@
-"""Trace parsing, synthetic generation, and LLC-filter correctness."""
+"""Trace parsing and synthetic generation."""
 
 import gzip
 
@@ -7,14 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enclavesim.workload import (
-    CacheConfig,
-    CacheHierarchy,
     SyntheticSpec,
     TraceParseError,
     TraceRecord,
     format_record,
     generate,
-    llc_filter,
     open_trace,
     parse_trace,
 )
@@ -151,66 +148,3 @@ def test_read_frac_extremes():
     allw = generate(SyntheticSpec(read_frac=0.0, n_accesses=200))
     assert all(r.op == "R" for r in allr)
     assert all(r.op == "W" for r in allw)
-
-
-# ------------------------------------------------------------------- caches
-def test_repeated_line_one_miss():
-    recs = [TraceRecord("R", 0x1000, 1, i + 1) for i in range(100)]
-    misses, stats = llc_filter(recs)
-    assert stats.llc_misses == 1 and len(misses) == 1
-    assert stats.l1_hits == 99
-
-
-def test_working_set_within_l2_steady_state_zero():
-    spec = SyntheticSpec(pattern="uniform", footprint_bytes=512 * KIB, n_accesses=8000, seed=11)
-    warm = generate(spec)
-    h = CacheHierarchy()
-    list(h.feed(warm))
-    replay_misses = list(h.feed(warm))
-    assert replay_misses == []
-
-
-def test_stats_identity():
-    spec = SyntheticSpec(pattern="zipf", footprint_bytes=2 * MIB, n_accesses=5000, seed=2)
-    misses, stats = llc_filter(generate(spec))
-    assert stats.accesses == stats.l1_hits + stats.l2_hits + stats.llc_misses
-    assert stats.llc_misses == len(misses)
-    assert stats.reads + stats.writes == stats.accesses
-    assert 0.0 <= stats.llc_miss_rate <= 1.0
-
-
-def test_cache_config_validation():
-    with pytest.raises(ValueError):
-        CacheConfig(l1_bytes=1000)
-
-
-# Reference model: an independent timestamp-LRU set-associative simulation.
-class _RefLevel:
-    def __init__(self, size, ways, line=64):
-        self.ways = ways
-        self.n_sets = size // (ways * line)
-        self.sets = [dict() for _ in range(self.n_sets)]
-        self.t = 0
-
-    def access(self, la):
-        self.t += 1
-        s = self.sets[la % self.n_sets]
-        if la in s:
-            s[la] = self.t
-            return True
-        s[la] = self.t
-        if len(s) > self.ways:
-            del s[min(s, key=s.get)]
-        return False
-
-
-def test_llc_misses_match_reference_model():
-    spec = SyntheticSpec(pattern="uniform", footprint_bytes=4 * MIB, n_accesses=6000, seed=42)
-    recs = generate(spec)
-    cfg = CacheConfig()
-    misses, _ = llc_filter(recs, cfg)
-
-    l1 = _RefLevel(cfg.l1_bytes, cfg.l1_ways)
-    l2 = _RefLevel(cfg.l2_bytes, cfg.l2_ways)
-    expect = [r for r in recs if not l1.access(r.vaddr // 64) and not l2.access(r.vaddr // 64)]
-    assert misses == expect
