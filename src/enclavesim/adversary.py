@@ -32,10 +32,10 @@ import logging
 import random
 from dataclasses import dataclass
 
-from .epc import SCRATCH_VBASE, EngineConfig, SecScaleEngine, write_value
-from .layout import KEY_SLOT_BYTES, PAGE_SIZE, MemoryLayout
-from .merkle import MerkleTreeConfig
-from .sim import make_layout
+from .epc import SCRATCH_VBASE, SecScaleEngine
+from .forest import GROUP_ARITY
+from .layout import KEY_SLOT_BYTES, PAGE_SIZE
+from .sim import SimConfig
 from .verifier import CatastrophicFailure
 from .workload import SyntheticSpec, generate
 
@@ -110,14 +110,9 @@ class _Victim:
         self.kind = kind
         self.rng = random.Random(ATTACK_KINDS.index(kind) * 1_000_003 + seed)
         self.cfg = cfg
-        merkle_cfg = MerkleTreeConfig(
-            cache_enabled=kind != "replay-epc-counter"
-        )
         self.eng = SecScaleEngine(
-            make_layout(cfg.total_size, cfg.epc_size),
-            merkle_config=merkle_cfg,
-            config=EngineConfig(),
-            seed=seed,
+            SimConfig(total_size=cfg.total_size, epc_size=cfg.epc_size, seed=seed),
+            counter_cache=kind != "replay-epc-counter",
         )
         self.eng.register_enclave(EID_A, cfg.n_pages)
         self.eng.register_enclave(EID_B, 8)
@@ -153,12 +148,11 @@ class _Victim:
         eng = self.eng
         phys = eng.enclaves[EID_A].base_page + vpage
         group = eng.forest.group_of(phys)
-        ga = eng.forest.config.group_arity
         return {
             "ct": (phys * PAGE_SIZE, PAGE_SIZE),
             "kt": (eng.layout.key_table_slot(phys), KEY_SLOT_BYTES),
             "leaf": (eng.forest.leaf_addr(phys), 8),
-            "leafgroup": (eng.forest.leaf_addr(group * ga), ga * 8),
+            "leafgroup": (eng.forest.leaf_addr(group * GROUP_ARITY), GROUP_ARITY * 8),
             "mid": (eng.forest.mid_addr(group), 8),
         }
 
@@ -295,9 +289,7 @@ def run_benign(n_ops: int = 100_000, seed: int = 0) -> dict:
     Covers page churn, rereads of evicted pages, scratch traffic and
     explicit barriers across two enclaves.
     """
-    eng = SecScaleEngine(
-        make_layout(64 << 20, 1 << 20), config=EngineConfig(), seed=seed
-    )
+    eng = SecScaleEngine(SimConfig(total_size=64 << 20, epc_size=1 << 20, seed=seed))
     footprint = 2 << 20
     eng.register_enclave(EID_A, footprint // PAGE_SIZE)
     eng.register_enclave(EID_B, 64)

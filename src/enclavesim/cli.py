@@ -26,9 +26,9 @@ from .config import (
     expand_sweep,
     merge_layers,
 )
-from .forest import ForestConfig, forest_storage
+from .forest import REGION_PAGES, forest_storage
 from .layout import KEY_SLOT_BYTES, PAGE_SIZE
-from .merkle import MerkleTreeConfig, merkle_storage_bytes
+from .merkle import merkle_storage_bytes
 from .sim import MODELS, REPORT_COLUMNS, Report, StateMismatch, compare, run
 from .workload import PATTERNS, SPEC_KEYS, SyntheticSpec, format_record, generate
 
@@ -148,13 +148,11 @@ def cmd_compare(args) -> int:
 def cmd_storage(args) -> int:
     total = args.total_size
     epc = args.epc_size
-    fcfg = ForestConfig()
-    mcfg = MerkleTreeConfig()
-    fs = forest_storage(total, fcfg)
-    merkle = merkle_storage_bytes(epc, mcfg)
-    client_tree = merkle_storage_bytes(total, mcfg)  # counter tree over all memory
+    fs = forest_storage(total)
+    merkle = merkle_storage_bytes(epc)
+    client_tree = merkle_storage_bytes(total)  # counter tree over all memory
     key_table = (total // PAGE_SIZE) * KEY_SLOT_BYTES
-    regions = -(-total // (fcfg.region_pages * PAGE_SIZE))
+    regions = -(-total // (REGION_PAGES * PAGE_SIZE))
 
     print(f"protected memory      {total / (1 << 30):.2f} GiB")
     print(

@@ -42,6 +42,7 @@ import hashlib
 import logging
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .crypto import (
     FreshnessSource,
@@ -53,7 +54,7 @@ from .crypto import (
     unwrap_key,
     wrap_key,
 )
-from .forest import ForestConfig, MacForest
+from .forest import REGION_PAGES, MacForest, forest_storage
 from .layout import (
     BLOCK_SIZE,
     BLOCKS_PER_PAGE,
@@ -64,13 +65,25 @@ from .layout import (
     Region,
     page_base,
 )
-from .merkle import EpcMerkle, MerkleTreeConfig, merkle_storage_bytes
-from .timing import CycleStats, LatencyConfig, MeteredDram, mvc_cycles_per_page
+from .merkle import EpcMerkle, carve_slots
+from .timing import CycleStats, MeteredDram, mvc_cycles_per_page
 from .verifier import CatastrophicFailure, VerificationJob, VerifierQueue
+
+if TYPE_CHECKING:
+    from .sim import SimConfig
 
 logger = logging.getLogger(__name__)
 
 SCRATCH_VBASE = 0xFFFF0  # virtual pages at/above this index address scratch
+
+
+def make_layout(total_size: int, epc_size: int) -> MemoryLayout:
+    """Layout with forest storage sized for every page of physical memory."""
+    return MemoryLayout.build(
+        total_size=total_size,
+        epc_size=epc_size,
+        forest_storage_size=forest_storage(total_size).dram_region_bytes,
+    )
 
 
 def scratch_page(layout: MemoryLayout, vpage: int) -> int:
@@ -90,21 +103,6 @@ class AccessOutcome(enum.Enum):
     FAULT_STARTED = "fault_started"
     QUEUED_WRITE = "queued_write"
     SCRATCH_ACCESS = "scratch_access"
-
-
-@dataclass(frozen=True)
-class EngineConfig:
-    deferred: bool = True  # False: stall at each fault until load+verify done
-    clubbing: bool = True
-    eshr_entries: int = 32
-    freshness_mode: str = "prng"
-    max_outstanding_jobs: int | None = None
-
-    def __post_init__(self):
-        if self.eshr_entries <= 0:
-            raise ValueError("eshr_entries must be positive")
-        if self.max_outstanding_jobs is not None and self.max_outstanding_jobs <= 0:
-            raise ValueError("max_outstanding_jobs must be positive when set")
 
 
 @dataclass
@@ -134,41 +132,48 @@ class EshrEntry:
     ls_vector: int = 0  # bit b set <=> block b of the page loaded
     cursor: int = 0  # next block index the lane will move
     demand: bool = False  # a read restart is waiting on this entry
-    born_icount: int = 0
     born_instructions: int = 0
     born_cycles: int = 0
     verify_payload: tuple[int, bytes, bytes] | None = None  # (page, key, pt)
 
 
 class SecScaleEngine:
-    """Deterministic single-core model of the overlapped protection design."""
+    """Deterministic single-core model of the overlapped protection design.
+
+    Built like every other model, from the run's SimConfig.  Two settings
+    are not in it: `counter_cache=False` makes every counter-tree walk fetch
+    from DRAM (a replayed tree node is only read back without the cache),
+    and `max_outstanding_jobs` bounds the verifier queue by retiring jobs on
+    the critical path.
+    """
 
     def __init__(
         self,
-        layout: MemoryLayout,
-        latency: LatencyConfig = LatencyConfig(),
-        forest_config: ForestConfig = ForestConfig(),
-        merkle_config: MerkleTreeConfig = MerkleTreeConfig(),
-        config: EngineConfig = EngineConfig(),
-        seed: int = 0,
+        cfg: SimConfig,
+        *,
+        counter_cache: bool = True,
+        max_outstanding_jobs: int | None = None,
     ):
-        self.layout = layout
-        self.latency = latency
-        self.config = config
-        self.stats = CycleStats(latency)
+        if max_outstanding_jobs is not None and max_outstanding_jobs <= 0:
+            raise ValueError("max_outstanding_jobs must be positive when set")
+        self.cfg = cfg
+        self.max_outstanding_jobs = max_outstanding_jobs
+        self.layout = layout = make_layout(cfg.total_size, cfg.epc_size)
+        self.latency = cfg.latency
+        self.stats = CycleStats(cfg.latency)
         self.dram = EmulatedDram(layout)
         self.port = MeteredDram(self.dram, self.stats)
 
-        h = hashlib.sha256(b"engine-seed" + seed.to_bytes(8, "big")).digest()
+        h = hashlib.sha256(b"engine-seed" + cfg.seed.to_bytes(8, "big")).digest()
         self.hw_key = int.from_bytes(h[:8], "big")
         self.ssk = Ssk(device_key2=h[8:24], boot_time=h[16:32])
-        self.freshness = FreshnessSource(h[16:32], self.hw_key, config.freshness_mode)
+        self.freshness = FreshnessSource(h[16:32], self.hw_key, cfg.freshness_mode)
 
         # Carve the EPC internally: data slots, then the forest top table,
         # then counter-tree storage; the tree protects slots + top pages.
-        self.n_regions = layout.total_pages // forest_config.region_pages
+        self.n_regions = layout.total_pages // REGION_PAGES
         self.top_table_pages = -(-self.n_regions * 8 // PAGE_SIZE)
-        self.n_slots = self._carve_slots(layout.epc_pages, merkle_config)
+        self.n_slots = carve_slots(layout.epc_pages, self.top_table_pages)
         self.top_base_page = self.n_slots
         protected = self.n_slots + self.top_table_pages
         self.forest = MacForest(
@@ -178,7 +183,7 @@ class SecScaleEngine:
             ssk_bytes=self.ssk.key_bytes,
             top_read=self._top_read,
             top_write=self._top_write,
-            config=forest_config,
+            top_cache=cfg.top_cache,
         )
         # boot order matters: the top table must hold its boot digests
         # before the counter tree MACs the page content covering them
@@ -189,7 +194,7 @@ class SecScaleEngine:
             base_addr=protected * PAGE_SIZE,
             n_pages=protected,
             ssk_bytes=self.ssk.key_bytes,
-            config=merkle_config,
+            cache=counter_cache,
         )
         if protected * PAGE_SIZE + self.merkle.storage_bytes > layout.epc_size:
             raise AssertionError("counter-tree nodes overflow the EPC carve")
@@ -209,18 +214,6 @@ class SecScaleEngine:
 
         self.last_icount = 0
         self.failure: CatastrophicFailure | None = None
-
-    def _carve_slots(self, epc_pages: int, mcfg: MerkleTreeConfig) -> int:
-        # largest slot count whose counter-tree nodes still fit in the EPC;
-        # tree size grows with the slot count, so walk down until it fits
-        slots = epc_pages - self.top_table_pages - 1
-        while slots >= 2:
-            protected = (slots + self.top_table_pages) * PAGE_SIZE
-            mpages = -(-merkle_storage_bytes(protected, mcfg) // PAGE_SIZE)
-            if slots + self.top_table_pages + mpages <= epc_pages:
-                return slots
-            slots -= 1
-        raise ValueError("EPC too small for metadata plus two data slots")
 
     # ------------------------------------------------------------ enclaves
     def register_enclave(self, eid: int, n_pages: int) -> Enclave:
@@ -340,30 +333,24 @@ class SecScaleEngine:
         if entry.verify_payload is not None:
             page, key, pt = entry.verify_payload
             self._submit_job(
-                "verify",
-                [(page, key, pt)],
-                icount=entry.born_icount,
-                instructions=entry.born_instructions,
+                "verify", [(page, key, pt)], instructions=entry.born_instructions
             )
 
-    def _submit_job(self, kind: str, items, *, icount: int, instructions: int,
-                    grouped: bool = False):
-        region = self.forest.region_of(items[0][0])
+    def _submit_job(self, kind: str, items, *, instructions: int, grouped: bool = False):
         if kind == "verify":
-            self._club_flush(region)  # pending same-region update goes first
+            # a pending update of the same region goes first
+            self._club_flush(self.forest.region_of(items[0][0]))
         job = VerificationJob(
             kind=kind,
             pages=tuple(p for p, _, _ in items),
             page_keys=tuple(k for _, k, _ in items),
             plaintexts=tuple(pt for _, _, pt in items),
-            enqueue_icount=icount,
             enqueue_instructions=instructions,
             enqueue_cycles=self.stats.critical_cycles,
-            region=region,
             grouped=grouped,
         )
         self.queue.submit(job)
-        limit = self.config.max_outstanding_jobs
+        limit = self.max_outstanding_jobs
         if limit is not None:
             while len(self.queue) > limit:
                 self._retire_head()
@@ -430,11 +417,10 @@ class SecScaleEngine:
         self.stats.stall_until_lane()
 
     # ------------------------------------------------------------ clubbing
-    def _club_push(self, page: int, key: bytes, pt: bytes, *, icount: int,
-                   instructions: int):
+    def _club_push(self, page: int, key: bytes, pt: bytes, *, instructions: int):
         item = (page, key, pt)
-        if not self.config.clubbing:
-            self._submit_job("update", [item], icount=icount, instructions=instructions)
+        if not self.cfg.clubbing:
+            self._submit_job("update", [item], instructions=instructions)
             return
         region = self.forest.region_of(page)
         if self._club is None:
@@ -443,13 +429,11 @@ class SecScaleEngine:
             items = self._club[1] + [item]
             self._club = None
             self.stats.events["clubbed_pairs"] += 1
-            self._submit_job(
-                "update", items, icount=icount, instructions=instructions, grouped=True
-            )
+            self._submit_job("update", items, instructions=instructions, grouped=True)
         else:
             old_items = self._club[1]
             self._club = (region, [item])
-            self._submit_job("update", old_items, icount=icount, instructions=instructions)
+            self._submit_job("update", old_items, instructions=instructions)
 
     def _club_flush(self, region: int | None = None):
         if self._club is None:
@@ -458,12 +442,7 @@ class SecScaleEngine:
             return
         old_items = self._club[1]
         self._club = None
-        self._submit_job(
-            "update",
-            old_items,
-            icount=self.last_icount,
-            instructions=self.stats.instructions,
-        )
+        self._submit_job("update", old_items, instructions=self.stats.instructions)
 
     # -------------------------------------------------------------- faults
     def _stall_complete_oldest(self):
@@ -494,7 +473,7 @@ class SecScaleEngine:
         self.stats.events["fault_critical_reads"] += 2
         return wrapped
 
-    def _evict_slot(self, slot: EpcSlot, *, icount: int):
+    def _evict_slot(self, slot: EpcSlot):
         """Eagerly re-key, re-encrypt and write back a victim page."""
         # integrity gate before the page leaves hardware protection
         plaintext = self.port.read_span(self._slot_base(slot), PAGE_SIZE, cause="data")
@@ -511,16 +490,13 @@ class SecScaleEngine:
         self.stats.count_crypto("ctr", BLOCKS_PER_PAGE)  # out of EPC decryption
         self.stats.count_crypto("ecb", BLOCKS_PER_PAGE)
         self.eepc_initialized.add(slot.home)
-        self._club_push(
-            slot.home, key, plaintext,
-            icount=icount, instructions=self.stats.instructions,
-        )
+        self._club_push(slot.home, key, plaintext, instructions=self.stats.instructions)
         del self.resident[(slot.eid, slot.vpage)]
         del self.inverted[slot.home]
         self.stats.events["evictions"] += 1
 
     def _start_fault(
-        self, eid: int, vpage: int, phys: int, *, icount: int,
+        self, eid: int, vpage: int, phys: int, *,
         demand_block: int | None, pending_write: tuple[int, bytes] | None = None,
     ) -> EpcSlot:
         if phys in self.inverted:
@@ -529,12 +505,12 @@ class SecScaleEngine:
                 "(inverted-table collision)",
                 page=phys,
             )
-        while len(self.eshr) >= self.config.eshr_entries:
+        while len(self.eshr) >= self.cfg.eshr_entries:
             self._stall_complete_oldest()
         slot = self._claim_slot()
         e_bit = slot.occupied
         if e_bit:
-            self._evict_slot(slot, icount=icount)
+            self._evict_slot(slot)
 
         is_read = demand_block is not None
         base = phys * PAGE_SIZE
@@ -581,7 +557,6 @@ class SecScaleEngine:
             slot=slot.index,
             e_bit=e_bit,
             demand=is_read,
-            born_icount=icount,
             born_instructions=self.stats.instructions,
             born_cycles=self.stats.critical_cycles,
             verify_payload=payload,
@@ -626,7 +601,7 @@ class SecScaleEngine:
         if slot_idx is None:
             phys = self._phys_page(eid, vpage)
             slot = self._start_fault(
-                eid, vpage, phys, icount=icount,
+                eid, vpage, phys,
                 demand_block=block if op == "R" else None,
                 pending_write=(offset, value) if op == "W" else None,
             )
@@ -678,7 +653,7 @@ class SecScaleEngine:
                     self.stats.charge_critical(self.latency.dram_access_cycles)
                     self.stats.critical_crypto("ctr", 1)
 
-        if not self.config.deferred:
+        if not self.cfg.deferred:
             self._drain_all()
         return outcome, value
 

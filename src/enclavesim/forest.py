@@ -48,25 +48,10 @@ logger = logging.getLogger(__name__)
 MAC_BYTES = 8
 
 
-@dataclass(frozen=True)
-class ForestConfig:
-    group_arity: int = 16  # leaf MACs per mid
-    region_arity: int = 8  # mid MACs per top
-    top_cache_entries: int = 8
-    top_cache_enabled: bool = True
-
-    def __post_init__(self):
-        for name in ("group_arity", "region_arity"):
-            v = getattr(self, name)
-            # MAC groups must tile 64-byte DRAM blocks exactly
-            if v <= 0 or (v * MAC_BYTES) % BLOCK_SIZE:
-                raise ValueError(f"{name} must be a positive multiple of 8, got {v}")
-        if self.top_cache_entries <= 0:
-            raise ValueError("top_cache_entries must be positive")
-
-    @property
-    def region_pages(self) -> int:
-        return self.group_arity * self.region_arity
+GROUP_ARITY = 16  # leaf MACs per mid; a group is two 64-byte blocks
+REGION_ARITY = 8  # mid MACs per top; a region's mids are one block
+REGION_PAGES = GROUP_ARITY * REGION_ARITY
+TOP_CACHE_ENTRIES = 8
 
 
 def _round_up_pages(nbytes: int) -> int:
@@ -89,11 +74,11 @@ class ForestStorage:
         return _round_up_pages(self.leaf_bytes) + _round_up_pages(self.mid_bytes)
 
 
-def forest_storage(total_size: int, config: ForestConfig = ForestConfig()) -> ForestStorage:
+def forest_storage(total_size: int) -> ForestStorage:
     """MAC storage needed to authenticate `total_size` bytes of memory."""
     pages = total_size // PAGE_SIZE
-    groups = -(-pages // config.group_arity)
-    regions = -(-groups // config.region_arity)
+    groups = -(-pages // GROUP_ARITY)
+    regions = -(-groups // REGION_ARITY)
     return ForestStorage(
         leaf_bytes=pages * MAC_BYTES,
         mid_bytes=groups * MAC_BYTES,
@@ -137,34 +122,31 @@ class MacForest:
         ssk_bytes: bytes,
         top_read: Callable[[int], bytes],
         top_write: Callable[[int, bytes], None],
-        config: ForestConfig = ForestConfig(),
+        top_cache: bool = True,
         cause: str = "forest",
     ):
-        if n_pages <= 0 or n_pages % config.region_pages:
-            raise ValueError(
-                f"n_pages must be a positive multiple of {config.region_pages}"
-            )
+        if n_pages <= 0 or n_pages % REGION_PAGES:
+            raise ValueError(f"n_pages must be a positive multiple of {REGION_PAGES}")
         if base_addr % BLOCK_SIZE:
             raise ValueError("base_addr must be block aligned")
         self.port = port
-        self.config = config
+        self.top_cache_enabled = top_cache
         self.ssk = ssk_bytes
         self.cause = cause
         self.n_pages = n_pages
-        self.n_groups = n_pages // config.group_arity
-        self.n_regions = self.n_groups // config.region_arity
+        self.n_groups = n_pages // GROUP_ARITY
+        self.n_regions = self.n_groups // REGION_ARITY
         self.leaf_base = base_addr
         self.mid_base = base_addr + _round_up_pages(n_pages * MAC_BYTES)
         self.top_read = top_read
         self.top_write = top_write
         self._top_cache: OrderedDict[int, bytes] = OrderedDict()
-        self.touched: set[int] = set()
         self.top_cache_hits = 0
         self.top_cache_misses = 0
 
         # boot pass (unmetered): mids describing all-zero leaf groups, plus
         # the region digests the top-table owner must install before use
-        zero_group = bytes(config.group_arity * MAC_BYTES)
+        zero_group = bytes(GROUP_ARITY * MAC_BYTES)
         for g in range(self.n_groups):
             port.dram.poke(self.mid_addr(g), self._mid_mac(g, zero_group))
         self.boot_tops: dict[int, bytes] = {}
@@ -182,10 +164,10 @@ class MacForest:
         return self.mid_base + group * MAC_BYTES
 
     def group_of(self, page: int) -> int:
-        return page // self.config.group_arity
+        return page // GROUP_ARITY
 
     def region_of(self, page: int) -> int:
-        return self.group_of(page) // self.config.region_arity
+        return self.group_of(page) // REGION_ARITY
 
     # ------------------------------------------------------------- MACs
     def _mid_mac(self, group: int, leaf_blob: bytes) -> bytes:
@@ -196,32 +178,21 @@ class MacForest:
 
     # ----------------------------------------------------------- traffic
     def _read_span(self, start: int, nbytes: int) -> tuple[bytearray, int]:
-        """Read a block-aligned span, one metered access per 64-byte block."""
-        buf = bytearray()
-        blocks = 0
-        for off in range(0, nbytes, BLOCK_SIZE):
-            buf += self.port.read(start + off, BLOCK_SIZE, cause=self.cause)
-            blocks += 1
-        return buf, blocks
-
-    def _write_span(self, start: int, data: bytes) -> int:
-        blocks = 0
-        for off in range(0, len(data), BLOCK_SIZE):
-            self.port.write(start + off, data[off : off + BLOCK_SIZE], cause=self.cause)
-            blocks += 1
-        return blocks
+        """Read a block-aligned span; returns the bytes and the block count."""
+        data = self.port.read_span(start, nbytes, self.cause)
+        return bytearray(data), nbytes // BLOCK_SIZE
 
     def _leaf_group_span(self, group: int) -> tuple[int, int]:
-        start = self.leaf_base + group * self.config.group_arity * MAC_BYTES
-        return start, self.config.group_arity * MAC_BYTES
+        start = self.leaf_base + group * GROUP_ARITY * MAC_BYTES
+        return start, GROUP_ARITY * MAC_BYTES
 
     def _mid_group_span(self, region: int) -> tuple[int, int]:
-        start = self.mid_base + region * self.config.region_arity * MAC_BYTES
-        return start, self.config.region_arity * MAC_BYTES
+        start = self.mid_base + region * REGION_ARITY * MAC_BYTES
+        return start, REGION_ARITY * MAC_BYTES
 
     # -------------------------------------------------------- top cache
     def _top_cached(self, region: int) -> bytes | None:
-        if not self.config.top_cache_enabled:
+        if not self.top_cache_enabled:
             return None
         mac = self._top_cache.get(region)
         if mac is not None:
@@ -229,11 +200,11 @@ class MacForest:
         return mac
 
     def _top_cache_put(self, region: int, mac: bytes):
-        if not self.config.top_cache_enabled:
+        if not self.top_cache_enabled:
             return
         self._top_cache[region] = mac
         self._top_cache.move_to_end(region)
-        while len(self._top_cache) > self.config.top_cache_entries:
+        while len(self._top_cache) > TOP_CACHE_ENTRIES:
             self._top_cache.popitem(last=False)
 
     # ------------------------------------------------------------ verify
@@ -250,7 +221,7 @@ class MacForest:
         mstart, mbytes = self._mid_group_span(region)
         mids, reads = self._read_span(mstart, mbytes)
         for g, leaves in leaf_groups.items():
-            mslot = (g % self.config.region_arity) * MAC_BYTES
+            mslot = (g % REGION_ARITY) * MAC_BYTES
             if bytes(mids[mslot : mslot + MAC_BYTES]) != self._mid_mac(g, bytes(leaves)):
                 raise CatastrophicFailure(
                     f"MAC group digest mismatch above page {page}", page=page
@@ -277,7 +248,7 @@ class MacForest:
         group = self.group_of(page)
         start, nbytes = self._leaf_group_span(group)
         leaves, reads = self._read_span(start, nbytes)
-        slot = (page % self.config.group_arity) * MAC_BYTES
+        slot = (page % GROUP_ARITY) * MAC_BYTES
         if bytes(leaves[slot : slot + MAC_BYTES]) != expected_leaf:
             raise CatastrophicFailure(
                 f"page MAC mismatch at leaf level for page {page}", page=page
@@ -316,7 +287,6 @@ class MacForest:
         for page, leaf in items:
             by_region.setdefault(self.region_of(page), []).append((page, leaf))
 
-        ga = self.config.group_arity
         for region in sorted(by_region):
             batch = by_region[region]
             bufs: dict[int, bytearray] = {}
@@ -333,23 +303,24 @@ class MacForest:
             dirty_blocks: set[int] = set()
             for page, leaf in batch:
                 g = self.group_of(page)
-                slot = (page % ga) * MAC_BYTES
+                slot = (page % GROUP_ARITY) * MAC_BYTES
                 bufs[g][slot : slot + MAC_BYTES] = leaf
                 dirty_blocks.add(self.leaf_addr(page) // BLOCK_SIZE * BLOCK_SIZE)
-                self.touched.add(page)
 
             for baddr in sorted(dirty_blocks):
-                g = (baddr - self.leaf_base) // (ga * MAC_BYTES)
-                off = baddr - (self.leaf_base + g * ga * MAC_BYTES)
+                g = (baddr - self.leaf_base) // (GROUP_ARITY * MAC_BYTES)
+                off = baddr - (self.leaf_base + g * GROUP_ARITY * MAC_BYTES)
                 self.port.write(
                     baddr, bytes(bufs[g][off : off + BLOCK_SIZE]), cause=self.cause
                 )
                 writes += 1
 
             for g, leaves in bufs.items():
-                mslot = (g % self.config.region_arity) * MAC_BYTES
+                mslot = (g % REGION_ARITY) * MAC_BYTES
                 mids[mslot : mslot + MAC_BYTES] = self._mid_mac(g, bytes(leaves))
-            writes += self._write_span(self._mid_group_span(region)[0], bytes(mids))
+            mstart, mbytes = self._mid_group_span(region)
+            self.port.write_span(mstart, bytes(mids), self.cause)
+            writes += mbytes // BLOCK_SIZE
 
             top = self._top_mac(region, bytes(mids))
             self.top_write(region, top)

@@ -4,12 +4,12 @@ The EPC is protected the classic way: counter-mode encryption plus a
 Carter-Wegman style counter tree.  Every EPC page owns a 64-byte leaf node
 holding its 56-bit major write counter and an 8-byte MAC over its plaintext
 contents; internal nodes hold one counter per child packed into 56 bytes
-(448/arity bits each, 14 bits at the default arity of 32) plus an 8-byte
+(448/arity bits each: 14 bits at the arity of 32) plus an 8-byte
 node MAC.  A node's MAC is keyed by the counter its parent holds for it, so
 replaying any stale (node, MAC) pair fails against the incremented parent,
 and the chain terminates in root counters kept on-chip.
 
-A direct-mapped write-through counter cache (default 32 KiB) holds verified
+A direct-mapped write-through 32 KiB counter cache holds verified
 node lines; a walk stops at the first cached ancestor.  Narrow internal
 counters can wrap: a wrap resets the slot and re-keys the affected child MAC
 in the same update (the re-encryption such designs charge), counted as an
@@ -37,21 +37,9 @@ NODE_BYTES = 64
 NODE_MAC_BYTES = 8
 COUNTER_AREA_BITS = (NODE_BYTES - NODE_MAC_BYTES) * 8  # 448
 LEAF_MAJOR_BITS = 56
-
-
-@dataclass(frozen=True)
-class MerkleTreeConfig:
-    arity: int = 32
-    counter_cache_bytes: int = 32768
-    cache_enabled: bool = True
-
-    def __post_init__(self):
-        if self.arity < 2 or COUNTER_AREA_BITS % self.arity:
-            raise ValueError("arity must divide 448 bits of counter space")
-
-    @property
-    def counter_bits(self) -> int:
-        return COUNTER_AREA_BITS // self.arity
+ARITY = 32  # children per internal node
+COUNTER_BITS = COUNTER_AREA_BITS // ARITY  # 14: per-child counter width
+CACHE_LINES = 32768 // NODE_BYTES  # a 32 KiB counter cache
 
 
 def level_counts(n_leaves: int, arity: int) -> list[int]:
@@ -64,12 +52,32 @@ def level_counts(n_leaves: int, arity: int) -> list[int]:
     return counts
 
 
-def merkle_storage_bytes(protected_size: int, config: MerkleTreeConfig | None = None) -> int:
+def merkle_storage_bytes(protected_size: int) -> int:
     """DRAM bytes for counter-tree nodes over a protected range (root excluded)."""
-    config = config or MerkleTreeConfig()
     if protected_size % PAGE_SIZE:
         raise ValueError("protected size must be page aligned")
-    return sum(level_counts(protected_size // PAGE_SIZE, config.arity)) * NODE_BYTES
+    return sum(level_counts(protected_size // PAGE_SIZE, ARITY)) * NODE_BYTES
+
+
+def carve_slots(epc_pages: int, reserved: int) -> int:
+    """Data slots an EPC holds beside `reserved` other protected pages.
+
+    The counter tree covers the slots and the reserved pages and is stored
+    after them, inside the EPC: this is the largest n with
+    n + reserved + tree_pages(n + reserved) <= epc_pages.
+    """
+
+    def tree_pages(pages: int) -> int:
+        return -(-merkle_storage_bytes(pages * PAGE_SIZE) // PAGE_SIZE)
+
+    # a tree over the whole EPC is no smaller than the one needed, so this n
+    # fits; the tree is a small fraction of the EPC, so few steps remain
+    n = epc_pages - reserved - tree_pages(epc_pages)
+    while n + 1 + reserved + tree_pages(n + 1 + reserved) <= epc_pages:
+        n += 1
+    if n < 2:
+        raise ValueError("EPC too small for metadata plus two data slots")
+    return n
 
 
 @dataclass
@@ -95,16 +103,16 @@ class EpcMerkle:
         base_addr: int,
         n_pages: int,
         ssk_bytes: bytes,
-        config: MerkleTreeConfig | None = None,
+        cache: bool = True,
         cause: str = "merkle",
     ):
         self.port = port
         self.base = base_addr
         self.n_pages = n_pages
         self.ssk = ssk_bytes
-        self.config = config or MerkleTreeConfig()
+        self.cache_enabled = cache
         self.cause = cause
-        self.counts = level_counts(n_pages, self.config.arity)
+        self.counts = level_counts(n_pages, ARITY)
         self.offsets = []
         off = 0
         for c in self.counts:
@@ -114,7 +122,6 @@ class EpcMerkle:
         self.root_counters = [0] * self.counts[-1]
         self.overflow_rekeys = 0
         # direct-mapped, write-through: line index -> (node_addr, bytes)
-        self._cache_lines = max(1, self.config.counter_cache_bytes // NODE_BYTES)
         self._cache: dict[int, tuple[int, bytes]] = {}
         self._init_storage()
 
@@ -128,7 +135,7 @@ class EpcMerkle:
         path, idx = [], page
         for level in range(len(self.counts)):
             path.append((level, idx))
-            idx //= self.config.arity
+            idx //= ARITY
         return path
 
     # ------------------------------------------------------- node codecs
@@ -145,17 +152,15 @@ class EpcMerkle:
         return int.from_bytes(raw[:8], "little"), raw[8:16], raw[56:64]
 
     def _pack_counters(self, counters: list[int]) -> bytes:
-        cw = self.config.counter_bits
         word = 0
         for j, c in enumerate(counters):
-            word |= c << (j * cw)
+            word |= c << (j * COUNTER_BITS)
         return word.to_bytes(NODE_BYTES - NODE_MAC_BYTES, "little")
 
     def _unpack_counters(self, raw: bytes) -> list[int]:
-        cw = self.config.counter_bits
         word = int.from_bytes(raw[: NODE_BYTES - NODE_MAC_BYTES], "little")
-        mask = (1 << cw) - 1
-        return [(word >> (j * cw)) & mask for j in range(self.config.arity)]
+        mask = (1 << COUNTER_BITS) - 1
+        return [(word >> (j * COUNTER_BITS)) & mask for j in range(ARITY)]
 
     # ------------------------------------------------------------- MACs
     def _leaf_mac(self, idx: int, parent_counter: int, major: int, data_mac: bytes) -> bytes:
@@ -198,22 +203,22 @@ class EpcMerkle:
                     mac = self._leaf_mac(idx, 0, 0, dmac)
                     raw = self._leaf_bytes(0, dmac, mac)
                 else:
-                    blob = self._pack_counters([0] * self.config.arity)
+                    blob = self._pack_counters([0] * ARITY)
                     raw = blob + self._node_mac(level, idx, 0, blob)
                 self.port.dram.poke(self.node_addr(level, idx), raw)
 
     # ------------------------------------------------------------ cache
     def _cache_get(self, addr: int) -> bytes | None:
-        if not self.config.cache_enabled:
+        if not self.cache_enabled:
             return None
-        hit = self._cache.get((addr // NODE_BYTES) % self._cache_lines)
+        hit = self._cache.get((addr // NODE_BYTES) % CACHE_LINES)
         if hit and hit[0] == addr:
             return hit[1]
         return None
 
     def _cache_put(self, addr: int, raw: bytes):
-        if self.config.cache_enabled:
-            self._cache[(addr // NODE_BYTES) % self._cache_lines] = (addr, raw)
+        if self.cache_enabled:
+            self._cache[(addr // NODE_BYTES) % CACHE_LINES] = (addr, raw)
 
     # -------------------------------------------------------- trusted walk
     def _fetch_verified_path(
@@ -265,7 +270,7 @@ class EpcMerkle:
         return trusted, reads
 
     def _parent_counter(self, level: int, idx: int, trusted: dict[int, bytearray]) -> int:
-        slot = idx % self.config.arity
+        slot = idx % ARITY
         parent_level = level + 1
         if parent_level >= len(self.counts):
             return self.root_counters[idx]
@@ -288,8 +293,7 @@ class EpcMerkle:
         """Bump the page's major counter and refresh the MAC path."""
         trusted, reads = self._fetch_verified_path(page, full=True)
         path = self._path(page)
-        arity = self.config.arity
-        cap = 1 << self.config.counter_bits
+        cap = 1 << COUNTER_BITS
 
         major, _, _ = self._leaf_fields(bytes(trusted[0]))
         major += 1
@@ -298,7 +302,7 @@ class EpcMerkle:
 
         # bump the counter each ancestor holds for the path child
         for level, idx in path:
-            slot = idx % arity
+            slot = idx % ARITY
             parent_level = level + 1
             if parent_level >= len(self.counts):
                 self.root_counters[idx] += 1

@@ -37,20 +37,13 @@ from dataclasses import dataclass, field
 from .crypto import FRESHNESS_MODES
 from .epc import (
     SCRATCH_VBASE,
-    EngineConfig,
     SecScaleEngine,
+    make_layout,
     scratch_page,
     write_value,
 )
-from .forest import ForestConfig, forest_storage
-from .layout import (
-    BLOCK_SIZE,
-    BLOCKS_PER_PAGE,
-    PAGE_SIZE,
-    EmulatedDram,
-    MemoryLayout,
-)
-from .merkle import EpcMerkle, MerkleTreeConfig, merkle_storage_bytes
+from .layout import BLOCK_SIZE, BLOCKS_PER_PAGE, PAGE_SIZE, EmulatedDram
+from .merkle import EpcMerkle, carve_slots
 from .timing import DRAM_CAUSES, CycleStats, LatencyConfig, MeteredDram
 from .verifier import CatastrophicFailure
 from .workload import TraceRecord
@@ -80,6 +73,8 @@ class SimConfig:
             raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
         if self.epc_size >= self.total_size:
             raise ValueError("epc_size must be smaller than total_size")
+        if self.eshr_entries <= 0:
+            raise ValueError("eshr_entries must be positive")
         if self.freshness_mode not in FRESHNESS_MODES:
             raise ValueError(
                 f"freshness_mode must be one of {FRESHNESS_MODES}, "
@@ -89,15 +84,6 @@ class SimConfig:
             raise ValueError("dfp_accuracy must be within [0, 1]")
         if self.dfp_lookahead <= 0:
             raise ValueError("dfp_lookahead must be positive")
-
-
-def make_layout(total_size: int, epc_size: int) -> MemoryLayout:
-    """Layout with forest storage sized for every page of physical memory."""
-    return MemoryLayout.build(
-        total_size=total_size,
-        epc_size=epc_size,
-        forest_storage_size=forest_storage(total_size).dram_region_bytes,
-    )
 
 
 # --------------------------------------------------------------------------
@@ -110,8 +96,6 @@ class _PlainModel:
     mapped to consecutive home pages in the eEPC, and unprotected DRAM
     accesses for the pages that bypass protection.
     """
-
-    name: str
 
     def __init__(self, cfg: SimConfig):
         self.cfg = cfg
@@ -158,8 +142,6 @@ class _PlainModel:
 class BaselineModel(_PlainModel):
     """Unprotected memory: one DRAM access per reference."""
 
-    name = "baseline"
-
     def access(self, eid: int, vaddr: int, op: str, icount: int):
         self._advance(icount)
         vpage = vaddr // PAGE_SIZE
@@ -179,8 +161,6 @@ class PenglaiModel(BaselineModel):
     reported under walk_reads events rather than the DRAM cause counters,
     which only ever count real byte movement.
     """
-
-    name = "penglai"
 
     def __init__(self, cfg: SimConfig):
         super().__init__(cfg)
@@ -218,39 +198,20 @@ class SgxClientModel(_PlainModel):
     re-encrypts the whole page in both directions on the critical path.
     """
 
-    name = "sgx-client"
-
     def __init__(self, cfg: SimConfig):
         super().__init__(cfg)
-        self.n_slots = self._carve(self.layout.epc_pages)
+        self.n_slots = carve_slots(self.layout.epc_pages, 0)
         self.merkle = EpcMerkle(
             self.port,
             base_addr=self.n_slots * PAGE_SIZE,
             n_pages=self.n_slots,
             ssk_bytes=hashlib.sha256(b"sgx" + cfg.seed.to_bytes(8, "big")).digest(),
-            config=MerkleTreeConfig(),
         )
         self.resident: dict[tuple[int, int], int] = {}
         self.slot_owner: list[tuple[int, int] | None] = [None] * self.n_slots
         self.free = list(range(self.n_slots - 1, -1, -1))
         # touched occupied slots, least recently touched first
         self._lru: OrderedDict[int, None] = OrderedDict()
-
-    @staticmethod
-    def _merkle_pages(n_pages: int) -> int:
-        return -(-merkle_storage_bytes(n_pages * PAGE_SIZE, MerkleTreeConfig())
-                 // PAGE_SIZE)
-
-    def _carve(self, epc_pages: int) -> int:
-        slots = epc_pages
-        for _ in range(8):
-            new = epc_pages - self._merkle_pages(slots)
-            if new == slots:
-                break
-            slots = new
-        if slots < 2:
-            raise ValueError("EPC too small for tree storage plus two slots")
-        return slots
 
     def _touch(self, slot: int):
         self._lru[slot] = None
@@ -375,8 +336,6 @@ class DfpModel(SgxClientModel):
     next-victim slot, so only a subsequent touch saves anything.
     """
 
-    name = "dfp"
-
     def __init__(self, cfg: SimConfig):
         super().__init__(cfg)
         self.rng = random.Random(0xDF9 ^ cfg.seed)
@@ -441,43 +400,8 @@ class DfpModel(SgxClientModel):
         super()._evict(slot)
 
 
-class _SecScaleAdapter:
-    """run() facade over the overlapped engine."""
-
-    name = "secscale"
-
-    def __init__(self, cfg: SimConfig):
-        self.cfg = cfg
-        self.engine = SecScaleEngine(
-            make_layout(cfg.total_size, cfg.epc_size),
-            latency=cfg.latency,
-            forest_config=ForestConfig(top_cache_enabled=cfg.top_cache),
-            config=EngineConfig(
-                deferred=cfg.deferred,
-                clubbing=cfg.clubbing,
-                eshr_entries=cfg.eshr_entries,
-                freshness_mode=cfg.freshness_mode,
-            ),
-            seed=cfg.seed,
-        )
-        self.stats = self.engine.stats
-
-    def register_enclave(self, eid: int, n_pages: int):
-        self.engine.register_enclave(eid, n_pages)
-
-    def access(self, eid: int, vaddr: int, op: str, icount: int):
-        _, value = self.engine.access(eid, vaddr, op, icount)
-        return value
-
-    def finalize(self):
-        self.engine.finalize()
-
-    def final_state(self, eid: int) -> dict[int, bytes]:
-        return self.engine.final_state(eid)
-
-
 MODEL_CLASSES = {
-    "secscale": _SecScaleAdapter,
+    "secscale": SecScaleEngine,
     "sgx-client": SgxClientModel,
     "dfp": DfpModel,
     "penglai": PenglaiModel,
@@ -608,7 +532,7 @@ def run(cfg: SimConfig, records: list[TraceRecord]) -> Report:
     evictions = ev["evictions"]
     hit_rate = None
     if cfg.model == "secscale":
-        f = model.engine.forest
+        f = model.forest
         seen = f.top_cache_hits + f.top_cache_misses
         hit_rate = f.top_cache_hits / seen if seen else None
     report = Report(
@@ -634,12 +558,8 @@ def run(cfg: SimConfig, records: list[TraceRecord]) -> Report:
         club_frac=2 * ev["clubbed_pairs"] / evictions if evictions else 0.0,
         top_cache_hit_rate=hit_rate,
         max_verify_forest_accesses=ev["max_verify_forest_accesses"],
-        verifier_jobs=(
-            model.engine.queue.jobs_submitted if cfg.model == "secscale" else 0
-        ),
-        verifier_max_depth=(
-            model.engine.queue.max_depth if cfg.model == "secscale" else 0
-        ),
+        verifier_jobs=model.queue.jobs_submitted if cfg.model == "secscale" else 0,
+        verifier_max_depth=model.queue.max_depth if cfg.model == "secscale" else 0,
         eshr_stalls=ev["eshr_stalls"],
         barriers=ev["barriers"],
         events=dict(sorted(ev.items())),

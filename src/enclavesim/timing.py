@@ -40,7 +40,6 @@ class LatencyConfig:
     sgx_fault_penalty: int = 40000
     enclave_enter_exit: int = 30000
     mvc_bytes_per_cycle: int = 1
-    clock_ghz: float = 3.6
     penglai_walk_accesses: int = 3
     penglai_mount_cycles: int = 3000
     penglai_region_pages: int = 128

@@ -53,10 +53,8 @@ class VerificationJob:
     pages: tuple[int, ...]  # physical page ids
     page_keys: tuple[bytes, ...]
     plaintexts: tuple[bytes, ...]
-    enqueue_icount: int
     enqueue_instructions: int
     enqueue_cycles: int
-    region: int
     grouped: bool = False  # update clubbed across two evictions
 
     def __post_init__(self):

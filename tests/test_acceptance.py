@@ -20,15 +20,14 @@ from enclavesim.adversary import ATTACK_KINDS, run_benign, run_suite
 from enclavesim.cli import main as cli_main
 from enclavesim.config import expand_sweep, load_config, merge_layers
 from enclavesim.crypto import ecb_decrypt_page, page_mac, unwrap_key
-from enclavesim.epc import EngineConfig, SecScaleEngine
-from enclavesim.forest import forest_storage
+from enclavesim.epc import SecScaleEngine
+from enclavesim.forest import GROUP_ARITY, forest_storage
 from enclavesim.layout import KEY_SLOT_BYTES, PAGE_SIZE
-from enclavesim.merkle import merkle_storage_bytes
+from enclavesim.merkle import ARITY, merkle_storage_bytes
 from enclavesim.sim import (
     MODEL_CLASSES,
     SimConfig,
     compare,
-    make_layout,
     run,
     state_digest,
 )
@@ -96,7 +95,7 @@ def test_a2_attack_detection_and_no_false_positives():
 def test_a3_every_eviction_rekeys():
     # smallest legal cache: two data slots, so a three-page round robin
     # evicts the target page once per lap
-    eng = SecScaleEngine(make_layout(16 * MIB, 16 << 10), config=EngineConfig())
+    eng = SecScaleEngine(SimConfig(total_size=16 * MIB, epc_size=16 << 10))
     enc = eng.register_enclave(EID, 3)
     home = enc.base_page * PAGE_SIZE
     kt_slot = eng.layout.key_table_slot(enc.base_page)
@@ -132,15 +131,14 @@ def test_a4_metadata_equals_brute_force_recomputation():
         )
     )
     cfg = SimConfig(model="secscale", total_size=32 * MIB, epc_size=256 << 10)
-    model = MODEL_CLASSES["secscale"](cfg)
-    model.register_enclave(EID, 4096)
+    eng = MODEL_CLASSES["secscale"](cfg)
+    eng.register_enclave(EID, 4096)
     for rec in records:
-        model.access(rec.enclave_id, rec.vaddr, rec.op, rec.icount)
-    model.finalize()
+        eng.access(rec.enclave_id, rec.vaddr, rec.op, rec.icount)
+    eng.finalize()
 
-    eng = model.engine
     dram, f, m = eng.dram, eng.forest, eng.merkle
-    ga = f.config.group_arity
+    ga = GROUP_ARITY
 
     # forest leaves from (ciphertext, wrapped key); untouched pages stay boot
     leaf_err = mid_err = top_err = 0
@@ -163,7 +161,7 @@ def test_a4_metadata_equals_brute_force_recomputation():
 
     # counter tree: every stored node re-derives from content and parents
     tree_err = 0
-    arity = m.config.arity
+    arity = ARITY
     for level in range(len(m.counts) - 1, -1, -1):
         for idx in range(m.counts[level]):
             raw = dram.peek(m.node_addr(level, idx), 64)
@@ -180,7 +178,7 @@ def test_a4_metadata_equals_brute_force_recomputation():
             else:
                 tree_err += raw[56:64] != m._node_mac(level, idx, pc, raw[:56])
 
-    digest = state_digest({EID: model.final_state(EID)})
+    digest = state_digest({EID: eng.final_state(EID)})
     ref = run(SimConfig(model="baseline", total_size=32 * MIB, epc_size=256 << 10), records)
     ok = (
         leaf_err == mid_err == top_err == tree_err == 0

@@ -79,6 +79,7 @@ def test_unknown_config_key_exits_one_with_path(workdir, capsys):
         ({"latency": {"dram_access_cycles": "100"}}, "latency.dram_access_cycles"),
         ({"eshr_entries": "4"}, "eshr_entries"),
         ({"seed": "3"}, "seed"),
+        ({"eshr_entries": 0}, "eshr_entries"),
     ],
 )
 def test_bad_config_value_exits_one_with_path(workdir, capsys, config, path):

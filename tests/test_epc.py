@@ -16,18 +16,17 @@ from enclavesim.crypto import compose_page_key, ecb_decrypt_page, unwrap_key
 from enclavesim.epc import (
     SCRATCH_VBASE,
     AccessOutcome,
-    EngineConfig,
     SecScaleEngine,
     write_value,
 )
-from enclavesim.forest import forest_storage
+from enclavesim.forest import REGION_PAGES
 from enclavesim.layout import (
     BLOCKS_PER_PAGE,
     KEY_SLOT_BYTES,
     PAGE_SIZE,
-    MemoryLayout,
     Region,
 )
+from enclavesim.sim import SgxClientModel, SimConfig
 from enclavesim.timing import LatencyConfig
 from enclavesim.verifier import CatastrophicFailure
 
@@ -35,13 +34,12 @@ MIB = 1 << 20
 EID = 7
 
 
-def make_engine(epc_size=1 * MIB, total_size=64 * MIB, seed=0, **cfg):
-    layout = MemoryLayout.build(
-        total_size=total_size,
-        epc_size=epc_size,
-        forest_storage_size=forest_storage(total_size).dram_region_bytes,
+def make_engine(epc_size=1 * MIB, total_size=64 * MIB, max_outstanding_jobs=None,
+                **cfg):
+    return SecScaleEngine(
+        SimConfig(total_size=total_size, epc_size=epc_size, **cfg),
+        max_outstanding_jobs=max_outstanding_jobs,
     )
-    return SecScaleEngine(layout, config=EngineConfig(**cfg), seed=seed)
 
 
 def run_trace(eng, trace):
@@ -306,7 +304,7 @@ def test_evict_register_matches_lru_scan_after_every_access():
         eng.access(EID, vaddr, "RW"[rng.random() < 0.5], ic)
         last_touch[(EID, vaddr // PAGE_SIZE)] = step
         live = eng.live_entries()
-        assert len(live) <= eng.config.eshr_entries
+        assert len(live) <= eng.cfg.eshr_entries
         in_flight = {e.slot for e in live}
         touch_of_slot = {
             eng.resident[page]: t
@@ -432,19 +430,18 @@ def test_verify_flushes_same_region_pending_update_first():
         return compose_page_key(eng.hw_key, EID, page * 97, page)
 
     # a lone eviction parks in the club buffer awaiting a partner
-    eng._club_push(base_page, key(base_page), pt, icount=0, instructions=0)
+    eng._club_push(base_page, key(base_page), pt, instructions=0)
     assert eng._club is not None
     assert len(eng.queue) == 0
     # verifying a page of the same region must push that update out first,
     # otherwise the verify walks forest state the update has not written yet
-    eng._submit_job("verify", [(base_page + 1, key(base_page + 1), pt)],
-                    icount=0, instructions=0)
+    eng._submit_job("verify", [(base_page + 1, key(base_page + 1), pt)], instructions=0)
     assert [j.kind for j in eng.queue.pending] == ["update", "verify"]
 
     # a verify in some other region leaves the pending update parked
-    far = base_page + 5 * eng.forest.config.region_pages
-    eng._club_push(base_page + 2, key(base_page + 2), pt, icount=0, instructions=0)
-    eng._submit_job("verify", [(far, key(far), pt)], icount=0, instructions=0)
+    far = base_page + 5 * REGION_PAGES
+    eng._club_push(base_page + 2, key(base_page + 2), pt, instructions=0)
+    eng._submit_job("verify", [(far, key(far), pt)], instructions=0)
     assert eng._club is not None
     assert [j.kind for j in eng.queue.pending] == ["update", "verify", "verify"]
 
@@ -460,7 +457,7 @@ def _warm_region(eng, page):
     # first touch of a region pays an extra top read for stale-state auth;
     # the frozen counts below are the steady-state hot-region contract
     key = compose_page_key(eng.hw_key, EID, 99, page)
-    eng._submit_job("update", [(page, key, bytes(PAGE_SIZE))], icount=0, instructions=0)
+    eng._submit_job("update", [(page, key, bytes(PAGE_SIZE))], instructions=0)
     eng._retire_head()
 
 
@@ -471,11 +468,11 @@ def test_update_then_same_region_verify_shares_top_work():
     key = compose_page_key(eng.hw_key, EID, 1234, page)
     pt = bytes(range(256)) * 16
     base = _forest_cause_total(eng.stats)
-    eng._submit_job("update", [(page, key, pt)], icount=0, instructions=0)
+    eng._submit_job("update", [(page, key, pt)], instructions=0)
     eng._retire_head()
     after_update = _forest_cause_total(eng.stats)
     assert after_update - base == 6  # leaf/mid reads+writes plus one top write
-    eng._submit_job("verify", [(page, key, pt)], icount=0, instructions=0)
+    eng._submit_job("verify", [(page, key, pt)], instructions=0)
     eng._retire_head()
     after_verify = _forest_cause_total(eng.stats)
     assert after_verify - after_update == 3  # top served from the digest cache
@@ -490,7 +487,7 @@ def test_grouped_pair_update_costs_nine_accesses():
         key = compose_page_key(eng.hw_key, EID, page, page)
         items.append((page, key, bytes(PAGE_SIZE)))
     before = _forest_cause_total(eng.stats)
-    eng._submit_job("update", items, icount=0, instructions=0, grouped=True)
+    eng._submit_job("update", items, instructions=0, grouped=True)
     eng._retire_head()
     assert _forest_cause_total(eng.stats) - before == 9
 
@@ -678,13 +675,17 @@ def test_unknown_enclave_and_bad_op():
 # -------------------------------------------------------- metadata carve
 
 
-@pytest.mark.parametrize("epc_kib", [64, 128, 256, 512, 1024, 4096])
+@pytest.mark.parametrize("epc_kib", [64, 128, 256, 512, 1024, 4096, 16384])
 def test_counter_tree_never_spills_past_the_epc(epc_kib):
     # a spilled node would silently overwrite the first eEPC page's bytes
     eng = make_engine(epc_size=epc_kib << 10, total_size=64 * MIB)
     end = (eng.n_slots + eng.top_table_pages) * PAGE_SIZE + eng.merkle.storage_bytes
     assert end <= epc_kib << 10
     assert eng.n_slots >= 2
+    # sgx-client carves the same way, with no top table
+    sgx = SgxClientModel(SimConfig(total_size=64 * MIB, epc_size=epc_kib << 10))
+    assert sgx.n_slots * PAGE_SIZE + sgx.merkle.storage_bytes <= epc_kib << 10
+    assert sgx.n_slots >= 2
 
 
 def test_thrash_at_tiny_epc_stays_benign():

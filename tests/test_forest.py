@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from enclavesim.crypto import keyed_mac8
 from enclavesim.forest import (
+    GROUP_ARITY,
     MAC_BYTES,
-    ForestConfig,
+    REGION_ARITY,
+    REGION_PAGES,
     MacForest,
     forest_storage,
 )
@@ -43,9 +45,8 @@ class TopStore:
         self.macs[region] = mac
 
 
-def make_forest(total=16 * MIB, config=None):
-    config = config or ForestConfig()
-    storage = forest_storage(total, config)
+def make_forest(total=16 * MIB, top_cache=True):
+    storage = forest_storage(total)
     lay = MemoryLayout.build(
         total_size=total, epc_size=MIB, forest_storage_size=storage.dram_region_bytes
     )
@@ -59,7 +60,7 @@ def make_forest(total=16 * MIB, config=None):
         ssk_bytes=SSK,
         top_read=tops.read,
         top_write=tops.write,
-        config=config,
+        top_cache=top_cache,
     )
     tops.macs.update(f.boot_tops)  # the table owner installs boot digests
     return f, dram, tops
@@ -80,7 +81,7 @@ def test_storage_scales_linearly():
 
 
 def test_region_pages():
-    assert ForestConfig().region_pages == 128
+    assert REGION_PAGES == 128
 
 
 def test_address_helpers():
@@ -96,11 +97,7 @@ def test_address_helpers():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        ForestConfig(group_arity=12)  # would straddle DRAM blocks
-    with pytest.raises(ValueError):
-        ForestConfig(region_arity=0)
-    with pytest.raises(ValueError):
-        make_forest(config=ForestConfig())[0].__class__(
+        make_forest()[0].__class__(
             port=None, base_addr=0, n_pages=100, ssk_bytes=SSK,
             top_read=None, top_write=None,
         )
@@ -205,7 +202,7 @@ def test_top_cache_lru_evicts_ninth_region():
 
 
 def test_top_cache_disabled_always_reads():
-    f, _, tops = make_forest(config=ForestConfig(top_cache_enabled=False))
+    f, _, tops = make_forest(top_cache=False)
     f.update([(3, leaf_for(3))])  # update auth pays a top read too
     f.verify_page(3, leaf_for(3))
     f.verify_page(3, leaf_for(3))
@@ -240,7 +237,7 @@ def test_tampered_mid_detected():
 
 
 def test_replayed_leaf_mid_pair_detected_at_top():
-    f, dram, _ = make_forest(config=ForestConfig(top_cache_enabled=False))
+    f, dram, _ = make_forest(top_cache=False)
     page = 7
     f.update([(page, leaf_for(page, 1))])
     stale_leaves = dram.peek(*f._leaf_group_span(f.group_of(page)))
@@ -254,7 +251,7 @@ def test_replayed_leaf_mid_pair_detected_at_top():
 
 
 def test_tampered_top_detected():
-    f, _, tops = make_forest(config=ForestConfig(top_cache_enabled=False))
+    f, _, tops = make_forest(top_cache=False)
     f.update([(2, leaf_for(2))])
     tops.macs[0] = b"\x00" * 8
     with pytest.raises(CatastrophicFailure):
@@ -264,7 +261,7 @@ def test_tampered_top_detected():
 def test_update_refuses_to_launder_a_rollback():
     # a consistent (leaf group, mid) rollback must not be folded into a
     # fresh top by a neighbouring update -- that would bless the replay
-    f, dram, _ = make_forest(config=ForestConfig(top_cache_enabled=False))
+    f, dram, _ = make_forest(top_cache=False)
     page = 7
     f.update([(page, leaf_for(page, 1))])
     stale_leaves = dram.peek(*f._leaf_group_span(f.group_of(page)))
@@ -297,9 +294,9 @@ def test_top_cache_shields_against_top_tamper():
 # ------------------------------------------------------------------ oracle
 def _oracle_check(f: MacForest, dram: EmulatedDram, tops: TopStore, leaves_ref: dict):
     """Recompute mids and tops from raw DRAM bytes; compare to stored."""
-    ga, ra = f.config.group_arity, f.config.region_arity
-    touched_groups = {f.group_of(p) for p in f.touched}
-    touched_regions = {f.region_of(p) for p in f.touched}
+    ga, ra = GROUP_ARITY, REGION_ARITY
+    touched_groups = {f.group_of(p) for p in leaves_ref}
+    touched_regions = {f.region_of(p) for p in leaves_ref}
     for page, leaf in leaves_ref.items():
         assert dram.peek(f.leaf_addr(page), MAC_BYTES) == leaf
     for g in touched_groups:
@@ -334,7 +331,6 @@ def test_brute_force_oracle_after_random_ops():
             f.update([(page, leaf)])
             ref[page] = leaf
     _oracle_check(f, dram, tops, ref)
-    assert f.touched == set(ref)
 
 
 def test_traffic_reconciles_with_dram_counters():

@@ -7,9 +7,10 @@ import pytest
 from enclavesim.crypto import keyed_mac8
 from enclavesim.layout import EmulatedDram, MemoryLayout
 from enclavesim.merkle import (
+    ARITY,
+    COUNTER_BITS,
     NODE_BYTES,
     EpcMerkle,
-    MerkleTreeConfig,
     level_counts,
     merkle_storage_bytes,
 )
@@ -21,11 +22,11 @@ GIB = 1 << 30
 SSK = bytes(range(32))
 
 
-def make_tree(n_pages=64, config=None):
+def make_tree(n_pages=64, cache=True):
     lay = MemoryLayout.build(total_size=16 * MIB, epc_size=4 * MIB)
     dram = EmulatedDram(lay)
     port = MeteredDram(dram, CycleStats(LatencyConfig()))
-    tree = EpcMerkle(port, base_addr=0, n_pages=n_pages, ssk_bytes=SSK, config=config)
+    tree = EpcMerkle(port, base_addr=0, n_pages=n_pages, ssk_bytes=SSK, cache=cache)
     return tree, dram
 
 
@@ -69,7 +70,7 @@ def test_counter_cache_stops_walk():
 
 
 def test_cache_disabled_always_walks():
-    tree, _ = make_tree(64, MerkleTreeConfig(cache_enabled=False))
+    tree, _ = make_tree(64, cache=False)
     tree.read_verify(7)
     assert tree.read_verify(7).dram_reads == len(tree.counts)
 
@@ -85,8 +86,8 @@ def test_write_through_keeps_dram_current():
 
 def _oracle_check_all_nodes(tree: EpcMerkle, dram: EmulatedDram):
     """Recompute every node MAC from raw DRAM bytes and the on-chip root."""
-    arity = tree.config.arity
-    cw = tree.config.counter_bits
+    arity = ARITY
+    cw = COUNTER_BITS
 
     def unpack(raw):
         word = int.from_bytes(raw[:56], "little")

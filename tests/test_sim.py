@@ -83,6 +83,17 @@ def test_compare_raises_when_models_disagree(broken_penglai, models):
         compare(cfg(seed=8), records, models=models)
 
 
+def test_models_agree_at_a_small_epc():
+    # at a 256 KiB EPC sgx-client once carved 63 slots, and its counter tree
+    # then overwrote the first block of the first enclave page
+    reports = compare(
+        SimConfig(total_size=64 << 20, epc_size=256 << 10),
+        trace(n=300),
+        models=("baseline", "sgx-client", "dfp", "secscale"),
+    )
+    assert len({r.final_state_digest for r in reports.values()}) == 1
+
+
 def test_state_digest_is_order_independent():
     a = {1: {0: b"x" * PAGE_SIZE, 1: b"y" * PAGE_SIZE}}
     b = {1: {1: b"y" * PAGE_SIZE, 0: b"x" * PAGE_SIZE}}
