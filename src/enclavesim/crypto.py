@@ -23,23 +23,27 @@ MACs are HMAC-SHA-256 truncated to 8 bytes: page MACs are keyed by the page
 key K, upper forest levels and the EPC integrity tree by the SSK.  Domain
 tags and node indices in the MAC input defeat cross-use and relocation.
 
-AES contexts are memoized per key: ECB has no chaining state, so one
-encryptor/decryptor pair per key serves any number of 16-byte-aligned
-updates.  This matters because a single page transfer touches 64 distinct
-block keys.
+AES-256-ECB runs in OpenSSL's libcrypto, loaded through cffi.  A single page
+transfer touches 64 distinct block keys, so building a cipher object per key
+would dominate the run; instead the module holds one EVP context per
+direction and re-keys it before every key's slice of data.  ECB has no
+chaining state, so nothing carries from one key to the next, and there is
+no cache of contexts.  The two shared contexts make this module not
+thread-safe; nothing in enclavesim uses threads.
 """
 
 from __future__ import annotations
 
+import ctypes.util
 import hashlib
 import hmac
 import logging
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
 
-from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+import cffi
 
-from .layout import BLOCK_SIZE, BLOCKS_PER_PAGE, PAGE_SIZE
+from .layout import BLOCKS_PER_PAGE, PAGE_SIZE
 
 logger = logging.getLogger(__name__)
 
@@ -62,19 +66,109 @@ WRAPPED_KEY_BYTES = 16
 FRESHNESS_MODES = ("prng", "counter")
 
 
-@lru_cache(maxsize=32768)
-def _aes_ctx(key: bytes):
-    """Cached (encryptor, decryptor) contexts for one AES-256 key."""
-    cipher = Cipher(algorithms.AES(key), modes.ECB())
-    return cipher.encryptor(), cipher.decryptor()
+_AES_KEY_BYTES = 32
+_AES_BLOCK_BYTES = 16
+
+_ffi = cffi.FFI()
+_ffi.cdef(
+    """
+    typedef struct evp_cipher_st EVP_CIPHER;
+    typedef struct evp_cipher_ctx_st EVP_CIPHER_CTX;
+    const EVP_CIPHER *EVP_aes_256_ecb(void);
+    EVP_CIPHER_CTX *EVP_CIPHER_CTX_new(void);
+    void EVP_CIPHER_CTX_free(EVP_CIPHER_CTX *ctx);
+    int EVP_CIPHER_CTX_set_padding(EVP_CIPHER_CTX *ctx, int pad);
+    int EVP_CipherInit_ex(EVP_CIPHER_CTX *ctx, const EVP_CIPHER *cipher,
+                          void *impl, const unsigned char *key,
+                          const unsigned char *iv, int enc);
+    int EVP_CipherUpdate(EVP_CIPHER_CTX *ctx, unsigned char *out, int *outl,
+                         const unsigned char *in, int inl);
+    """
+)
+
+
+def _load_libcrypto():
+    """OpenSSL 3 or 1.1 by soname, else whatever the platform search finds.
+
+    The sonames come first because ``find_library`` may start a process
+    (``ldconfig``) to search.
+    """
+    for name in ("libcrypto.so.3", "libcrypto.so.1.1"):
+        try:
+            return _ffi.dlopen(name)
+        except OSError:
+            pass
+    path = ctypes.util.find_library("crypto")
+    if path is None:
+        raise ImportError("enclavesim.crypto needs OpenSSL's libcrypto; none was found")
+    try:
+        return _ffi.dlopen(path)
+    except OSError as exc:
+        raise ImportError(f"enclavesim.crypto cannot load libcrypto ({path}): {exc}") from exc
+
+
+_lib = _load_libcrypto()
+
+
+def _ecb_context(enc: int):
+    """An AES-256-ECB context for one direction, with no key and no padding."""
+    ctx = _lib.EVP_CIPHER_CTX_new()
+    if ctx == _ffi.NULL:
+        raise MemoryError("OpenSSL EVP_CIPHER_CTX_new failed")
+    ctx = _ffi.gc(ctx, _lib.EVP_CIPHER_CTX_free)
+    null = _ffi.NULL
+    if _lib.EVP_CipherInit_ex(ctx, _lib.EVP_aes_256_ecb(), null, null, null, enc) != 1:
+        raise RuntimeError("OpenSSL EVP_CipherInit_ex failed")
+    # without this, decryption would hold back the last block as padding
+    if _lib.EVP_CIPHER_CTX_set_padding(ctx, 0) != 1:
+        raise RuntimeError("OpenSSL EVP_CIPHER_CTX_set_padding failed")
+    return ctx
+
+
+_CONTEXTS = (_ecb_context(0), _ecb_context(1))  # indexed by enc
+_outl = _ffi.new("int *")
+
+
+def _aes_ecb(enc: int, keys: Sequence[bytes], data: bytes) -> bytes:
+    """AES-256-ECB over ``data`` cut into ``len(keys)`` equal slices, slice i
+    under ``keys[i]``; ``enc`` is 1 to encrypt and 0 to decrypt.
+
+    The lengths are checked here, before C reads them: every key must be
+    exactly 32 bytes and every slice a positive multiple of 16.
+    """
+    n = len(data)
+    step = n // len(keys)
+    if step == 0 or step % _AES_BLOCK_BYTES or step * len(keys) != n:
+        raise ValueError(
+            f"AES data must be a positive multiple of {_AES_BLOCK_BYTES} bytes per key, "
+            f"got {n} bytes for {len(keys)} key(s)"
+        )
+    ctx, outl = _CONTEXTS[enc], _outl
+    init, update = _lib.EVP_CipherInit_ex, _lib.EVP_CipherUpdate
+    null = _ffi.NULL
+    # in place: EVP allows out == in (but not a partial overlap)
+    buf = _ffi.new("unsigned char[]", n)
+    _ffi.memmove(buf, data, n)
+    off = 0
+    for key in keys:
+        if len(key) != _AES_KEY_BYTES:
+            raise ValueError(f"AES-256 keys must be {_AES_KEY_BYTES} bytes")
+        # re-key only: cipher, padding and direction stay as set up
+        if init(ctx, null, null, key, null, enc) != 1:
+            raise RuntimeError("OpenSSL EVP_CipherInit_ex failed")
+        p = buf + off
+        if update(ctx, p, outl, p, step) != 1 or outl[0] != step:
+            raise RuntimeError("OpenSSL EVP_CipherUpdate failed")
+        off += step
+    return _ffi.buffer(buf)[:]
 
 
 def aes_encrypt(key: bytes, data: bytes) -> bytes:
-    return _aes_ctx(key)[0].update(data)
+    return _aes_ecb(1, (key,), data)
 
 
 def aes_decrypt(key: bytes, data: bytes) -> bytes:
-    return _aes_ctx(key)[1].update(data)
+    return _aes_ecb(0, (key,), data)
 
 
 # ---------------------------------------------------------------- page keys
@@ -99,11 +193,18 @@ def compose_page_key(hw_key: int, enclave_id: int, random128: int, page: int) ->
     return word.to_bytes(32, "big")
 
 
+# every page transfer derives 64 block keys; a table lookup is about twice
+# as fast as building bytes([b]) each time
+_ONE_BYTE = tuple(bytes((i,)) for i in range(256))
+
+
 def derive_block_key(page_key: bytes, block: int) -> bytes:
     """Block key: identical to the page key except the low 6 bits."""
+    if len(page_key) != _AES_KEY_BYTES:
+        raise ValueError(f"page key must be {_AES_KEY_BYTES} bytes")
     if not 0 <= block < BLOCKS_PER_PAGE:
         raise ValueError("block index out of range")
-    return page_key[:31] + bytes([(page_key[31] & 0xC0) | block])
+    return page_key[:31] + _ONE_BYTE[(page_key[31] & 0xC0) | block]
 
 
 @dataclass(frozen=True)
@@ -130,27 +231,21 @@ def split_key(key: bytes) -> KeyFields:
 # ----------------------------------------------------------------- ciphers
 
 
+def _block_keys(page_key: bytes) -> list[bytes]:
+    return [derive_block_key(page_key, b) for b in range(BLOCKS_PER_PAGE)]
+
+
 def ecb_encrypt_page(page_key: bytes, page: bytes) -> bytes:
     """Encrypt a page block by block, each 64-byte block under its block key."""
     if len(page) != PAGE_SIZE:
         raise ValueError("page must be 4096 bytes")
-    return b"".join(
-        aes_encrypt(
-            derive_block_key(page_key, b), page[b * BLOCK_SIZE : (b + 1) * BLOCK_SIZE]
-        )
-        for b in range(BLOCKS_PER_PAGE)
-    )
+    return _aes_ecb(1, _block_keys(page_key), page)
 
 
 def ecb_decrypt_page(page_key: bytes, page: bytes) -> bytes:
     if len(page) != PAGE_SIZE:
         raise ValueError("page must be 4096 bytes")
-    return b"".join(
-        aes_decrypt(
-            derive_block_key(page_key, b), page[b * BLOCK_SIZE : (b + 1) * BLOCK_SIZE]
-        )
-        for b in range(BLOCKS_PER_PAGE)
-    )
+    return _aes_ecb(0, _block_keys(page_key), page)
 
 
 # -------------------------------------------------------------------- MACs

@@ -55,6 +55,15 @@ MODELS = ("secscale", "sgx-client", "dfp", "penglai", "baseline")
 
 @dataclass(frozen=True)
 class SimConfig:
+    """The settings of one model run; every model is built from one.
+
+    ``dfp_lookahead`` and ``dfp_accuracy`` set dfp's prefetcher, which is an
+    oracle: on each fault it reads the next ``dfp_lookahead`` trace records
+    and guesses the next faulting page right with probability
+    ``dfp_accuracy``.  dfp's numbers are therefore an upper bound for a real
+    history predictor.
+    """
+
     model: str = "secscale"
     total_size: int = 64 << 20
     epc_size: int = 1 << 20
@@ -329,11 +338,13 @@ class SgxClientModel(_PlainModel):
 class DfpModel(SgxClientModel):
     """sgx-client plus a next-fault prefetcher.
 
-    On every fault a coin with the configured accuracy decides whether the
-    prefetcher guesses the true next faulting page (taken from trace
-    lookahead, the standard stand-in for a history predictor) or a random
-    one.  The prefetched page loads off the critical path into the
-    next-victim slot, so only a subsequent touch saves anything.
+    The predictor is an oracle.  On every fault a coin with probability
+    ``dfp_accuracy`` decides whether it guesses right, taking the first
+    non-resident page among the next ``dfp_lookahead`` trace records, or
+    picks a random page of the enclave.  A real history predictor cannot
+    see the future trace, so dfp's numbers are an upper bound for one.  The
+    prefetched page loads off the critical path into the next-victim slot,
+    so only a subsequent touch saves anything.
     """
 
     def __init__(self, cfg: SimConfig):

@@ -1,6 +1,9 @@
 """Key composition, ciphers, MACs, wrapping and the freshness source."""
 
+import random
+
 import pytest
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -41,6 +44,84 @@ key_fields = st.tuples(
 def test_aes256_known_answer():
     assert crypto.aes_encrypt(KAT_KEY, KAT_PT) == KAT_CT
     assert crypto.aes_decrypt(KAT_KEY, KAT_CT) == KAT_PT
+
+
+# ------------------------------------------- differential: `cryptography`
+
+
+def _oracle(key: bytes, data: bytes, encrypt: bool = True) -> bytes:
+    cipher = Cipher(algorithms.AES(key), modes.ECB())
+    ctx = cipher.encryptor() if encrypt else cipher.decryptor()
+    return ctx.update(data) + ctx.finalize()
+
+
+def _oracle_page(page_key: bytes, page: bytes, encrypt: bool = True) -> bytes:
+    return b"".join(
+        _oracle(derive_block_key(page_key, b), page[b * 64 : (b + 1) * 64], encrypt)
+        for b in range(64)
+    )
+
+
+keys32 = st.binary(min_size=32, max_size=32)
+# random 4 KiB pages, drawn from a seed: a 4 KiB draw is too large for
+# Hypothesis' example buffer
+pages = st.integers(0, 2**64 - 1).map(lambda seed: random.Random(seed).randbytes(4096))
+
+
+@given(keys32, pages)
+@settings(max_examples=50)
+def test_page_cipher_matches_cryptography(page_key, page):
+    ct = ecb_encrypt_page(page_key, page)
+    assert ct == _oracle_page(page_key, page)
+    assert ecb_decrypt_page(page_key, ct) == page
+    assert ecb_decrypt_page(page_key, page) == _oracle_page(page_key, page, False)
+
+
+@given(keys32, st.integers(1, 8).flatmap(lambda n: st.binary(min_size=16 * n, max_size=16 * n)))
+@settings(max_examples=100)
+def test_aes_matches_cryptography(key, data):
+    assert crypto.aes_encrypt(key, data) == _oracle(key, data)
+    assert crypto.aes_decrypt(key, data) == _oracle(key, data, False)
+
+
+@given(keys32, keys32, pages, pages)
+@settings(max_examples=20)
+def test_interleaved_calls_leak_no_state(key_a, key_b, page_a, page_b):
+    first = ecb_encrypt_page(key_a, page_a)
+    plain_b = ecb_decrypt_page(key_b, page_b)
+    assert crypto.aes_encrypt(key_b, page_b[:16]) == _oracle(key_b, page_b[:16])
+    assert ecb_encrypt_page(key_a, page_a) == first
+    assert ecb_decrypt_page(key_b, page_b) == plain_b
+    assert ecb_decrypt_page(key_a, first) == page_a
+
+
+# ------------------------------------------------ checks at the C boundary
+
+
+@pytest.mark.parametrize("key_len", [0, 16, 31, 33, 64])
+def test_bad_key_length_is_rejected(key_len):
+    key = bytes(range(key_len))
+    with pytest.raises(ValueError):
+        crypto.aes_encrypt(key, bytes(16))
+    with pytest.raises(ValueError):
+        crypto.aes_decrypt(key, bytes(16))
+    with pytest.raises(ValueError):
+        ecb_encrypt_page(key, bytes(4096))
+    with pytest.raises(ValueError):
+        ecb_decrypt_page(key, bytes(4096))
+
+
+@pytest.mark.parametrize("data_len", [0, 1, 15, 17, 4095, 4097])
+def test_bad_data_length_is_rejected(data_len):
+    data = bytes(data_len)
+    with pytest.raises(ValueError):
+        crypto.aes_encrypt(KAT_KEY, data)
+    with pytest.raises(ValueError):
+        crypto.aes_decrypt(KAT_KEY, data)
+    with pytest.raises(ValueError):
+        ecb_encrypt_page(KAT_KEY, data)
+    with pytest.raises(ValueError):
+        ecb_decrypt_page(KAT_KEY, data)
 
 
 def test_compose_against_bitstring_oracle():
@@ -169,3 +250,16 @@ def test_freshness_counter_mode():
     assert [f.draw() for _ in range(5)] == [1, 2, 3, 4, 5]
     with pytest.raises(ValueError):
         FreshnessSource(bytes(16), HW, mode="bogus")
+
+
+def test_missing_libcrypto_is_an_import_error_that_names_it(monkeypatch):
+    def no_library(name):
+        raise OSError(f"cannot load library {name!r}")
+
+    monkeypatch.setattr(crypto._ffi, "dlopen", no_library)
+    monkeypatch.setattr(crypto.ctypes.util, "find_library", lambda name: None)
+    with pytest.raises(ImportError, match="libcrypto"):
+        crypto._load_libcrypto()
+    monkeypatch.setattr(crypto.ctypes.util, "find_library", lambda name: "libcrypto.so.0")
+    with pytest.raises(ImportError, match="libcrypto"):
+        crypto._load_libcrypto()
