@@ -28,7 +28,6 @@ the design's argument and are asserted by the tests.
 
 from __future__ import annotations
 
-import logging
 import random
 from dataclasses import dataclass
 
@@ -38,8 +37,6 @@ from .layout import KEY_SLOT_BYTES, PAGE_SIZE
 from .sim import SimConfig
 from .verifier import CatastrophicFailure
 from .workload import SyntheticSpec, generate
-
-logger = logging.getLogger(__name__)
 
 ATTACK_KINDS = (
     "tamper-data",

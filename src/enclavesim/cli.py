@@ -14,7 +14,6 @@ import csv
 import dataclasses
 import gzip
 import json
-import logging
 import sys
 
 from .adversary import run_suite
@@ -25,14 +24,13 @@ from .config import (
     RunConfig,
     expand_sweep,
     merge_layers,
+    parse_size,
 )
 from .forest import REGION_PAGES, forest_storage
 from .layout import KEY_SLOT_BYTES, PAGE_SIZE
 from .merkle import merkle_storage_bytes
 from .sim import MODELS, REPORT_COLUMNS, Report, StateMismatch, compare, run
 from .workload import PATTERNS, SPEC_KEYS, SyntheticSpec, format_record, generate
-
-logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -148,6 +146,9 @@ def cmd_compare(args) -> int:
 def cmd_storage(args) -> int:
     total = args.total_size
     epc = args.epc_size
+    for flag, size in (("--total-size", total), ("--epc-size", epc)):
+        if size % PAGE_SIZE:
+            raise ConfigError(f"{flag}: must be a multiple of {PAGE_SIZE} bytes, got {size}")
     fs = forest_storage(total)
     merkle = merkle_storage_bytes(epc)
     client_tree = merkle_storage_bytes(total)  # counter tree over all memory
@@ -177,6 +178,8 @@ def cmd_attack(args) -> int:
     for k in kinds:
         if k not in ATTACK_KINDS:
             raise ConfigError(f"unknown attack kind {k!r}")
+    if args.seeds <= 0:
+        raise ConfigError(f"--seeds: must be positive, got {args.seeds}")
     out = args.out or "attacks"
     rows = _attack_files(run_suite(kinds, range(args.seeds)), out)
     for kind in kinds:
@@ -204,8 +207,6 @@ def cmd_gen_trace(args) -> int:
 
 # ------------------------------------------------------------------- parser
 def _size(text: str) -> int:
-    from .config import parse_size
-
     return parse_size(text, "size")
 
 
@@ -256,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=logging.WARNING, format="%(name)s: %(message)s")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import logging
 import re
 import types
 import typing
@@ -34,8 +33,6 @@ from .workload import (
     parse_trace,
 )
 
-logger = logging.getLogger(__name__)
-
 
 class ConfigError(ValueError):
     """Bad run configuration; the message names the offending key path."""
@@ -47,17 +44,13 @@ _SIZE_SHIFT = {"": 0, "K": 10, "M": 20, "G": 30, "T": 40}
 
 def parse_size(value, path: str = "size") -> int:
     """Bytes from an int or a suffixed string; binary units throughout."""
-    if isinstance(value, bool):
-        raise ConfigError(f"{path}: expected a byte size, got {value!r}")
-    if isinstance(value, int):
-        if value <= 0:
-            raise ConfigError(f"{path}: size must be positive, got {value}")
-        return value
-    if isinstance(value, str):
-        m = _SIZE_RE.match(value.strip())
-        if m:
-            return int(m.group(1)) << _SIZE_SHIFT[(m.group(2) or "").upper()]
-    raise ConfigError(f"{path}: cannot parse size {value!r}")
+    if isinstance(value, str) and (m := _SIZE_RE.match(value.strip())):
+        value = int(m.group(1)) << _SIZE_SHIFT[(m.group(2) or "").upper()]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{path}: cannot parse size {value!r}")
+    if value <= 0:
+        raise ConfigError(f"{path}: size must be positive, got {value}")
+    return value
 
 
 def _check_keys(d: dict, allowed, path: str):

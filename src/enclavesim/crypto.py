@@ -37,15 +37,12 @@ from __future__ import annotations
 import ctypes.util
 import hashlib
 import hmac
-import logging
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import cffi
 
 from .layout import BLOCKS_PER_PAGE, PAGE_SIZE
-
-logger = logging.getLogger(__name__)
 
 HW_KEY_BITS = 64
 ENCLAVE_ID_BITS = 31
@@ -55,7 +52,6 @@ BLOCK_ADDR_BITS = 6
 KEY_BITS = HW_KEY_BITS + ENCLAVE_ID_BITS + RANDOM_BITS + PAGE_ADDR_BITS + BLOCK_ADDR_BITS
 assert KEY_BITS == 256
 
-_BLOCK_SHIFT = 0
 _PAGE_SHIFT = BLOCK_ADDR_BITS
 _RANDOM_SHIFT = _PAGE_SHIFT + PAGE_ADDR_BITS
 _EID_SHIFT = _RANDOM_SHIFT + RANDOM_BITS
@@ -253,10 +249,7 @@ def ecb_decrypt_page(page_key: bytes, page: bytes) -> bytes:
 
 def keyed_mac8(key: bytes, domain: bytes, *parts: bytes) -> bytes:
     """8-byte truncated HMAC-SHA-256 with a domain separation tag."""
-    m = hmac.new(key, domain, hashlib.sha256)
-    for p in parts:
-        m.update(p)
-    return m.digest()[:MAC_BYTES]
+    return hmac.digest(key, domain + b"".join(parts), "sha256")[:MAC_BYTES]
 
 
 def page_mac(page_key: bytes, plaintext_page: bytes) -> bytes:

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import enum
 import hashlib
-import logging
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -72,8 +71,6 @@ from .verifier import CatastrophicFailure, VerificationJob, VerifierQueue
 if TYPE_CHECKING:
     from .sim import SimConfig
 
-logger = logging.getLogger(__name__)
-
 SCRATCH_VBASE = 0xFFFF0  # virtual pages at/above this index address scratch
 
 
@@ -96,6 +93,24 @@ def write_value(eid: int, vaddr: int, icount: int) -> bytes:
     """Deterministic 8-byte store value; shared with reference executions."""
     x = eid * 0x9E3779B97F4A7C15 ^ vaddr * 0xC2B2AE3D27D4EB4F ^ icount * 0x165667B19E3779F9
     return (x & (1 << 64) - 1).to_bytes(8, "big")
+
+
+def unprotected_access(
+    port: MeteredDram, addr: int, eid: int, vaddr: int, op: str, icount: int
+) -> bytes:
+    """One 8-byte access at physical `addr` with no protection: a block read
+    or an 8-byte write, and one DRAM latency on the critical path.  No model
+    charges an enclave exit here; only secscale adds one, before a write."""
+    if op == "R":
+        block = addr & ~(BLOCK_SIZE - 1)
+        data = port.read(block, BLOCK_SIZE, cause="data")
+        off = (addr - block) & ~7
+        value = data[off : off + 8]
+    else:
+        value = write_value(eid, vaddr, icount)
+        port.write(addr & ~7, value, cause="data")
+    port.stats.charge_critical(port.stats.cfg.dram_access_cycles)
+    return value
 
 
 class AccessOutcome(enum.Enum):
@@ -128,9 +143,8 @@ class EpcSlot:
 class EshrEntry:
     slot: int
     e_bit: bool  # a page was evicted to make room
-    v_bit: bool = True
     ls_vector: int = 0  # bit b set <=> block b of the page loaded
-    cursor: int = 0  # next block index the lane will move
+    cursor: int = 0  # next block the lane moves; live while < BLOCKS_PER_PAGE
     demand: bool = False  # a read restart is waiting on this entry
     born_instructions: int = 0
     born_cycles: int = 0
@@ -314,7 +328,7 @@ class SecScaleEngine:
 
     def fault_step(self, entry: EshrEntry):
         """Advance one block move for a live entry (lane work)."""
-        if not entry.v_bit:
+        if entry.cursor == BLOCKS_PER_PAGE:
             raise ValueError("entry is not live")
         b = entry.cursor
         load_needed = not (entry.ls_vector >> b) & 1
@@ -328,7 +342,6 @@ class SecScaleEngine:
             self._complete_entry(entry)
 
     def _complete_entry(self, entry: EshrEntry):
-        entry.v_bit = False
         del self.eshr[entry.slot]  # the slot becomes eviction-eligible
         if entry.verify_payload is not None:
             page, key, pt = entry.verify_payload
@@ -336,7 +349,7 @@ class SecScaleEngine:
                 "verify", [(page, key, pt)], instructions=entry.born_instructions
             )
 
-    def _submit_job(self, kind: str, items, *, instructions: int, grouped: bool = False):
+    def _submit_job(self, kind: str, items, *, instructions: int):
         if kind == "verify":
             # a pending update of the same region goes first
             self._club_flush(self.forest.region_of(items[0][0]))
@@ -347,7 +360,6 @@ class SecScaleEngine:
             plaintexts=tuple(pt for _, _, pt in items),
             enqueue_instructions=instructions,
             enqueue_cycles=self.stats.critical_cycles,
-            grouped=grouped,
         )
         self.queue.submit(job)
         limit = self.max_outstanding_jobs
@@ -429,7 +441,7 @@ class SecScaleEngine:
             items = self._club[1] + [item]
             self._club = None
             self.stats.events["clubbed_pairs"] += 1
-            self._submit_job("update", items, instructions=instructions, grouped=True)
+            self._submit_job("update", items, instructions=instructions)
         else:
             old_items = self._club[1]
             self._club = (region, [item])
@@ -447,7 +459,7 @@ class SecScaleEngine:
     # -------------------------------------------------------------- faults
     def _stall_complete_oldest(self):
         oldest = next(iter(self.eshr.values()))
-        while oldest.v_bit:
+        while oldest.cursor < BLOCKS_PER_PAGE:
             self.fault_step(oldest)
         self.stats.stall_until_lane()
         self.stats.events["eshr_stalls"] += 1
@@ -661,20 +673,12 @@ class SecScaleEngine:
     def _scratch_access(self, eid, vaddr, op, icount):
         phys = scratch_page(self.layout, vaddr // PAGE_SIZE)
         addr = phys * PAGE_SIZE + vaddr % PAGE_SIZE
-        if op == "R":
-            block_addr = addr & ~(BLOCK_SIZE - 1)
-            data = self.port.read(block_addr, BLOCK_SIZE, cause="data")
-            self.stats.charge_critical(self.latency.dram_access_cycles)
-            off = (addr - block_addr) & ~7
-            self.stats.events["scratch_reads"] += 1
-            return AccessOutcome.SCRATCH_ACCESS, data[off : off + 8]
-        # externally visible write: barrier, pay the exit, then store
-        self.syscall_barrier()
-        self.stats.charge_critical(self.latency.enclave_enter_exit)
-        value = write_value(eid, vaddr, icount)
-        self.port.write(addr & ~7, value, cause="data")
-        self.stats.charge_critical(self.latency.dram_access_cycles)
-        self.stats.events["scratch_writes"] += 1
+        if op == "W":
+            # externally visible write: barrier, pay the exit, then store
+            self.syscall_barrier()
+            self.stats.charge_critical(self.latency.enclave_enter_exit)
+        value = unprotected_access(self.port, addr, eid, vaddr, op, icount)
+        self.stats.events["scratch_reads" if op == "R" else "scratch_writes"] += 1
         return AccessOutcome.SCRATCH_ACCESS, value
 
     # ------------------------------------------------------------- barrier
@@ -714,7 +718,3 @@ class SecScaleEngine:
             key = unwrap_key(self.ssk, wrapped, self.hw_key, eid, phys)
             out[vpage] = ecb_decrypt_page(key, self.dram.peek(phys * PAGE_SIZE, PAGE_SIZE))
         return out
-
-    # ------------------------------------------------------------- metrics
-    def live_entries(self) -> list[EshrEntry]:
-        return list(self.eshr.values())

@@ -33,7 +33,6 @@ prior state to check against.
 
 from __future__ import annotations
 
-import logging
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -42,8 +41,6 @@ from .crypto import keyed_mac8
 from .layout import BLOCK_SIZE, PAGE_SIZE
 from .timing import MeteredDram
 from .verifier import CatastrophicFailure
-
-logger = logging.getLogger(__name__)
 
 MAC_BYTES = 8
 
@@ -96,19 +93,6 @@ class ForestVerifyResult:
     @property
     def total_accesses(self) -> int:
         return self.dram_reads + self.top_reads
-
-
-@dataclass
-class ForestUpdateResult:
-    pages: tuple
-    dram_reads: int
-    dram_writes: int
-    top_writes: int
-    top_reads: int = 0  # stale-state authentication on a region-cache miss
-
-    @property
-    def total_accesses(self) -> int:
-        return self.dram_reads + self.dram_writes + self.top_writes + self.top_reads
 
 
 class MacForest:
@@ -264,7 +248,7 @@ class MacForest:
         )
 
     # ------------------------------------------------------------ update
-    def update(self, updates: Iterable[tuple[int, bytes]]) -> ForestUpdateResult:
+    def update(self, updates: Iterable[tuple[int, bytes]]) -> None:
         """Install new leaf MACs and rebuild the mids and tops above them.
 
         The stale sibling state each rebuild folds in is authenticated
@@ -282,7 +266,6 @@ class MacForest:
             if len(leaf) != MAC_BYTES:
                 raise ValueError("leaf MAC must be 8 bytes")
 
-        reads = writes = top_writes = top_reads = 0
         by_region: dict[int, list[tuple[int, bytes]]] = {}
         for page, leaf in items:
             by_region.setdefault(self.region_of(page), []).append((page, leaf))
@@ -292,13 +275,10 @@ class MacForest:
             bufs: dict[int, bytearray] = {}
             for g in sorted({self.group_of(p) for p, _ in batch}):
                 start, nbytes = self._leaf_group_span(g)
-                bufs[g], r = self._read_span(start, nbytes)
-                reads += r
+                bufs[g], _ = self._read_span(start, nbytes)
 
             # authenticate every byte the rebuild is about to trust
-            mids, r, t = self._check_region(region, bufs, batch[0][0])
-            reads += r
-            top_reads += t
+            mids, _, _ = self._check_region(region, bufs, batch[0][0])
 
             dirty_blocks: set[int] = set()
             for page, leaf in batch:
@@ -313,24 +293,13 @@ class MacForest:
                 self.port.write(
                     baddr, bytes(bufs[g][off : off + BLOCK_SIZE]), cause=self.cause
                 )
-                writes += 1
 
             for g, leaves in bufs.items():
                 mslot = (g % REGION_ARITY) * MAC_BYTES
                 mids[mslot : mslot + MAC_BYTES] = self._mid_mac(g, bytes(leaves))
-            mstart, mbytes = self._mid_group_span(region)
+            mstart, _ = self._mid_group_span(region)
             self.port.write_span(mstart, bytes(mids), self.cause)
-            writes += mbytes // BLOCK_SIZE
 
             top = self._top_mac(region, bytes(mids))
             self.top_write(region, top)
-            top_writes += 1
             self._top_cache_put(region, top)
-
-        return ForestUpdateResult(
-            pages=tuple(p for p, _ in items),
-            dram_reads=reads,
-            dram_writes=writes,
-            top_writes=top_writes,
-            top_reads=top_reads,
-        )

@@ -24,29 +24,15 @@ model's per-cause accounting can be cross-checked against actual traffic.
 from __future__ import annotations
 
 import enum
-import logging
 from dataclasses import dataclass, field
-
-logger = logging.getLogger(__name__)
 
 PAGE_SIZE = 4096
 PAGE_SHIFT = 12
 BLOCK_SIZE = 64
-BLOCK_SHIFT = 6
 BLOCKS_PER_PAGE = PAGE_SIZE // BLOCK_SIZE  # 64
 KEY_SLOT_BYTES = 16
 PHYS_ADDR_BITS = 39
 MAX_TOTAL_SIZE = 1 << PHYS_ADDR_BITS  # 512 GiB
-
-
-def page_of(addr: int) -> int:
-    """Physical page index of an address."""
-    return addr >> PAGE_SHIFT
-
-
-def block_of(addr: int) -> int:
-    """64-byte block index of an address within its page (0..63)."""
-    return (addr >> BLOCK_SHIFT) & (BLOCKS_PER_PAGE - 1)
 
 
 def page_base(page: int) -> int:
@@ -157,10 +143,6 @@ class MemoryLayout:
     @property
     def epc_pages(self) -> int:
         return self.epc_size // PAGE_SIZE
-
-    @property
-    def eepc_pages(self) -> int:
-        return self.eepc_size // PAGE_SIZE
 
     @property
     def scratch_pages(self) -> int:

@@ -23,15 +23,12 @@ the MAC forest exists to avoid.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 from .crypto import keyed_mac8
 from .layout import PAGE_SIZE
 from .timing import MeteredDram
 from .verifier import CatastrophicFailure
-
-logger = logging.getLogger(__name__)
 
 NODE_BYTES = 64
 NODE_MAC_BYTES = 8

@@ -29,7 +29,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import logging
 import random
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -40,6 +39,7 @@ from .epc import (
     SecScaleEngine,
     make_layout,
     scratch_page,
+    unprotected_access,
     write_value,
 )
 from .layout import BLOCK_SIZE, BLOCKS_PER_PAGE, PAGE_SIZE, EmulatedDram
@@ -47,8 +47,6 @@ from .merkle import EpcMerkle, carve_slots
 from .timing import DRAM_CAUSES, CycleStats, LatencyConfig, MeteredDram
 from .verifier import CatastrophicFailure
 from .workload import TraceRecord
-
-logger = logging.getLogger(__name__)
 
 MODELS = ("secscale", "sgx-client", "dfp", "penglai", "baseline")
 
@@ -101,9 +99,9 @@ class SimConfig:
 class _PlainModel:
     """What the plaintext comparison models share.
 
-    Emulated memory behind a metered port, one cycle account, enclaves
-    mapped to consecutive home pages in the eEPC, and unprotected DRAM
-    accesses for the pages that bypass protection.
+    Emulated memory behind a metered port, one cycle account, and enclaves
+    mapped to consecutive home pages in the eEPC.  Pages that bypass
+    protection go through `epc.unprotected_access`, as secscale's do.
     """
 
     def __init__(self, cfg: SimConfig):
@@ -123,19 +121,6 @@ class _PlainModel:
     def _advance(self, icount: int):
         self.stats.advance_instructions(icount - self.last_icount)
         self.last_icount = icount
-
-    def _dram_access(self, addr: int, eid: int, vaddr: int, op: str, icount: int):
-        """One unprotected 8-byte access at physical address `addr`."""
-        if op == "R":
-            block = addr & ~(BLOCK_SIZE - 1)
-            data = self.port.read(block, BLOCK_SIZE, cause="data")
-            self.stats.charge_critical(self.cfg.latency.dram_access_cycles)
-            off = (addr - block) & ~7
-            return data[off : off + 8]
-        value = write_value(eid, vaddr, icount)
-        self.port.write(addr & ~7, value, cause="data")
-        self.stats.charge_critical(self.cfg.latency.dram_access_cycles)
-        return value
 
     def finalize(self):
         pass
@@ -158,8 +143,8 @@ class BaselineModel(_PlainModel):
             phys = scratch_page(self.layout, vpage)
         else:
             phys = self.enclaves[eid][0] + vpage
-        return self._dram_access(
-            phys * PAGE_SIZE + vaddr % PAGE_SIZE, eid, vaddr, op, icount
+        return unprotected_access(
+            self.port, phys * PAGE_SIZE + vaddr % PAGE_SIZE, eid, vaddr, op, icount
         )
 
 
@@ -298,7 +283,7 @@ class SgxClientModel(_PlainModel):
         vpage, off = vaddr // PAGE_SIZE, vaddr % PAGE_SIZE
         if vpage >= SCRATCH_VBASE:
             addr = scratch_page(self.layout, vpage) * PAGE_SIZE + off
-            return self._dram_access(addr, eid, vaddr, op, icount)
+            return unprotected_access(self.port, addr, eid, vaddr, op, icount)
 
         slot = self.resident.get((eid, vpage))
         if slot is None:

@@ -20,13 +20,10 @@ max(critical path, lane drain).
 
 from __future__ import annotations
 
-import logging
 from collections import Counter
 from dataclasses import dataclass, field
 
 from .layout import EmulatedDram
-
-logger = logging.getLogger(__name__)
 
 DRAM_CAUSES = ("data", "merkle", "forest", "key_table")
 

@@ -21,11 +21,8 @@ speculatively past the unverified read, and refuses further operations.
 
 from __future__ import annotations
 
-import logging
 from collections import deque
 from dataclasses import dataclass
-
-logger = logging.getLogger(__name__)
 
 JOB_KINDS = ("verify", "update")
 
@@ -55,7 +52,6 @@ class VerificationJob:
     plaintexts: tuple[bytes, ...]
     enqueue_instructions: int
     enqueue_cycles: int
-    grouped: bool = False  # update clubbed across two evictions
 
     def __post_init__(self):
         if self.kind not in JOB_KINDS:
@@ -67,28 +63,21 @@ class VerificationJob:
 
 
 class VerifierQueue:
-    """Strict FIFO of pending jobs with depth/retirement accounting."""
+    """Strict FIFO of pending jobs; counts submissions and the deepest queue."""
 
     def __init__(self):
         self.pending: deque[VerificationJob] = deque()
         self.jobs_submitted = 0
-        self.jobs_retired = 0
-        self.grouped_pairs = 0
         self.max_depth = 0
 
     def submit(self, job: VerificationJob) -> int:
         self.pending.append(job)
         self.jobs_submitted += 1
-        if job.grouped:
-            self.grouped_pairs += 1
         self.max_depth = max(self.max_depth, len(self.pending))
         return len(self.pending)
 
     def pop(self) -> VerificationJob | None:
-        if not self.pending:
-            return None
-        self.jobs_retired += 1
-        return self.pending.popleft()
+        return self.pending.popleft() if self.pending else None
 
     def __len__(self) -> int:
         return len(self.pending)

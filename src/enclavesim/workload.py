@@ -10,14 +10,11 @@ from __future__ import annotations
 
 import bisect
 import gzip
-import logging
 import random
 from dataclasses import dataclass, fields
 from typing import IO, Iterable, Iterator
 
 from .layout import BLOCK_SIZE, PAGE_SIZE
-
-logger = logging.getLogger(__name__)
 
 PATTERNS = ("sequential", "uniform", "zipf", "strided", "pointer-chase")
 

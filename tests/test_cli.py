@@ -13,7 +13,11 @@ import re
 import pytest
 
 from enclavesim.cli import EXIT_MISMATCH, EXIT_OK, EXIT_SECURITY, EXIT_USAGE, main
+from enclavesim.config import parse_size
+from enclavesim.merkle import merkle_storage_bytes
 from enclavesim.sim import REPORT_COLUMNS
+
+MIB = 1 << 20
 
 
 @pytest.fixture
@@ -130,6 +134,28 @@ def test_client_counter_storage_grows_linearly(capsys):
         assert 1.99 < larger / smaller < 2.01
 
 
+@pytest.mark.parametrize("size", ["64G", "128G", "256G", "512G"])
+def test_full_memory_counters_line_is_the_client_tree(capsys, size):
+    total = parse_size(size)
+    assert main(["storage", "--total-size", size]) == EXIT_OK
+    out = capsys.readouterr().out
+    tree = merkle_storage_bytes(total)
+    assert f"full-memory counters  {tree / MIB:.2f} MB" in out
+    assert f"client_tree={tree} " in out
+    # the counter tree doubles with the memory it covers
+    assert 1.99 < tree / merkle_storage_bytes(total // 2) < 2.01
+
+
+@pytest.mark.parametrize(
+    "flag,size",
+    [("--total-size", "0"), ("--total-size", "1K"), ("--total-size", "5000"),
+     ("--epc-size", "5000")],
+)
+def test_storage_rejects_sizes_that_are_not_whole_pages(capsys, flag, size):
+    assert main(["storage", flag, size]) == EXIT_USAGE
+    assert flag in capsys.readouterr().err
+
+
 def test_single_region_forest_is_one_subtree(capsys):
     got = _exact(capsys, "--total-size", "512K", "--epc-size", "512K")
     # 128 leaves + 8 group digests + 1 region digest, 8 bytes each
@@ -219,6 +245,13 @@ def test_attack_subcommand_summarizes_and_exits_two(workdir, capsys):
     assert "tamper-data" in out and "detected 2/2" in out
     rows = json.loads((workdir / "attacks.json").read_text())
     assert {r["kind"] for r in rows} == {"tamper-data", "tamper-key-slot"}
+
+
+@pytest.mark.parametrize("seeds", ["0", "-3"])
+def test_attack_rejects_non_positive_seeds(workdir, capsys, seeds):
+    assert main(["attack", "--kinds", "tamper-data", "--seeds", seeds]) == EXIT_USAGE
+    assert "--seeds" in capsys.readouterr().err
+    assert not (workdir / "attacks.json").exists()
 
 
 def test_attack_rejects_unknown_kind(capsys):

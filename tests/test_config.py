@@ -42,7 +42,9 @@ def test_parse_size_accepts_ints_and_binary_suffixes(text, expect):
     assert parse_size(text) == expect
 
 
-@pytest.mark.parametrize("bad", ["", "M", "-4K", "64Q", "1.5G", 0, -1, True, None, 4.0])
+@pytest.mark.parametrize(
+    "bad", ["", "M", "-4K", "64Q", "1.5G", 0, -1, True, None, 4.0, "00", "0K", "0 GiB"]
+)
 def test_parse_size_rejects_garbage(bad):
     with pytest.raises(ConfigError):
         parse_size(bad, "epc_size")

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from cryptography.hazmat.primitives import hashes
+from cryptography.hazmat.primitives import hmac as oracle_hmac
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from enclavesim.crypto import (
     derive_block_key,
     ecb_decrypt_page,
     ecb_encrypt_page,
+    keyed_mac8,
     page_mac,
     split_key,
     unwrap_key,
@@ -211,6 +214,18 @@ def test_page_mac_sensitivity():
     assert page_mac(k, page) == m
     assert page_mac(k2, page) != m
     assert page_mac(k, b"\x01" + page[1:]) != m
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [(bytes(range(256)) * 16,), (b"\x00" * 8, b"group", b"\xff" * 128), (b"", b"x", b"")],
+)
+def test_keyed_mac8_is_truncated_hmac_over_domain_then_parts(parts):
+    key = bytes(range(32))
+    ref = oracle_hmac.HMAC(key, hashes.SHA256())
+    for chunk in (b"forest-mid", *parts):
+        ref.update(chunk)
+    assert keyed_mac8(key, b"forest-mid", *parts) == ref.finalize()[:8]
 
 
 def test_wrap_unwrap_roundtrip():

@@ -211,26 +211,25 @@ def test_entry_completes_after_64_steps_and_clears_valid():
     eng = make_engine()
     eng.register_enclave(EID, 8)
     eng.access(EID, 3 * PAGE_SIZE + 128, "R", 10)
-    entries = eng.live_entries()
-    assert len(entries) == 1
-    e = entries[0]
-    assert e.demand and e.v_bit and e.ls_vector == 1 << 2  # block 2 preset
+    (e,) = eng.eshr.values()
+    assert e.demand and e.cursor == 0 and e.ls_vector == 1 << 2  # block 2 preset
     steps = 0
-    while e.v_bit:
+    while e.slot in eng.eshr:
         eng.fault_step(e)
         steps += 1
     assert steps == BLOCKS_PER_PAGE
+    assert e.cursor == BLOCKS_PER_PAGE
     assert e.ls_vector == (1 << BLOCKS_PER_PAGE) - 1
-    assert eng.live_entries() == []
+    assert not eng.eshr
 
 
 def test_load_bits_never_clear_while_entry_live():
     eng = make_engine()
     eng.register_enclave(EID, 8)
     eng.access(EID, PAGE_SIZE + 7 * 64, "R", 10)
-    (e,) = eng.live_entries()
+    (e,) = eng.eshr.values()
     seen = e.ls_vector
-    while e.v_bit:
+    while e.slot in eng.eshr:
         eng.fault_step(e)
         assert e.ls_vector & seen == seen, "a load-status bit was cleared"
         seen = e.ls_vector
@@ -248,7 +247,7 @@ def test_refault_charges_like_a_miss_and_marks_demand():
     eng.syscall_barrier()
     ic += 20000
     eng.access(EID, 0, "R", ic)  # miss on evicted page 0, entry in flight
-    (e,) = eng.live_entries()
+    (e,) = eng.eshr.values()
     base = eng.stats.critical_cycles
     out, val = eng.access(EID, 40 * 64, "R", ic)  # block 40 not yet landed
     assert out is AccessOutcome.FAULT_STARTED
@@ -303,9 +302,8 @@ def test_evict_register_matches_lru_scan_after_every_access():
         vaddr = rng.randrange(40 * PAGE_SIZE)
         eng.access(EID, vaddr, "RW"[rng.random() < 0.5], ic)
         last_touch[(EID, vaddr // PAGE_SIZE)] = step
-        live = eng.live_entries()
-        assert len(live) <= eng.cfg.eshr_entries
-        in_flight = {e.slot for e in live}
+        assert len(eng.eshr) <= eng.cfg.eshr_entries
+        in_flight = set(eng.eshr)
         touch_of_slot = {
             eng.resident[page]: t
             for page, t in last_touch.items()
@@ -383,7 +381,7 @@ def _job_log(eng, monkeypatch):
     orig = eng._submit_job
 
     def spy(kind, items, **kw):
-        log.append((kind, tuple(p for p, _, _ in items), kw.get("grouped", False)))
+        log.append((kind, tuple(p for p, _, _ in items)))
         return orig(kind, items, **kw)
 
     monkeypatch.setattr(eng, "_submit_job", spy)
@@ -399,26 +397,28 @@ def test_same_region_evictions_club_into_one_update(monkeypatch):
         ic += 5000
         eng.access(EID, v * PAGE_SIZE, "W", ic)
     eng.finalize()
-    grouped = [e for e in log if e[0] == "update" and e[2]]
-    assert grouped, "sequential same-region evictions never clubbed"
-    for _, pages, _ in grouped:
-        assert len(pages) == 2
+    updates = [pages for kind, pages in log if kind == "update"]
+    assert all(len(pages) in (1, 2) for pages in updates)
+    pairs = [pages for pages in updates if len(pages) == 2]
+    assert pairs, "sequential same-region evictions never clubbed"
+    for pages in pairs:
         r0, r1 = (eng.forest.region_of(p) for p in pages)
         assert r0 == r1
-    assert eng.stats.events["clubbed_pairs"] == len(grouped)
-    assert eng.queue.grouped_pairs == len(grouped)
+    assert eng.stats.events["clubbed_pairs"] == len(pairs)
 
 
-def test_clubbing_disabled_submits_singles():
+def test_clubbing_disabled_submits_singles(monkeypatch):
     eng = make_engine(epc_size=16 * PAGE_SIZE, total_size=16 * MIB, clubbing=False)
     eng.register_enclave(EID, 40)
+    log = _job_log(eng, monkeypatch)
     ic = 0
     for v in range(40):
         ic += 5000
         eng.access(EID, v * PAGE_SIZE, "W", ic)
     eng.finalize()
     assert eng.stats.events["clubbed_pairs"] == 0
-    assert eng.queue.grouped_pairs == 0
+    updates = [pages for kind, pages in log if kind == "update"]
+    assert updates and all(len(pages) == 1 for pages in updates)
 
 
 def test_verify_flushes_same_region_pending_update_first():
@@ -487,7 +487,7 @@ def test_grouped_pair_update_costs_nine_accesses():
         key = compose_page_key(eng.hw_key, EID, page, page)
         items.append((page, key, bytes(PAGE_SIZE)))
     before = _forest_cause_total(eng.stats)
-    eng._submit_job("update", items, instructions=0, grouped=True)
+    eng._submit_job("update", items, instructions=0)
     eng._retire_head()
     assert _forest_cause_total(eng.stats) - before == 9
 
@@ -508,10 +508,10 @@ def test_barrier_drains_entries_and_jobs():
     for v in range(40):
         ic += 10
         eng.access(EID, v * PAGE_SIZE, "W", ic)
-    assert eng.live_entries() or len(eng.queue)
+    assert eng.eshr or len(eng.queue)
     cost = eng.syscall_barrier()
     assert cost > 0
-    assert not eng.live_entries()
+    assert not eng.eshr
     assert len(eng.queue) == 0
     assert eng._club is None
 
@@ -538,10 +538,10 @@ def test_scratch_read_does_not_drain():
     for v in range(40):
         ic += 10
         eng.access(EID, v * PAGE_SIZE, "W", ic)
-    pending = len(eng.queue) + len(eng.live_entries())
+    pending = len(eng.queue) + len(eng.eshr)
     assert pending > 0
     eng.access(EID, SCRATCH_VBASE * PAGE_SIZE, "R", ic + 10)
-    assert len(eng.queue) + len(eng.live_entries()) >= pending - 1
+    assert len(eng.queue) + len(eng.eshr) >= pending - 1
 
 
 # --------------------------------------------- deferred vs blocking modes
@@ -649,7 +649,7 @@ def test_max_outstanding_jobs_bounds_queue_depth():
         eng.access(EID, v * PAGE_SIZE, "W", ic)
     eng.finalize()
     assert eng.queue.max_depth <= 4  # one transient overshoot while draining
-    assert eng.queue.jobs_retired == eng.queue.jobs_submitted
+    assert eng.queue.jobs_submitted > 0 and len(eng.queue) == 0
 
 
 # ------------------------------------------------------ input validation

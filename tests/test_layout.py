@@ -10,8 +10,6 @@ from enclavesim.layout import (
     EmulatedDram,
     MemoryLayout,
     Region,
-    block_of,
-    page_of,
 )
 
 MIB = 1 << 20
@@ -22,13 +20,6 @@ def small_layout() -> MemoryLayout:
     return MemoryLayout.build(
         total_size=16 * MIB, epc_size=MIB, scratch_pages=4, forest_storage_size=40960
     )
-
-
-def test_page_block_split():
-    assert page_of(0x1000) == 1 and block_of(0x1000) == 0
-    assert page_of(0x1040) == 1 and block_of(0x1040) == 1
-    assert page_of(0x0) == 0 and block_of(0x0) == 0
-    assert block_of(0x1FC0) == 63
 
 
 def test_key_table_slot_arithmetic():
