@@ -27,7 +27,7 @@ from .config import (
     parse_size,
 )
 from .forest import REGION_PAGES, forest_storage
-from .layout import KEY_SLOT_BYTES, PAGE_SIZE
+from .layout import KEY_SLOT_BYTES, PAGE_SIZE, check_size
 from .merkle import merkle_storage_bytes
 from .sim import MODELS, REPORT_COLUMNS, Report, StateMismatch, compare, run
 from .workload import PATTERNS, SPEC_KEYS, SyntheticSpec, format_record, generate
@@ -147,8 +147,10 @@ def cmd_storage(args) -> int:
     total = args.total_size
     epc = args.epc_size
     for flag, size in (("--total-size", total), ("--epc-size", epc)):
-        if size % PAGE_SIZE:
-            raise ConfigError(f"{flag}: must be a multiple of {PAGE_SIZE} bytes, got {size}")
+        try:
+            check_size(flag, size)
+        except ValueError as e:
+            raise ConfigError(str(e)) from e
     fs = forest_storage(total)
     merkle = merkle_storage_bytes(epc)
     client_tree = merkle_storage_bytes(total)  # counter tree over all memory

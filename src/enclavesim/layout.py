@@ -35,6 +35,15 @@ PHYS_ADDR_BITS = 39
 MAX_TOTAL_SIZE = 1 << PHYS_ADDR_BITS  # 512 GiB
 
 
+def check_size(name: str, size: int):
+    """The rule for total and EPC sizes: a power of two, at least one page,
+    that the physical space (and so the key format's page index) can address."""
+    if size < PAGE_SIZE or size & (size - 1):
+        raise ValueError(f"{name} must be a power of two of at least {PAGE_SIZE}, got {size}")
+    if size > MAX_TOTAL_SIZE:
+        raise ValueError(f"{name} {size:#x} exceeds the {PHYS_ADDR_BITS}-bit physical space")
+
+
 def page_base(page: int) -> int:
     return page << PAGE_SHIFT
 
@@ -74,14 +83,7 @@ class MemoryLayout:
 
     def __post_init__(self):
         for name in ("total_size", "epc_size"):
-            v = getattr(self, name)
-            if v <= 0 or v & (v - 1):
-                raise ValueError(f"{name} must be a positive power of two, got {v}")
-        if self.total_size > MAX_TOTAL_SIZE:
-            raise ValueError(
-                f"total_size {self.total_size:#x} exceeds the "
-                f"{PHYS_ADDR_BITS}-bit physical space"
-            )
+            check_size(name, getattr(self, name))
         for name in ("forest_storage_size", "key_table_size", "scratch_size"):
             v = getattr(self, name)
             if v < 0 or v % PAGE_SIZE:
@@ -180,6 +182,10 @@ class EmulatedDram:
 
     def peek(self, addr: int, length: int) -> bytes:
         self._span_ok(addr, length)
+        off = addr & (PAGE_SIZE - 1)
+        if off + length <= PAGE_SIZE:  # inside one page: one slice
+            buf = self._pages.get(addr >> PAGE_SHIFT)
+            return bytes(length) if buf is None else bytes(buf[off : off + length])
         out = bytearray()
         while length:
             page, off = addr >> PAGE_SHIFT, addr & (PAGE_SIZE - 1)
@@ -192,6 +198,13 @@ class EmulatedDram:
 
     def poke(self, addr: int, data: bytes):
         self._span_ok(addr, len(data))
+        page, off = addr >> PAGE_SHIFT, addr & (PAGE_SIZE - 1)
+        if off + len(data) <= PAGE_SIZE:  # inside one page: one slice
+            buf = self._pages.get(page)
+            if buf is None:
+                buf = self._pages[page] = bytearray(PAGE_SIZE)
+            buf[off : off + len(data)] = data
+            return
         pos = 0
         while pos < len(data):
             page, off = addr >> PAGE_SHIFT, addr & (PAGE_SIZE - 1)

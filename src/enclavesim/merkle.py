@@ -32,10 +32,12 @@ from .verifier import CatastrophicFailure
 
 NODE_BYTES = 64
 NODE_MAC_BYTES = 8
-COUNTER_AREA_BITS = (NODE_BYTES - NODE_MAC_BYTES) * 8  # 448
+COUNTER_AREA_BYTES = NODE_BYTES - NODE_MAC_BYTES  # 56
+COUNTER_AREA_BITS = COUNTER_AREA_BYTES * 8  # 448
 LEAF_MAJOR_BITS = 56
 ARITY = 32  # children per internal node
 COUNTER_BITS = COUNTER_AREA_BITS // ARITY  # 14: per-child counter width
+COUNTER_MAX = (1 << COUNTER_BITS) - 1
 CACHE_LINES = 32768 // NODE_BYTES  # a 32 KiB counter cache
 
 
@@ -47,6 +49,12 @@ def level_counts(n_leaves: int, arity: int) -> list[int]:
     while counts[-1] > arity:
         counts.append(-(-counts[-1] // arity))
     return counts
+
+
+def child_counter(node: bytes, idx: int) -> int:
+    """The counter an internal node holds for its child node `idx`."""
+    word = int.from_bytes(node[:COUNTER_AREA_BYTES], "little")
+    return (word >> (idx % ARITY * COUNTER_BITS)) & COUNTER_MAX
 
 
 def merkle_storage_bytes(protected_size: int) -> int:
@@ -127,37 +135,22 @@ class EpcMerkle:
         return self.base + self.offsets[level] + idx * NODE_BYTES
 
     def _path(self, page: int) -> list[tuple[int, int]]:
+        """(node index, node address) at each stored level, leaf first."""
         if not 0 <= page < self.n_pages:
             raise ValueError(f"page {page} outside protected range")
         path, idx = [], page
         for level in range(len(self.counts)):
-            path.append((level, idx))
+            path.append((idx, self.node_addr(level, idx)))
             idx //= ARITY
         return path
 
     # ------------------------------------------------------- node codecs
     def _leaf_bytes(self, major: int, data_mac: bytes, mac: bytes) -> bytes:
-        return (
-            major.to_bytes(8, "little")
-            + data_mac
-            + bytes(NODE_BYTES - 24)
-            + mac
-        )
+        return major.to_bytes(8, "little") + data_mac + bytes(NODE_BYTES - 24) + mac
 
     @staticmethod
     def _leaf_fields(raw: bytes) -> tuple[int, bytes, bytes]:
         return int.from_bytes(raw[:8], "little"), raw[8:16], raw[56:64]
-
-    def _pack_counters(self, counters: list[int]) -> bytes:
-        word = 0
-        for j, c in enumerate(counters):
-            word |= c << (j * COUNTER_BITS)
-        return word.to_bytes(NODE_BYTES - NODE_MAC_BYTES, "little")
-
-    def _unpack_counters(self, raw: bytes) -> list[int]:
-        word = int.from_bytes(raw[: NODE_BYTES - NODE_MAC_BYTES], "little")
-        mask = (1 << COUNTER_BITS) - 1
-        return [(word >> (j * COUNTER_BITS)) & mask for j in range(ARITY)]
 
     # ------------------------------------------------------------- MACs
     def _leaf_mac(self, idx: int, parent_counter: int, major: int, data_mac: bytes) -> bytes:
@@ -192,6 +185,7 @@ class EpcMerkle:
     # ------------------------------------------------------------- boot
     def _init_storage(self):
         """Write a MAC-consistent tree over boot-time page content (unmetered)."""
+        zeros = bytes(COUNTER_AREA_BYTES)
         for level, count in enumerate(self.counts):
             for idx in range(count):
                 if level == 0:
@@ -200,8 +194,7 @@ class EpcMerkle:
                     mac = self._leaf_mac(idx, 0, 0, dmac)
                     raw = self._leaf_bytes(0, dmac, mac)
                 else:
-                    blob = self._pack_counters([0] * ARITY)
-                    raw = blob + self._node_mac(level, idx, 0, blob)
+                    raw = zeros + self._node_mac(level, idx, 0, zeros)
                 self.port.dram.poke(self.node_addr(level, idx), raw)
 
     # ------------------------------------------------------------ cache
@@ -220,64 +213,55 @@ class EpcMerkle:
     # -------------------------------------------------------- trusted walk
     def _fetch_verified_path(
         self, page: int, full: bool = False
-    ) -> tuple[dict[int, bytearray], int]:
-        """Return trusted node bytes for levels on page's path.
+    ) -> tuple[list[tuple[int, int]], dict[int, bytes], int]:
+        """Return page's path and trusted node bytes for levels on it.
 
         A read walk stops at the first cache-resident ancestor; an update
         (full=True) needs every stored level because all ancestor counters
         increment.  Fetched nodes are verified top-down against their
-        trusted parent.  Returns ({level: node bytes}, dram_reads).
+        trusted parent.  Returns (path, {level: node bytes}, dram_reads),
+        with path as `_path` gives it.
         """
         path = self._path(page)
-        trusted: dict[int, bytearray] = {}
-        to_fetch: list[tuple[int, int, int]] = []  # (level, idx, addr)
-        for level, idx in path:
-            addr = self.node_addr(level, idx)
+        trusted: dict[int, bytes] = {}
+        fetched: list[tuple[int, bytes]] = []  # (level, raw), leaf first
+        for level, (_, addr) in enumerate(path):
             cached = self._cache_get(addr)
             if cached is not None:
-                trusted[level] = bytearray(cached)
+                trusted[level] = cached
                 if not full:
                     break
             else:
-                to_fetch.append((level, idx, addr))
-
-        fetched: dict[int, tuple[int, bytes]] = {}
-        reads = 0
-        for level, idx, addr in to_fetch:
-            fetched[level] = (idx, self.port.read(addr, NODE_BYTES, self.cause))
-            reads += 1
+                fetched.append((level, self.port.read(addr, NODE_BYTES, self.cause)))
 
         # verify top-down so each parent is trusted before its child
-        for level in sorted(fetched, reverse=True):
-            idx, raw = fetched[level]
-            parent_counter = self._parent_counter(level, idx, trusted)
+        top = len(path) - 1
+        for level, raw in reversed(fetched):
+            idx, addr = path[level]
+            if level == top:
+                parent_counter = self.root_counters[idx]
+            else:
+                parent_counter = child_counter(trusted[level + 1], idx)
             if level == 0:
                 major, dmac, stored = self._leaf_fields(raw)
                 expect = self._leaf_mac(idx, parent_counter, major, dmac)
             else:
-                stored = raw[56:64]
-                expect = self._node_mac(level, idx, parent_counter, raw[:56])
+                stored = raw[COUNTER_AREA_BYTES:]
+                expect = self._node_mac(level, idx, parent_counter, raw[:COUNTER_AREA_BYTES])
             if stored != expect:
                 raise CatastrophicFailure(
                     f"counter-tree node MAC mismatch at level {level} node {idx}",
                     page=page,
                 )
-            trusted[level] = bytearray(raw)
-            self._cache_put(self.node_addr(level, idx), bytes(raw))
-        return trusted, reads
-
-    def _parent_counter(self, level: int, idx: int, trusted: dict[int, bytearray]) -> int:
-        slot = idx % ARITY
-        parent_level = level + 1
-        if parent_level >= len(self.counts):
-            return self.root_counters[idx]
-        return self._unpack_counters(bytes(trusted[parent_level]))[slot]
+            trusted[level] = raw
+            self._cache_put(addr, raw)
+        return path, trusted, len(fetched)
 
     # ---------------------------------------------------------------- ops
     def read_verify(self, page: int) -> ReadResult:
         """Authenticate the counter path of a page; returns its major counter."""
-        trusted, reads = self._fetch_verified_path(page)
-        major, dmac, _ = self._leaf_fields(bytes(trusted[0]))
+        _, trusted, reads = self._fetch_verified_path(page)
+        major, dmac, _ = self._leaf_fields(trusted[0])
         return ReadResult(major=major, data_mac=dmac, dram_reads=reads)
 
     def check_data(self, page: int, major: int, plaintext: bytes, stored_mac: bytes):
@@ -288,45 +272,42 @@ class EpcMerkle:
 
     def write_update(self, page: int, plaintext: bytes) -> WriteResult:
         """Bump the page's major counter and refresh the MAC path."""
-        trusted, reads = self._fetch_verified_path(page, full=True)
-        path = self._path(page)
-        cap = 1 << COUNTER_BITS
-
-        major, _, _ = self._leaf_fields(bytes(trusted[0]))
-        major += 1
+        path, trusted, reads = self._fetch_verified_path(page, full=True)
+        major = int.from_bytes(trusted[0][:8], "little") + 1
         if major >= 1 << LEAF_MAJOR_BITS:
             raise CatastrophicFailure("page major counter exhausted", page=page)
 
-        # bump the counter each ancestor holds for the path child
-        for level, idx in path:
-            slot = idx % ARITY
-            parent_level = level + 1
-            if parent_level >= len(self.counts):
-                self.root_counters[idx] += 1
-            else:
-                counters = self._unpack_counters(bytes(trusted[parent_level]))
-                counters[slot] += 1
-                if counters[slot] >= cap:
-                    counters[slot] = 0  # wrap re-keys the child MAC below
-                    self.overflow_rekeys += 1
-                blob = self._pack_counters(counters)
-                trusted[parent_level][: NODE_BYTES - NODE_MAC_BYTES] = blob
-
-        # recompute MACs bottom-up under the new parent counters
+        # Bottom-up: bump the counter each parent holds for the path child,
+        # then re-MAC the child under it.  `word` is this level's counter
+        # area, already bumped by the level below.
         dmac = self.data_mac(page, major, plaintext)
-        writes = 0
-        for level, idx in path:
-            parent_counter = self._parent_counter(level, idx, trusted)
+        top = len(path) - 1
+        word = 0
+        for level, (idx, addr) in enumerate(path):
+            if level == top:
+                self.root_counters[idx] += 1
+                parent_counter = self.root_counters[idx]
+            else:
+                parent_word = int.from_bytes(trusted[level + 1][:COUNTER_AREA_BYTES], "little")
+                shift = idx % ARITY * COUNTER_BITS
+                parent_counter = (parent_word >> shift) & COUNTER_MAX
+                if parent_counter == COUNTER_MAX:
+                    # wrap: reset the slot alone, re-keying the child MAC
+                    parent_word -= COUNTER_MAX << shift
+                    parent_counter = 0
+                    self.overflow_rekeys += 1
+                else:
+                    parent_word += 1 << shift
+                    parent_counter += 1
             if level == 0:
                 raw = self._leaf_bytes(
                     major, dmac, self._leaf_mac(idx, parent_counter, major, dmac)
                 )
             else:
-                blob = bytes(trusted[level][: NODE_BYTES - NODE_MAC_BYTES])
+                blob = word.to_bytes(COUNTER_AREA_BYTES, "little")
                 raw = blob + self._node_mac(level, idx, parent_counter, blob)
-            trusted[level] = bytearray(raw)
-            addr = self.node_addr(level, idx)
+            if level != top:
+                word = parent_word
             self.port.write(addr, raw, self.cause)
             self._cache_put(addr, raw)
-            writes += 1
-        return WriteResult(major=major, dram_reads=reads, dram_writes=writes)
+        return WriteResult(major=major, dram_reads=reads, dram_writes=len(path))

@@ -42,7 +42,7 @@ from .epc import (
     unprotected_access,
     write_value,
 )
-from .layout import BLOCK_SIZE, BLOCKS_PER_PAGE, PAGE_SIZE, EmulatedDram
+from .layout import BLOCK_SIZE, BLOCKS_PER_PAGE, PAGE_SIZE, EmulatedDram, check_size
 from .merkle import EpcMerkle, carve_slots
 from .timing import DRAM_CAUSES, CycleStats, LatencyConfig, MeteredDram
 from .verifier import CatastrophicFailure
@@ -78,6 +78,8 @@ class SimConfig:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
+        check_size("total_size", self.total_size)
+        check_size("epc_size", self.epc_size)
         if self.epc_size >= self.total_size:
             raise ValueError("epc_size must be smaller than total_size")
         if self.eshr_entries <= 0:

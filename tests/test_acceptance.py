@@ -23,7 +23,7 @@ from enclavesim.crypto import ecb_decrypt_page, page_mac, unwrap_key
 from enclavesim.epc import SecScaleEngine
 from enclavesim.forest import GROUP_ARITY, forest_storage
 from enclavesim.layout import KEY_SLOT_BYTES, PAGE_SIZE
-from enclavesim.merkle import ARITY, merkle_storage_bytes
+from enclavesim.merkle import ARITY, child_counter, merkle_storage_bytes
 from enclavesim.sim import (
     MODEL_CLASSES,
     SimConfig,
@@ -169,7 +169,7 @@ def test_a4_metadata_equals_brute_force_recomputation():
                 pc = m.root_counters[idx]
             else:
                 parent = dram.peek(m.node_addr(level + 1, idx // arity), 64)
-                pc = m._unpack_counters(parent)[idx % arity]
+                pc = child_counter(parent, idx)
             if level == 0:
                 major, dmac, mac = m._leaf_fields(raw)
                 content = dram.peek(idx * PAGE_SIZE, PAGE_SIZE)

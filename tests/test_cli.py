@@ -93,6 +93,21 @@ def test_bad_config_value_exits_one_with_path(workdir, capsys, config, path):
     assert path in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "config, path",
+    [
+        ({"total_size": "1T"}, "total_size"),  # beyond the 39-bit space
+        ({"total_size": "48M"}, "total_size"),  # not a power of two
+        ({"epc_size": "3M"}, "epc_size"),
+    ],
+)
+def test_size_the_layout_rejects_exits_one_with_path(workdir, capsys, config, path):
+    bad = workdir / "bad.json"
+    bad.write_text(json.dumps(config))
+    assert main(["run", str(bad)]) == EXIT_USAGE
+    assert path in capsys.readouterr().err
+
+
 # ------------------------------------------------------------ reproducibility
 def test_same_config_twice_is_byte_identical(workdir):
     cfg = write_config(workdir)
@@ -152,6 +167,16 @@ def test_full_memory_counters_line_is_the_client_tree(capsys, size):
      ("--epc-size", "5000")],
 )
 def test_storage_rejects_sizes_that_are_not_whole_pages(capsys, flag, size):
+    assert main(["storage", flag, size]) == EXIT_USAGE
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag,size",
+    [("--total-size", "2T"), ("--total-size", "48M"), ("--epc-size", "3M")],
+)
+def test_storage_rejects_sizes_the_layout_cannot_build(capsys, flag, size):
+    # 2T needs a 29-bit page index; the key format has 27 bits
     assert main(["storage", flag, size]) == EXIT_USAGE
     assert flag in capsys.readouterr().err
 

@@ -3,11 +3,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enclavesim.crypto import keyed_mac8
 from enclavesim.layout import EmulatedDram, MemoryLayout
 from enclavesim.merkle import (
     ARITY,
+    CACHE_LINES,
     COUNTER_BITS,
     NODE_BYTES,
     EpcMerkle,
@@ -78,26 +81,26 @@ def test_cache_disabled_always_walks():
 def test_write_through_keeps_dram_current():
     tree, dram = make_tree(64)
     tree.write_update(9, bytes(4096))
-    for level, idx in tree._path(9):
-        addr = tree.node_addr(level, idx)
+    for level, (idx, addr) in enumerate(tree._path(9)):
+        assert addr == tree.node_addr(level, idx)
         cached = tree._cache_get(addr)
         assert cached is not None and cached == dram.peek(addr, NODE_BYTES)
 
 
+def _slots(raw: bytes) -> list[int]:
+    """All ARITY counters of an internal node, unpacked one by one."""
+    word = int.from_bytes(raw[:56], "little")
+    return [(word >> (j * COUNTER_BITS)) & ((1 << COUNTER_BITS) - 1) for j in range(ARITY)]
+
+
 def _oracle_check_all_nodes(tree: EpcMerkle, dram: EmulatedDram):
     """Recompute every node MAC from raw DRAM bytes and the on-chip root."""
-    arity = ARITY
-    cw = COUNTER_BITS
-
-    def unpack(raw):
-        word = int.from_bytes(raw[:56], "little")
-        return [(word >> (j * cw)) & ((1 << cw) - 1) for j in range(arity)]
 
     def parent_counter(level, idx):
         if level + 1 >= len(tree.counts):
             return tree.root_counters[idx]
-        praw = dram.peek(tree.node_addr(level + 1, idx // arity), NODE_BYTES)
-        return unpack(praw)[idx % arity]
+        praw = dram.peek(tree.node_addr(level + 1, idx // ARITY), NODE_BYTES)
+        return _slots(praw)[idx % ARITY]
 
     for level, count in enumerate(tree.counts):
         for idx in range(count):
@@ -207,3 +210,127 @@ def test_fresh_tree_binds_zero_pages():
     tree.check_data(11, 0, bytes(4096), res.data_mac)  # boot state = zero page
     with pytest.raises(CatastrophicFailure):
         tree.check_data(11, 0, b"\x01" + bytes(4095), res.data_mac)
+
+
+# ------------------------------------------- three stored levels, end to end
+THREE_LEVELS = 1100  # level_counts: [1100, 35, 2], root counters on-chip
+
+
+class _CacheModel:
+    """Reference for the DRAM traffic of a direct-mapped write-through cache.
+
+    Node addresses come from the level counts alone; a walk reads every
+    level below the first cached one (an update reads every uncached
+    level), fills the fetched lines top-down and writes the path bottom-up.
+    """
+
+    def __init__(self, n_pages: int, enabled: bool):
+        self.counts = level_counts(n_pages, ARITY)
+        self.enabled = enabled
+        self.lines: dict[int, int] = {}
+
+    def path(self, page: int) -> list[int]:
+        addrs, idx = [], page
+        for level in range(len(self.counts)):
+            addrs.append((sum(self.counts[:level]) + idx) * NODE_BYTES)
+            idx //= ARITY
+        return addrs
+
+    def _hit(self, addr: int) -> bool:
+        return self.enabled and self.lines.get(addr // NODE_BYTES % CACHE_LINES) == addr
+
+    def _fill(self, addrs):
+        if self.enabled:
+            for addr in addrs:
+                self.lines[addr // NODE_BYTES % CACHE_LINES] = addr
+
+    def read(self, page: int) -> int:
+        fetch = []
+        for addr in self.path(page):
+            if self._hit(addr):
+                break
+            fetch.append(addr)
+        self._fill(reversed(fetch))
+        return len(fetch)
+
+    def write(self, page: int) -> tuple[int, int]:
+        path = self.path(page)
+        fetch = [addr for addr in path if not self._hit(addr)]
+        self._fill(reversed(fetch))
+        self._fill(path)
+        return len(fetch), len(path)
+
+
+def test_three_level_update_costs():
+    tree, _ = make_tree(THREE_LEVELS)
+    assert tree.counts == [1100, 35, 2]
+    cold = tree.write_update(7, b"\x01" * 4096)
+    assert (cold.dram_reads, cold.dram_writes) == (3, 3)
+    again = tree.write_update(7, b"\x02" * 4096)
+    assert (again.dram_reads, again.dram_writes) == (0, 3)
+    assert tree.read_verify(7).dram_reads == 0
+    # page 78's leaf and its parent share a line, and the leaf is filled
+    # last: a read walk stops at the leaf although the parent is gone, and
+    # an update fetches the parent again
+    assert tree.read_verify(78).dram_reads == 2  # the top node is cached
+    assert tree.read_verify(78).dram_reads == 0
+    assert tree.write_update(78, bytes(4096)).dram_reads == 1
+    assert tree.read_verify(78).dram_reads == 1
+
+
+_pages = st.one_of(
+    st.integers(0, THREE_LEVELS - 1),
+    # neighbours under one parent, the last partial group, and page 78,
+    # whose leaf and parent share a cache line
+    st.sampled_from([0, 1, 31, 32, 33, 78, 1023, 1024, 1099]),
+)
+
+
+@pytest.mark.parametrize("cache", [True, False])
+@settings(max_examples=40, deadline=None)
+@given(ops=st.lists(st.tuples(st.booleans(), _pages), min_size=1, max_size=40))
+def test_random_ops_match_reference_model(cache, ops):
+    tree, dram = make_tree(THREE_LEVELS, cache=cache)
+    model = _CacheModel(THREE_LEVELS, cache)
+    writes: dict[int, int] = {}
+    contents: dict[int, bytes] = {}
+    for is_write, page in ops:
+        if is_write:
+            writes[page] = writes.get(page, 0) + 1
+            contents[page] = bytes([writes[page] % 256]) * 4096
+            res = tree.write_update(page, contents[page])
+            assert res.major == writes[page]
+            assert (res.dram_reads, res.dram_writes) == model.write(page)
+        else:
+            res = tree.read_verify(page)
+            assert res.major == writes.get(page, 0)
+            assert res.dram_reads == model.read(page)
+            if page in contents:
+                tree.check_data(page, res.major, contents[page], res.data_mac)
+    _oracle_check_all_nodes(tree, dram)
+    for page in range(THREE_LEVELS):
+        raw = dram.peek(tree.node_addr(0, page), NODE_BYTES)
+        assert int.from_bytes(raw[:8], "little") == writes.get(page, 0)
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_counter_wrap_leaves_neighbour_slots_alone(level):
+    # slot j of node (level, 0) wraps; slots j-1 and j+1 hold 1 and 2
+    tree, dram = make_tree(THREE_LEVELS)
+    span = ARITY ** (level - 1)  # pages under one child of that node
+    j = 5
+
+    def write(slot: int, n: int):
+        for i in range(n):
+            tree.write_update(slot * span + i % span, bytes(4096))
+
+    write(j - 1, 1)
+    write(j + 1, 2)
+    write(j, 1 << COUNTER_BITS)  # the last of these wraps slot j to 0
+    slots = _slots(dram.peek(tree.node_addr(level, 0), NODE_BYTES))
+    assert slots[j - 1 : j + 2] == [1, 0, 2]
+    if level == 1:
+        # the grandparent's slot 0 counts all 16,387 writes: it wrapped too
+        assert _slots(dram.peek(tree.node_addr(2, 0), NODE_BYTES))[0] == 3
+    assert tree.overflow_rekeys == 3 - level
+    _oracle_check_all_nodes(tree, dram)
