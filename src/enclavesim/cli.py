@@ -151,6 +151,8 @@ def cmd_storage(args) -> int:
             check_size(flag, size)
         except ValueError as e:
             raise ConfigError(str(e)) from e
+    if epc > total:
+        raise ConfigError(f"--epc-size {epc:#x} exceeds --total-size {total:#x}")
     fs = forest_storage(total)
     merkle = merkle_storage_bytes(epc)
     client_tree = merkle_storage_bytes(total)  # counter tree over all memory

@@ -11,9 +11,10 @@ as occupancy that overlaps execution rather than latency that blocks it.
 
 Two bookkeeping layers deliberately run at different times:
 
-  bytes    move eagerly when the fault is handled, through the metered DRAM
-           port, so functional state and traffic counts are exact and any
-           interleaving question has one deterministic answer;
+  bytes    move eagerly when the fault is handled, through the emulated
+           DRAM's metered methods, so functional state and traffic counts
+           are exact and any interleaving question has one deterministic
+           answer;
   cycles   accrue when the lane actually performs each step, so overlap,
            stalls and barrier drains are modeled faithfully.
 
@@ -65,7 +66,7 @@ from .layout import (
     page_base,
 )
 from .merkle import EpcMerkle, carve_slots
-from .timing import CycleStats, MeteredDram, mvc_cycles_per_page
+from .timing import CycleStats, mvc_cycles_per_page
 from .verifier import CatastrophicFailure, VerificationJob, VerifierQueue
 
 if TYPE_CHECKING:
@@ -96,20 +97,21 @@ def write_value(eid: int, vaddr: int, icount: int) -> bytes:
 
 
 def unprotected_access(
-    port: MeteredDram, addr: int, eid: int, vaddr: int, op: str, icount: int
+    dram: EmulatedDram, stats: CycleStats, addr: int, eid: int, vaddr: int,
+    op: str, icount: int,
 ) -> bytes:
     """One 8-byte access at physical `addr` with no protection: a block read
     or an 8-byte write, and one DRAM latency on the critical path.  No model
     charges an enclave exit here; only secscale adds one, before a write."""
     if op == "R":
         block = addr & ~(BLOCK_SIZE - 1)
-        data = port.read(block, BLOCK_SIZE, cause="data")
+        data = dram.read(block, BLOCK_SIZE, "data")
         off = (addr - block) & ~7
         value = data[off : off + 8]
     else:
         value = write_value(eid, vaddr, icount)
-        port.write(addr & ~7, value, cause="data")
-    port.stats.charge_critical(port.stats.cfg.dram_access_cycles)
+        dram.write(addr & ~7, value, "data")
+    stats.charge_critical(stats.cfg.dram_access_cycles)
     return value
 
 
@@ -176,7 +178,6 @@ class SecScaleEngine:
         self.latency = cfg.latency
         self.stats = CycleStats(cfg.latency)
         self.dram = EmulatedDram(layout)
-        self.port = MeteredDram(self.dram, self.stats)
 
         h = hashlib.sha256(b"engine-seed" + cfg.seed.to_bytes(8, "big")).digest()
         self.hw_key = int.from_bytes(h[:8], "big")
@@ -191,7 +192,7 @@ class SecScaleEngine:
         self.top_base_page = self.n_slots
         protected = self.n_slots + self.top_table_pages
         self.forest = MacForest(
-            self.port,
+            self.dram,
             base_addr=layout.forest_base,
             n_pages=layout.total_pages,
             ssk_bytes=self.ssk.key_bytes,
@@ -204,7 +205,7 @@ class SecScaleEngine:
         for region, mac in self.forest.boot_tops.items():
             self.dram.poke(self.top_base_page * PAGE_SIZE + region * 8, mac)
         self.merkle = EpcMerkle(
-            self.port,
+            self.dram,
             base_addr=protected * PAGE_SIZE,
             n_pages=protected,
             ssk_bytes=self.ssk.key_bytes,
@@ -265,7 +266,7 @@ class SecScaleEngine:
         # called only while a job retires; the retire path charges occupancy
         # for every access this makes, so no lane charge happens here
         addr, tpage = self._top_slot_addr(region)
-        data = self.port.read(addr, 8, cause="forest")
+        data = self.dram.read(addr, 8, "forest")
         self.stats.events["top_table_accesses"] += 1
         res = self.merkle.read_verify(tpage)
         self.merkle.check_data(
@@ -275,7 +276,7 @@ class SecScaleEngine:
 
     def _top_write(self, region: int, mac: bytes):
         addr, tpage = self._top_slot_addr(region)
-        self.port.write(addr, mac, cause="forest")
+        self.dram.write(addr, mac, "forest")
         self.stats.events["top_table_accesses"] += 1
         self.merkle.write_update(tpage, self.dram.peek(tpage * PAGE_SIZE, PAGE_SIZE))
 
@@ -344,9 +345,8 @@ class SecScaleEngine:
     def _complete_entry(self, entry: EshrEntry):
         del self.eshr[entry.slot]  # the slot becomes eviction-eligible
         if entry.verify_payload is not None:
-            page, key, pt = entry.verify_payload
             self._submit_job(
-                "verify", [(page, key, pt)], instructions=entry.born_instructions
+                "verify", [entry.verify_payload], instructions=entry.born_instructions
             )
 
     def _submit_job(self, kind: str, items, *, instructions: int):
@@ -355,9 +355,7 @@ class SecScaleEngine:
             self._club_flush(self.forest.region_of(items[0][0]))
         job = VerificationJob(
             kind=kind,
-            pages=tuple(p for p, _, _ in items),
-            page_keys=tuple(k for _, k, _ in items),
-            plaintexts=tuple(pt for _, _, pt in items),
+            items=tuple(items),
             enqueue_instructions=instructions,
             enqueue_cycles=self.stats.critical_cycles,
         )
@@ -372,10 +370,10 @@ class SecScaleEngine:
         job = self.queue.pop()
         if job is None:
             return
-        before = self.stats.dram_total
+        before = self.dram.total_accesses()
         try:
             if job.kind == "verify":
-                for page, key, pt in zip(job.pages, job.page_keys, job.plaintexts):
+                for page, key, pt in job.items:
                     res = self.forest.verify_page(page, page_mac(key, pt))
                     self.stats.events["max_verify_forest_accesses"] = max(
                         self.stats.events["max_verify_forest_accesses"],
@@ -383,10 +381,7 @@ class SecScaleEngine:
                     )
             else:
                 self.forest.update(
-                    [
-                        (page, page_mac(key, pt))
-                        for page, key, pt in zip(job.pages, job.page_keys, job.plaintexts)
-                    ]
+                    [(page, page_mac(key, pt)) for page, key, pt in job.items]
                 )
         except CatastrophicFailure as cf:
             cf.speculative_instructions = (
@@ -394,13 +389,13 @@ class SecScaleEngine:
             )
             raise
         finally:
-            accesses = self.stats.dram_total - before
-            work = mvc_cycles_per_page(self.latency) * len(job.pages)
+            accesses = self.dram.total_accesses() - before
+            work = mvc_cycles_per_page(self.latency) * len(job.items)
             self.stats.lane_charge(
                 job.enqueue_cycles,
                 work + accesses * self.latency.dram_occupancy_cycles,
             )
-            self.stats.count_crypto("mac", BLOCKS_PER_PAGE * len(job.pages))
+            self.stats.count_crypto("mac", BLOCKS_PER_PAGE * len(job.items))
 
     def _lane_pull(self) -> bool:
         """One unit of background work: demand entries, oldest entry, jobs."""
@@ -476,10 +471,10 @@ class SecScaleEngine:
     def _critical_restart(self, phys: int, block: int) -> bytes:
         """Restart a read that misses: the wrapped key and the demanded block
         are the two critical DRAM reads, plus one block decrypt."""
-        wrapped = self.port.read(
-            self.layout.key_table_slot(phys), KEY_SLOT_BYTES, cause="key_table"
+        wrapped = self.dram.read(
+            self.layout.key_table_slot(phys), KEY_SLOT_BYTES, "key_table"
         )
-        self.port.read(phys * PAGE_SIZE + block * BLOCK_SIZE, BLOCK_SIZE, cause="data")
+        self.dram.read(phys * PAGE_SIZE + block * BLOCK_SIZE, BLOCK_SIZE, "data")
         self.stats.charge_critical(2 * self.latency.dram_access_cycles)
         self.stats.critical_crypto("ecb", 1)
         self.stats.events["fault_critical_reads"] += 2
@@ -488,17 +483,15 @@ class SecScaleEngine:
     def _evict_slot(self, slot: EpcSlot):
         """Eagerly re-key, re-encrypt and write back a victim page."""
         # integrity gate before the page leaves hardware protection
-        plaintext = self.port.read_span(self._slot_base(slot), PAGE_SIZE, cause="data")
+        plaintext = self.dram.read_span(self._slot_base(slot), PAGE_SIZE, "data")
         self._check_slot(slot, plaintext, critical=False)
 
         key = compose_page_key(self.hw_key, slot.eid, self.freshness.draw(), slot.home)
-        self.port.write(
-            self.layout.key_table_slot(slot.home),
-            wrap_key(self.ssk, key),
-            cause="key_table",
+        self.dram.write(
+            self.layout.key_table_slot(slot.home), wrap_key(self.ssk, key), "key_table"
         )
         ciphertext = ecb_encrypt_page(key, plaintext)
-        self.port.write_span(slot.home * PAGE_SIZE, ciphertext, cause="data")
+        self.dram.write_span(slot.home * PAGE_SIZE, ciphertext, "data")
         self.stats.count_crypto("ctr", BLOCKS_PER_PAGE)  # out of EPC decryption
         self.stats.count_crypto("ecb", BLOCKS_PER_PAGE)
         self.eepc_initialized.add(slot.home)
@@ -530,15 +523,15 @@ class SecScaleEngine:
             wrapped = self._critical_restart(phys, demand_block)
             # the other 63 blocks stream in the background
             if demand_block > 0:
-                self.port.read_span(base, demand_block * BLOCK_SIZE, cause="data")
+                self.dram.read_span(base, demand_block * BLOCK_SIZE, "data")
             if demand_block < BLOCKS_PER_PAGE - 1:
                 after = (demand_block + 1) * BLOCK_SIZE
-                self.port.read_span(base + after, PAGE_SIZE - after, cause="data")
+                self.dram.read_span(base + after, PAGE_SIZE - after, "data")
         else:
-            wrapped = self.port.read(
-                self.layout.key_table_slot(phys), KEY_SLOT_BYTES, cause="key_table"
+            wrapped = self.dram.read(
+                self.layout.key_table_slot(phys), KEY_SLOT_BYTES, "key_table"
             )
-            self.port.read_span(base, PAGE_SIZE, cause="data")
+            self.dram.read_span(base, PAGE_SIZE, "data")
         ciphertext = self.dram.peek(base, PAGE_SIZE)
 
         initialized = phys in self.eepc_initialized
@@ -562,7 +555,7 @@ class SecScaleEngine:
         self.resident[(eid, vpage)] = slot.index
         self.inverted[phys] = slot.index
         page = bytes(plaintext)
-        self.port.write_span(self._slot_base(slot), page, cause="data")
+        self.dram.write_span(self._slot_base(slot), page, "data")
         self._rebind_slot(slot, page, critical=False)
 
         entry = EshrEntry(
@@ -640,8 +633,8 @@ class SecScaleEngine:
             elif op == "R":
                 self.stats.events["epc_hits"] += 1
                 outcome = AccessOutcome.EPC_HIT
-                self.port.read(
-                    self._slot_base(slot) + block * BLOCK_SIZE, BLOCK_SIZE, cause="data"
+                self.dram.read(
+                    self._slot_base(slot) + block * BLOCK_SIZE, BLOCK_SIZE, "data"
                 )
                 self.stats.charge_critical(self.latency.dram_access_cycles)
                 self.stats.critical_crypto("ctr", 1)
@@ -657,9 +650,7 @@ class SecScaleEngine:
                 )
                 pt = bytearray(self._slot_bytes(slot))
                 pt[offset : offset + 8] = value
-                self.port.write(
-                    self._slot_base(slot) + offset, value, cause="data"
-                )
+                self.dram.write(self._slot_base(slot) + offset, value, "data")
                 self._rebind_slot(slot, bytes(pt), critical=not in_flight)
                 if not in_flight:
                     self.stats.charge_critical(self.latency.dram_access_cycles)
@@ -677,7 +668,7 @@ class SecScaleEngine:
             # externally visible write: barrier, pay the exit, then store
             self.syscall_barrier()
             self.stats.charge_critical(self.latency.enclave_enter_exit)
-        value = unprotected_access(self.port, addr, eid, vaddr, op, icount)
+        value = unprotected_access(self.dram, self.stats, addr, eid, vaddr, op, icount)
         self.stats.events["scratch_reads" if op == "R" else "scratch_writes"] += 1
         return AccessOutcome.SCRATCH_ACCESS, value
 

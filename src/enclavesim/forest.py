@@ -37,22 +37,14 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .crypto import keyed_mac8
-from .layout import BLOCK_SIZE, PAGE_SIZE
-from .timing import MeteredDram
+from .crypto import MAC_BYTES, keyed_mac8
+from .layout import BLOCK_SIZE, PAGE_SIZE, EmulatedDram, _round_up_pages
 from .verifier import CatastrophicFailure
-
-MAC_BYTES = 8
-
 
 GROUP_ARITY = 16  # leaf MACs per mid; a group is two 64-byte blocks
 REGION_ARITY = 8  # mid MACs per top; a region's mids are one block
 REGION_PAGES = GROUP_ARITY * REGION_ARITY
 TOP_CACHE_ENTRIES = 8
-
-
-def _round_up_pages(nbytes: int) -> int:
-    return (nbytes + PAGE_SIZE - 1) // PAGE_SIZE * PAGE_SIZE
 
 
 @dataclass(frozen=True)
@@ -100,23 +92,21 @@ class MacForest:
 
     def __init__(
         self,
-        port: MeteredDram,
+        dram: EmulatedDram,
         base_addr: int,
         n_pages: int,
         ssk_bytes: bytes,
         top_read: Callable[[int], bytes],
         top_write: Callable[[int, bytes], None],
         top_cache: bool = True,
-        cause: str = "forest",
     ):
         if n_pages <= 0 or n_pages % REGION_PAGES:
             raise ValueError(f"n_pages must be a positive multiple of {REGION_PAGES}")
         if base_addr % BLOCK_SIZE:
             raise ValueError("base_addr must be block aligned")
-        self.port = port
+        self.dram = dram
         self.top_cache_enabled = top_cache
         self.ssk = ssk_bytes
-        self.cause = cause
         self.n_pages = n_pages
         self.n_groups = n_pages // GROUP_ARITY
         self.n_regions = self.n_groups // REGION_ARITY
@@ -132,11 +122,11 @@ class MacForest:
         # the region digests the top-table owner must install before use
         zero_group = bytes(GROUP_ARITY * MAC_BYTES)
         for g in range(self.n_groups):
-            port.dram.poke(self.mid_addr(g), self._mid_mac(g, zero_group))
+            dram.poke(self.mid_addr(g), self._mid_mac(g, zero_group))
         self.boot_tops: dict[int, bytes] = {}
         for r in range(self.n_regions):
             mstart, mbytes = self._mid_group_span(r)
-            self.boot_tops[r] = self._top_mac(r, port.dram.peek(mstart, mbytes))
+            self.boot_tops[r] = self._top_mac(r, dram.peek(mstart, mbytes))
 
     # ------------------------------------------------------------ layout
     def leaf_addr(self, page: int) -> int:
@@ -163,7 +153,7 @@ class MacForest:
     # ----------------------------------------------------------- traffic
     def _read_span(self, start: int, nbytes: int) -> tuple[bytearray, int]:
         """Read a block-aligned span; returns the bytes and the block count."""
-        data = self.port.read_span(start, nbytes, self.cause)
+        data = self.dram.read_span(start, nbytes, "forest")
         return bytearray(data), nbytes // BLOCK_SIZE
 
     def _leaf_group_span(self, group: int) -> tuple[int, int]:
@@ -290,15 +280,13 @@ class MacForest:
             for baddr in sorted(dirty_blocks):
                 g = (baddr - self.leaf_base) // (GROUP_ARITY * MAC_BYTES)
                 off = baddr - (self.leaf_base + g * GROUP_ARITY * MAC_BYTES)
-                self.port.write(
-                    baddr, bytes(bufs[g][off : off + BLOCK_SIZE]), cause=self.cause
-                )
+                self.dram.write(baddr, bytes(bufs[g][off : off + BLOCK_SIZE]), "forest")
 
             for g, leaves in bufs.items():
                 mslot = (g % REGION_ARITY) * MAC_BYTES
                 mids[mslot : mslot + MAC_BYTES] = self._mid_mac(g, bytes(leaves))
             mstart, _ = self._mid_group_span(region)
-            self.port.write_span(mstart, bytes(mids), self.cause)
+            self.dram.write_span(mstart, bytes(mids), "forest")
 
             top = self._top_mac(region, bytes(mids))
             self.top_write(region, top)

@@ -17,13 +17,14 @@ are carved from the top of what would otherwise be eEPC space, with Scratch
 above them at the very top.
 
 EmulatedDram stores only pages that were ever written (cold reads return
-zeros) and keeps per-region monotone read/write counters so that the timing
-model's per-cause accounting can be cross-checked against actual traffic.
+zeros).  It is the one DRAM ledger: every metered access names its cause
+(data, merkle, forest, key_table) and is counted there, once.
 """
 
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass, field
 
 PAGE_SIZE = 4096
@@ -33,6 +34,7 @@ BLOCKS_PER_PAGE = PAGE_SIZE // BLOCK_SIZE  # 64
 KEY_SLOT_BYTES = 16
 PHYS_ADDR_BITS = 39
 MAX_TOTAL_SIZE = 1 << PHYS_ADDR_BITS  # 512 GiB
+DRAM_CAUSES = ("data", "merkle", "forest", "key_table")
 
 
 def check_size(name: str, size: int):
@@ -161,18 +163,19 @@ class MemoryLayout:
 
 
 class EmulatedDram:
-    """Sparse byte-exact DRAM with per-region access counters.
+    """Sparse byte-exact DRAM that counts its traffic by cause.
 
     Pages materialize on first write; reads of untouched locations return
-    zeros without allocating.  read()/write() meter traffic per region;
-    peek()/poke() are unmetered side doors for adversaries and test oracles.
+    zeros without allocating.  read()/write() and the block-granular spans
+    count every access under the cause the caller names; peek()/poke() are
+    unmetered side doors for boot passes, adversaries and test oracles.
     """
 
     def __init__(self, layout: MemoryLayout):
         self.layout = layout
         self._pages: dict[int, bytearray] = {}
-        self.reads: dict[Region, int] = {r: 0 for r in Region}
-        self.writes: dict[Region, int] = {r: 0 for r in Region}
+        self.reads: Counter[str] = Counter()
+        self.writes: Counter[str] = Counter()
 
     def _span_ok(self, addr: int, length: int):
         if length <= 0:
@@ -216,23 +219,29 @@ class EmulatedDram:
             addr += n
             pos += n
 
-    def read(self, addr: int, length: int) -> bytes:
-        self.reads[self.layout.classify(addr)] += 1
+    def read(self, addr: int, length: int, cause: str) -> bytes:
+        if cause not in DRAM_CAUSES:
+            raise ValueError(f"unknown DRAM cause {cause!r}")
+        self.reads[cause] += 1
         return self.peek(addr, length)
 
-    def write(self, addr: int, data: bytes):
-        self.writes[self.layout.classify(addr)] += 1
+    def write(self, addr: int, data: bytes, cause: str):
+        if cause not in DRAM_CAUSES:
+            raise ValueError(f"unknown DRAM cause {cause!r}")
+        self.writes[cause] += 1
         self.poke(addr, data)
 
-    def read_span(self, addr: int, length: int) -> bytes:
+    def read_span(self, addr: int, length: int, cause: str) -> bytes:
         """Read a span as one call counted as ceil(length/64) block accesses."""
-        blocks = -(-length // BLOCK_SIZE)
-        self.reads[self.layout.classify(addr)] += blocks
+        if cause not in DRAM_CAUSES:
+            raise ValueError(f"unknown DRAM cause {cause!r}")
+        self.reads[cause] += -(-length // BLOCK_SIZE)
         return self.peek(addr, length)
 
-    def write_span(self, addr: int, data: bytes):
-        blocks = -(-len(data) // BLOCK_SIZE)
-        self.writes[self.layout.classify(addr)] += blocks
+    def write_span(self, addr: int, data: bytes, cause: str):
+        if cause not in DRAM_CAUSES:
+            raise ValueError(f"unknown DRAM cause {cause!r}")
+        self.writes[cause] += -(-len(data) // BLOCK_SIZE)
         self.poke(addr, data)
 
     def total_accesses(self) -> int:

@@ -26,8 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .crypto import keyed_mac8
-from .layout import PAGE_SIZE
-from .timing import MeteredDram
+from .layout import PAGE_SIZE, EmulatedDram
 from .verifier import CatastrophicFailure
 
 NODE_BYTES = 64
@@ -104,19 +103,17 @@ class EpcMerkle:
 
     def __init__(
         self,
-        port: MeteredDram,
+        dram: EmulatedDram,
         base_addr: int,
         n_pages: int,
         ssk_bytes: bytes,
         cache: bool = True,
-        cause: str = "merkle",
     ):
-        self.port = port
+        self.dram = dram
         self.base = base_addr
         self.n_pages = n_pages
         self.ssk = ssk_bytes
         self.cache_enabled = cache
-        self.cause = cause
         self.counts = level_counts(n_pages, ARITY)
         self.offsets = []
         off = 0
@@ -189,13 +186,13 @@ class EpcMerkle:
         for level, count in enumerate(self.counts):
             for idx in range(count):
                 if level == 0:
-                    content = self.port.dram.peek(idx * PAGE_SIZE, PAGE_SIZE)
+                    content = self.dram.peek(idx * PAGE_SIZE, PAGE_SIZE)
                     dmac = self.data_mac(idx, 0, content)
                     mac = self._leaf_mac(idx, 0, 0, dmac)
                     raw = self._leaf_bytes(0, dmac, mac)
                 else:
                     raw = zeros + self._node_mac(level, idx, 0, zeros)
-                self.port.dram.poke(self.node_addr(level, idx), raw)
+                self.dram.poke(self.node_addr(level, idx), raw)
 
     # ------------------------------------------------------------ cache
     def _cache_get(self, addr: int) -> bytes | None:
@@ -232,7 +229,7 @@ class EpcMerkle:
                 if not full:
                     break
             else:
-                fetched.append((level, self.port.read(addr, NODE_BYTES, self.cause)))
+                fetched.append((level, self.dram.read(addr, NODE_BYTES, "merkle")))
 
         # verify top-down so each parent is trusted before its child
         top = len(path) - 1
@@ -308,6 +305,6 @@ class EpcMerkle:
                 raw = blob + self._node_mac(level, idx, parent_counter, blob)
             if level != top:
                 word = parent_word
-            self.port.write(addr, raw, self.cause)
+            self.dram.write(addr, raw, "merkle")
             self._cache_put(addr, raw)
         return WriteResult(major=major, dram_reads=reads, dram_writes=len(path))

@@ -42,9 +42,16 @@ from .epc import (
     unprotected_access,
     write_value,
 )
-from .layout import BLOCK_SIZE, BLOCKS_PER_PAGE, PAGE_SIZE, EmulatedDram, check_size
+from .layout import (
+    BLOCK_SIZE,
+    BLOCKS_PER_PAGE,
+    DRAM_CAUSES,
+    PAGE_SIZE,
+    EmulatedDram,
+    check_size,
+)
 from .merkle import EpcMerkle, carve_slots
-from .timing import DRAM_CAUSES, CycleStats, LatencyConfig, MeteredDram
+from .timing import CycleStats, LatencyConfig
 from .verifier import CatastrophicFailure
 from .workload import TraceRecord
 
@@ -101,7 +108,7 @@ class SimConfig:
 class _PlainModel:
     """What the plaintext comparison models share.
 
-    Emulated memory behind a metered port, one cycle account, and enclaves
+    Emulated memory that counts its traffic, one cycle account, and enclaves
     mapped to consecutive home pages in the eEPC.  Pages that bypass
     protection go through `epc.unprotected_access`, as secscale's do.
     """
@@ -111,7 +118,6 @@ class _PlainModel:
         self.layout = make_layout(cfg.total_size, cfg.epc_size)
         self.stats = CycleStats(cfg.latency)
         self.dram = EmulatedDram(self.layout)
-        self.port = MeteredDram(self.dram, self.stats)
         self.enclaves: dict[int, tuple[int, int]] = {}  # eid -> (home page, pages)
         self._next_page = self.layout.eepc_base // PAGE_SIZE
         self.last_icount = 0
@@ -146,7 +152,8 @@ class BaselineModel(_PlainModel):
         else:
             phys = self.enclaves[eid][0] + vpage
         return unprotected_access(
-            self.port, phys * PAGE_SIZE + vaddr % PAGE_SIZE, eid, vaddr, op, icount
+            self.dram, self.stats, phys * PAGE_SIZE + vaddr % PAGE_SIZE,
+            eid, vaddr, op, icount,
         )
 
 
@@ -198,7 +205,7 @@ class SgxClientModel(_PlainModel):
         super().__init__(cfg)
         self.n_slots = carve_slots(self.layout.epc_pages, 0)
         self.merkle = EpcMerkle(
-            self.port,
+            self.dram,
             base_addr=self.n_slots * PAGE_SIZE,
             n_pages=self.n_slots,
             ssk_bytes=hashlib.sha256(b"sgx" + cfg.seed.to_bytes(8, "big")).digest(),
@@ -219,8 +226,8 @@ class SgxClientModel(_PlainModel):
     def _copy_page(self, src: int, dst: int, *, critical: bool):
         """Software page copy: per-block read+write, plus crypto charges."""
         lat = self.cfg.latency
-        data = self.port.read_span(src, PAGE_SIZE, cause="data")
-        self.port.write_span(dst, data, cause="data")
+        data = self.dram.read_span(src, PAGE_SIZE, "data")
+        self.dram.write_span(dst, data, "data")
         if critical:
             self.stats.charge_critical(
                 2 * BLOCKS_PER_PAGE * lat.dram_access_cycles
@@ -285,7 +292,9 @@ class SgxClientModel(_PlainModel):
         vpage, off = vaddr // PAGE_SIZE, vaddr % PAGE_SIZE
         if vpage >= SCRATCH_VBASE:
             addr = scratch_page(self.layout, vpage) * PAGE_SIZE + off
-            return unprotected_access(self.port, addr, eid, vaddr, op, icount)
+            return unprotected_access(
+                self.dram, self.stats, addr, eid, vaddr, op, icount
+            )
 
         slot = self.resident.get((eid, vpage))
         if slot is None:
@@ -296,14 +305,14 @@ class SgxClientModel(_PlainModel):
         base = slot * PAGE_SIZE
         if op == "R":
             block = base + (off & ~(BLOCK_SIZE - 1))
-            self.port.read(block, BLOCK_SIZE, cause="data")
+            self.dram.read(block, BLOCK_SIZE, "data")
             self.stats.charge_critical(lat.dram_access_cycles)
             self.stats.critical_crypto("ctr", 1)
             res = self.merkle.read_verify(slot)
             self.stats.charge_critical(lat.dram_access_cycles * res.dram_reads)
             return self.dram.peek(base + (off & ~7), 8)
         value = write_value(eid, vaddr, icount)
-        self.port.write(base + (off & ~7), value, cause="data")
+        self.dram.write(base + (off & ~7), value, "data")
         self.stats.charge_critical(lat.dram_access_cycles)
         self.stats.critical_crypto("ctr", 1)
         res = self.merkle.write_update(slot, self.dram.peek(base, PAGE_SIZE))
@@ -524,7 +533,7 @@ def run(cfg: SimConfig, records: list[TraceRecord]) -> Report:
             for eid in sorted(enclave_footprints(records))
         }
 
-    s = model.stats
+    s, d = model.stats, model.dram
     ev = s.events
     faults = ev["read_faults"] + ev["write_faults"]
     evictions = ev["evictions"]
@@ -542,8 +551,8 @@ def run(cfg: SimConfig, records: list[TraceRecord]) -> Report:
         critical_cycles=s.critical_cycles,
         lane_busy_cycles=s.lane_busy_cycles,
         stall_cycles=s.stall_cycles,
-        dram=dict(s.dram_by_cause()),
-        dram_total=s.dram_total,
+        dram={c: d.reads[c] + d.writes[c] for c in DRAM_CAUSES},
+        dram_total=d.total_accesses(),
         read_faults=ev["read_faults"],
         write_faults=ev["write_faults"],
         refaults=ev["refaults"],

@@ -1,4 +1,4 @@
-"""Cycle accounting: critical path, one background lane, per-cause traffic.
+"""Cycle accounting: critical path, one background lane, crypto counts.
 
 The model separates three ideas:
 
@@ -7,9 +7,8 @@ The model separates three ideas:
   * occupancy   cycles a background transfer keeps the memory/crypto engines
                 busy; bandwidth-style constants an order of magnitude below
                 latency, otherwise no overlapped design could ever win
-  * counts      every metered DRAM access is attributed to a cause (data,
-                merkle, forest, key_table) and must reconcile with the
-                per-region counters kept by the emulated DRAM itself
+  * counts      crypto blocks by kind and named events; DRAM traffic is
+                counted by cause in the emulated DRAM itself (layout.py)
 
 Background work (page moves, deferred verification, MAC updates) shares one
 lane that approximates the verification engine and the block loader running
@@ -21,11 +20,7 @@ max(critical path, lane drain).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-
-from .layout import EmulatedDram
-
-DRAM_CAUSES = ("data", "merkle", "forest", "key_table")
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -73,8 +68,6 @@ class CycleStats:
         self.lane_free = 0  # cycle at which the background lane drains
         self.lane_busy_cycles = 0
         self.stall_cycles = 0
-        self.dram_reads = Counter()
-        self.dram_writes = Counter()
         self.crypto_blocks = Counter()  # ecb / ctr / mac
         self.events = Counter()
 
@@ -107,61 +100,9 @@ class CycleStats:
             self.critical_cycles = self.lane_free
 
     # ---- counting -------------------------------------------------------
-    def count_dram(self, cause: str, *, write: bool = False):
-        if cause not in DRAM_CAUSES:
-            raise ValueError(f"unknown DRAM cause {cause!r}")
-        (self.dram_writes if write else self.dram_reads)[cause] += 1
-
     def count_crypto(self, kind: str, blocks: int = 1):
         self.crypto_blocks[kind] += blocks
 
     @property
     def total_cycles(self) -> int:
         return max(self.critical_cycles, self.lane_free)
-
-    @property
-    def dram_total(self) -> int:
-        return sum(self.dram_reads.values()) + sum(self.dram_writes.values())
-
-    def dram_by_cause(self) -> dict:
-        return {
-            c: self.dram_reads.get(c, 0) + self.dram_writes.get(c, 0)
-            for c in DRAM_CAUSES
-        }
-
-
-@dataclass
-class MeteredDram:
-    """EmulatedDram front end that attributes every access to a cause.
-
-    All engine traffic goes through here so the cause totals reconcile with
-    the DRAM's own region counters; adversaries and oracles use the
-    unmetered peek/poke side doors instead.
-    """
-
-    dram: EmulatedDram
-    stats: CycleStats
-    default_cause: str = "data"
-
-    def read(self, addr: int, length: int, cause: str | None = None) -> bytes:
-        self.stats.count_dram(cause or self.default_cause, write=False)
-        return self.dram.read(addr, length)
-
-    def write(self, addr: int, data: bytes, cause: str | None = None):
-        self.stats.count_dram(cause or self.default_cause, write=True)
-        self.dram.write(addr, data)
-
-    def read_span(self, addr: int, length: int, cause: str | None = None) -> bytes:
-        """Block-granular span read: counts ceil(length/64) accesses."""
-        cause = cause or self.default_cause
-        if cause not in DRAM_CAUSES:
-            raise ValueError(f"unknown DRAM cause {cause!r}")
-        self.stats.dram_reads[cause] += -(-length // 64)
-        return self.dram.read_span(addr, length)
-
-    def write_span(self, addr: int, data: bytes, cause: str | None = None):
-        cause = cause or self.default_cause
-        if cause not in DRAM_CAUSES:
-            raise ValueError(f"unknown DRAM cause {cause!r}")
-        self.stats.dram_writes[cause] += -(-len(data) // 64)
-        self.dram.write_span(addr, data)

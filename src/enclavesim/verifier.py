@@ -47,19 +47,13 @@ class VerificationJob:
     """
 
     kind: str  # "verify" (page load) or "update" (eviction)
-    pages: tuple[int, ...]  # physical page ids
-    page_keys: tuple[bytes, ...]
-    plaintexts: tuple[bytes, ...]
+    items: tuple[tuple[int, bytes, bytes], ...]  # (physical page, key, plaintext)
     enqueue_instructions: int
     enqueue_cycles: int
 
     def __post_init__(self):
         if self.kind not in JOB_KINDS:
             raise ValueError(f"kind must be one of {JOB_KINDS}, got {self.kind!r}")
-        if not self.pages or not (
-            len(self.pages) == len(self.page_keys) == len(self.plaintexts)
-        ):
-            raise ValueError("pages, page_keys and plaintexts must align")
 
 
 class VerifierQueue:

@@ -181,6 +181,11 @@ def test_storage_rejects_sizes_the_layout_cannot_build(capsys, flag, size):
     assert flag in capsys.readouterr().err
 
 
+def test_storage_rejects_an_epc_larger_than_memory(capsys):
+    assert main(["storage", "--total-size", "1M", "--epc-size", "128M"]) == EXIT_USAGE
+    assert "--epc-size" in capsys.readouterr().err
+
+
 def test_single_region_forest_is_one_subtree(capsys):
     got = _exact(capsys, "--total-size", "512K", "--epc-size", "512K")
     # 128 leaves + 8 group digests + 1 region digest, 8 bytes each

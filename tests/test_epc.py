@@ -2,8 +2,9 @@
 
 The strongest oracles here are cross-model: the engine's final logical
 state must equal a plain dictionary of last-writes, its DRAM cause counters
-must reconcile with the emulated DRAM's own region counters, and a deferred
-run must leave byte-identical memory to a blocking run of the same trace.
+must reconcile with the regions that the metered addresses fall in, and a
+deferred run must leave byte-identical memory to a blocking run of the same
+trace.
 """
 
 import random
@@ -144,7 +145,7 @@ def test_read_miss_charges_exactly_two_dram_reads_plus_decrypt():
         eng.access(EID, v * PAGE_SIZE, "W", ic)
     eng.syscall_barrier()
     base_critical = eng.stats.critical_cycles
-    base_kt = eng.stats.dram_reads["key_table"]
+    base_kt = eng.dram.reads["key_table"]
     base_faults = eng.stats.events["fault_critical_reads"]
     n = 40
     instr = 0
@@ -157,7 +158,7 @@ def test_read_miss_charges_exactly_two_dram_reads_plus_decrypt():
     per_miss = 2 * lat.dram_access_cycles + lat.crypto_block_cycles
     assert eng.stats.critical_cycles - base_critical == instr + n * per_miss
     assert eng.stats.events["fault_critical_reads"] - base_faults == 2 * n
-    assert eng.stats.dram_reads["key_table"] - base_kt == n
+    assert eng.dram.reads["key_table"] - base_kt == n
 
 
 def test_write_miss_charges_nothing_critical():
@@ -182,8 +183,9 @@ def test_epc_hit_charges_one_read_one_decrypt():
     assert extra == lat.dram_access_cycles + lat.crypto_block_cycles
 
 
-def test_counts_reconcile_with_region_counters():
+def test_counts_reconcile_with_region_counters(region_ledger):
     eng = make_engine()
+    reads, writes = region_ledger(eng.dram)
     eng.register_enclave(EID, 300)
     rng = random.Random(3)
     ic = 0
@@ -192,16 +194,16 @@ def test_counts_reconcile_with_region_counters():
         vaddr = rng.randrange(300 * PAGE_SIZE)
         eng.access(EID, vaddr, "RW"[rng.random() < 0.4], ic)
     eng.finalize()
-    s, d = eng.stats, eng.dram
-    assert s.dram_total == d.total_accesses()
+    d = eng.dram
+    assert sum(reads.values()) + sum(writes.values()) == d.total_accesses()
     # the key-table cause is the only traffic its region ever sees
-    kt = s.dram_reads["key_table"] + s.dram_writes["key_table"]
-    assert kt == d.reads[Region.KEY_TABLE] + d.writes[Region.KEY_TABLE]
+    kt = d.reads["key_table"] + d.writes["key_table"]
+    assert kt == reads[Region.KEY_TABLE] + writes[Region.KEY_TABLE]
     # forest-cause traffic splits between forest storage and the top table
-    forest = s.dram_reads["forest"] + s.dram_writes["forest"]
-    in_storage = d.reads[Region.FOREST] + d.writes[Region.FOREST]
+    forest = d.reads["forest"] + d.writes["forest"]
+    in_storage = reads[Region.FOREST] + writes[Region.FOREST]
     assert forest >= in_storage
-    assert (forest - in_storage) == s.events["top_table_accesses"]
+    assert (forest - in_storage) == eng.stats.events["top_table_accesses"]
 
 
 # ------------------------------------------------------------------ ESHR
@@ -449,8 +451,8 @@ def test_verify_flushes_same_region_pending_update_first():
 # ---------------------------------------- emergent grouped verification
 
 
-def _forest_cause_total(stats):
-    return stats.dram_reads["forest"] + stats.dram_writes["forest"]
+def _forest_cause_total(dram):
+    return dram.reads["forest"] + dram.writes["forest"]
 
 
 def _warm_region(eng, page):
@@ -467,14 +469,14 @@ def test_update_then_same_region_verify_shares_top_work():
     _warm_region(eng, page + 70)  # same region, different leaf group
     key = compose_page_key(eng.hw_key, EID, 1234, page)
     pt = bytes(range(256)) * 16
-    base = _forest_cause_total(eng.stats)
+    base = _forest_cause_total(eng.dram)
     eng._submit_job("update", [(page, key, pt)], instructions=0)
     eng._retire_head()
-    after_update = _forest_cause_total(eng.stats)
+    after_update = _forest_cause_total(eng.dram)
     assert after_update - base == 6  # leaf/mid reads+writes plus one top write
     eng._submit_job("verify", [(page, key, pt)], instructions=0)
     eng._retire_head()
-    after_verify = _forest_cause_total(eng.stats)
+    after_verify = _forest_cause_total(eng.dram)
     assert after_verify - after_update == 3  # top served from the digest cache
 
 
@@ -486,10 +488,10 @@ def test_grouped_pair_update_costs_nine_accesses():
     for page in (base_page, base_page + 16):  # same region, different groups
         key = compose_page_key(eng.hw_key, EID, page, page)
         items.append((page, key, bytes(PAGE_SIZE)))
-    before = _forest_cause_total(eng.stats)
+    before = _forest_cause_total(eng.dram)
     eng._submit_job("update", items, instructions=0)
     eng._retire_head()
-    assert _forest_cause_total(eng.stats) - before == 9
+    assert _forest_cause_total(eng.dram) - before == 9
 
 
 # ------------------------------------------------------ barrier semantics

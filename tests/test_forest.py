@@ -15,8 +15,7 @@ from enclavesim.forest import (
     MacForest,
     forest_storage,
 )
-from enclavesim.layout import EmulatedDram, MemoryLayout
-from enclavesim.timing import CycleStats, LatencyConfig, MeteredDram
+from enclavesim.layout import EmulatedDram, MemoryLayout, Region
 from enclavesim.verifier import CatastrophicFailure
 
 MIB = 1 << 20
@@ -51,10 +50,9 @@ def make_forest(total=16 * MIB, top_cache=True):
         total_size=total, epc_size=MIB, forest_storage_size=storage.dram_region_bytes
     )
     dram = EmulatedDram(lay)
-    port = MeteredDram(dram, CycleStats(LatencyConfig()))
     tops = TopStore()
     f = MacForest(
-        port,
+        dram,
         base_addr=lay.forest_base,
         n_pages=lay.total_pages,
         ssk_bytes=SSK,
@@ -98,7 +96,7 @@ def test_address_helpers():
 def test_config_validation():
     with pytest.raises(ValueError):
         make_forest()[0].__class__(
-            port=None, base_addr=0, n_pages=100, ssk_bytes=SSK,
+            dram=None, base_addr=0, n_pages=100, ssk_bytes=SSK,
             top_read=None, top_write=None,
         )
 
@@ -112,11 +110,11 @@ def warm(f: MacForest, *pages: int):
 
 def update_cost(f: MacForest, tops: TopStore, *pages: int) -> tuple[int, int, int, int]:
     """One update of `pages`, as (forest reads, forest writes, top writes,
-    top reads) counted at the DRAM port and the top table."""
-    stats = f.port.stats
-    before = (stats.dram_reads["forest"], stats.dram_writes["forest"], tops.writes, tops.reads)
+    top reads) counted by the DRAM and the top table."""
+    d = f.dram
+    before = (d.reads["forest"], d.writes["forest"], tops.writes, tops.reads)
     f.update([(p, leaf_for(p)) for p in pages])
-    after = (stats.dram_reads["forest"], stats.dram_writes["forest"], tops.writes, tops.reads)
+    after = (d.reads["forest"], d.writes["forest"], tops.writes, tops.reads)
     return tuple(a - b for a, b in zip(after, before))
 
 
@@ -338,13 +336,11 @@ def test_brute_force_oracle_after_random_ops():
     _oracle_check(f, dram, tops, ref)
 
 
-def test_traffic_reconciles_with_dram_counters():
+def test_traffic_reconciles_with_dram_counters(region_ledger):
     f, dram, _ = make_forest()
-    stats = f.port.stats
+    reads, writes = region_ledger(dram)
     for p in (0, 8, 200, 4000):
         f.update([(p, leaf_for(p))])
         f.verify_page(p, leaf_for(p))
-    from enclavesim.layout import Region
-
-    assert stats.dram_reads["forest"] == dram.reads[Region.FOREST]
-    assert stats.dram_writes["forest"] == dram.writes[Region.FOREST]
+    assert dram.reads["forest"] == reads[Region.FOREST]
+    assert dram.writes["forest"] == writes[Region.FOREST]

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enclavesim.layout import (
+    DRAM_CAUSES,
     KEY_SLOT_BYTES,
     PAGE_SIZE,
     EmulatedDram,
@@ -101,7 +102,7 @@ def test_layout_validation():
 
 def test_cold_reads_are_zero():
     dram = EmulatedDram(small_layout())
-    assert dram.read(0x2000, 64) == bytes(64)
+    assert dram.read(0x2000, 64, "data") == bytes(64)
     assert dram.touched_pages() == 0  # cold reads never allocate
 
 
@@ -109,10 +110,12 @@ def test_write_then_read_roundtrip_and_counters():
     lay = small_layout()
     dram = EmulatedDram(lay)
     addr = lay.eepc_base + 0x40
-    dram.write(addr, b"\xAB" * 64)
-    assert dram.read(addr, 64) == b"\xAB" * 64
-    assert dram.writes[Region.EEPC] == 1
-    assert dram.reads[Region.EEPC] == 1
+    dram.write(addr, b"\xAB" * 64, "data")
+    assert dram.read(addr, 64, "key_table") == b"\xAB" * 64
+    dram.write_span(addr, bytes(65), "merkle")  # spans count 64-byte blocks
+    assert dram.read_span(addr, 65, "merkle") == bytes(65)
+    assert dram.writes == {"data": 1, "merkle": 2}
+    assert dram.reads == {"key_table": 1, "merkle": 2}
     # peek/poke are unmetered
     before = dram.total_accesses()
     dram.poke(addr, b"\xCD" * 8)
@@ -128,13 +131,26 @@ def test_counters_monotone(data):
     prev = 0
     for _ in range(data.draw(st.integers(1, 20))):
         addr = data.draw(st.integers(0, lay.total_size - 65))
+        cause = data.draw(st.sampled_from(DRAM_CAUSES))
         if data.draw(st.booleans()):
-            dram.read(addr, 64)
+            dram.read(addr, 64, cause)
         else:
-            dram.write(addr, bytes(64))
+            dram.write(addr, bytes(64), cause)
         cur = dram.total_accesses()
         assert cur == prev + 1
         prev = cur
+
+
+@pytest.mark.parametrize(
+    "method,arg",
+    [("read", 64), ("write", bytes(64)), ("read_span", 64), ("write_span", bytes(64))],
+)
+def test_metered_methods_reject_an_unknown_cause(method, arg):
+    dram = EmulatedDram(small_layout())
+    with pytest.raises(ValueError, match="unknown DRAM cause"):
+        getattr(dram, method)(0, arg, "bogus")
+    assert dram.total_accesses() == 0
+    assert dram.touched_pages() == 0
 
 
 def test_cross_page_peek_poke():

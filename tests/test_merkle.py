@@ -17,7 +17,6 @@ from enclavesim.merkle import (
     level_counts,
     merkle_storage_bytes,
 )
-from enclavesim.timing import CycleStats, LatencyConfig, MeteredDram
 from enclavesim.verifier import CatastrophicFailure
 
 MIB = 1 << 20
@@ -28,8 +27,7 @@ SSK = bytes(range(32))
 def make_tree(n_pages=64, cache=True):
     lay = MemoryLayout.build(total_size=16 * MIB, epc_size=4 * MIB)
     dram = EmulatedDram(lay)
-    port = MeteredDram(dram, CycleStats(LatencyConfig()))
-    tree = EpcMerkle(port, base_addr=0, n_pages=n_pages, ssk_bytes=SSK, cache=cache)
+    tree = EpcMerkle(dram, base_addr=0, n_pages=n_pages, ssk_bytes=SSK, cache=cache)
     return tree, dram
 
 
