@@ -228,7 +228,11 @@ def split_key(key: bytes) -> KeyFields:
 
 
 def _block_keys(page_key: bytes) -> list[bytes]:
-    return [derive_block_key(page_key, b) for b in range(BLOCKS_PER_PAGE)]
+    """derive_block_key(page_key, b) for every block b, from one prefix."""
+    if len(page_key) != _AES_KEY_BYTES:
+        raise ValueError(f"page key must be {_AES_KEY_BYTES} bytes")
+    head, hi = page_key[:31], page_key[31] & 0xC0
+    return [head + _ONE_BYTE[hi | b] for b in range(BLOCKS_PER_PAGE)]
 
 
 def ecb_encrypt_page(page_key: bytes, page: bytes) -> bytes:

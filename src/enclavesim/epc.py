@@ -15,8 +15,10 @@ Two bookkeeping layers deliberately run at different times:
            DRAM's metered methods, so functional state and traffic counts
            are exact and any interleaving question has one deterministic
            answer;
-  cycles   accrue when the lane actually performs each step, so overlap,
-           stalls and barrier drains are modeled faithfully.
+  cycles   accrue when the lane performs the work -- a fault's block moves
+           in one charge per advance, as far as the lane's free time
+           reaches -- so overlap, stalls and barrier drains are modeled
+           faithfully.
 
 EPC-resident plaintext lives in emulated DRAM like everything else; it is
 bound into the counter tree on every change and re-checked against it on
@@ -317,28 +319,44 @@ class SecScaleEngine:
         self._charge_tree(res.dram_reads + res.dram_writes, critical=critical)
 
     # ------------------------------------------------------ lane scheduling
-    def _entry_step_cycles(self, entry: EshrEntry, load_needed: bool) -> int:
-        # evicting a block is read EPC + write eEPC; loading is the reverse;
-        # each side also decrypts and re-encrypts the block once
-        dram = (2 if entry.e_bit else 0) + (2 if load_needed else 0)
-        crypto = (2 if entry.e_bit else 0) + (2 if load_needed else 0)
-        return (
-            dram * self.latency.dram_occupancy_cycles
-            + crypto * self.latency.crypto_occupancy_cycles
-        )
+    def fault_step(self, entry: EshrEntry, until: int | None = None):
+        """Advance a live entry's block moves as one lane charge (lane work).
 
-    def fault_step(self, entry: EshrEntry):
-        """Advance one block move for a live entry (lane work)."""
-        if entry.cursor == BLOCKS_PER_PAGE:
+        Moves the fewest blocks from `cursor` on that leave the lane free no
+        earlier than `until`, at least one; with `until` None, or when the
+        page ends first, every block left.  Evicting a block is read EPC +
+        write eEPC and loading is the reverse, each with one decrypt and one
+        re-encrypt; a block whose `ls_vector` bit is set is already loaded
+        and pays only its eviction half.  The charge is the sum of the
+        per-block charges and rises with the block count, so a binary search
+        finds the count, and `ls_vector` and `cursor` stay exact.
+        """
+        cursor = entry.cursor
+        left = BLOCKS_PER_PAGE - cursor
+        if left <= 0:
             raise ValueError("entry is not live")
-        b = entry.cursor
-        load_needed = not (entry.ls_vector >> b) & 1
-        self.stats.lane_charge(
-            entry.born_cycles, self._entry_step_cycles(entry, load_needed)
-        )
-        entry.ls_vector |= 1 << b
-        entry.cursor = b + 1
-        self.stats.events["fault_steps"] += 1
+        lat = self.latency
+        load = 2 * (lat.dram_occupancy_cycles + lat.crypto_occupancy_cycles)
+        evict = load if entry.e_bit else 0
+        loaded = entry.ls_vector >> cursor
+
+        def cost(k: int) -> int:
+            return k * evict + (k - (loaded & ((1 << k) - 1)).bit_count()) * load
+
+        k = left
+        if until is not None:
+            need = until - max(self.stats.lane_free, entry.born_cycles)
+            lo = 1
+            while lo < k:  # the fewest blocks whose charge meets `need`
+                mid = (lo + k) // 2
+                if cost(mid) >= need:
+                    k = mid
+                else:
+                    lo = mid + 1
+        self.stats.lane_charge(entry.born_cycles, cost(k))
+        entry.ls_vector |= ((1 << k) - 1) << cursor
+        entry.cursor = cursor + k
+        self.stats.events["fault_steps"] += k
         if entry.cursor == BLOCKS_PER_PAGE:
             self._complete_entry(entry)
 
@@ -397,8 +415,9 @@ class SecScaleEngine:
             )
             self.stats.count_crypto("mac", BLOCKS_PER_PAGE * len(job.items))
 
-    def _lane_pull(self) -> bool:
-        """One unit of background work: demand entries, oldest entry, jobs."""
+    def _lane_pull(self, until: int | None) -> bool:
+        """One unit of background work: advance a demand entry, else the
+        oldest entry, toward `until` (see fault_step); else retire a job."""
         entries = self.eshr.values()
         for entry in entries:
             if entry.demand:
@@ -406,7 +425,7 @@ class SecScaleEngine:
         else:
             entry = next(iter(entries), None)
         if entry is not None:
-            self.fault_step(entry)
+            self.fault_step(entry, until)
             return True
         if self.queue:
             self._retire_head()
@@ -414,12 +433,15 @@ class SecScaleEngine:
         return False
 
     def _drain_opportunistic(self):
-        while self.stats.lane_free < self.stats.critical_cycles and self._lane_pull():
+        stats = self.stats
+        while stats.lane_free < stats.critical_cycles and self._lane_pull(
+            stats.critical_cycles
+        ):
             pass
 
     def _drain_all(self):
         self._club_flush()
-        while self._lane_pull():
+        while self._lane_pull(None):
             pass
         self.stats.stall_until_lane()
 
@@ -453,9 +475,7 @@ class SecScaleEngine:
 
     # -------------------------------------------------------------- faults
     def _stall_complete_oldest(self):
-        oldest = next(iter(self.eshr.values()))
-        while oldest.cursor < BLOCKS_PER_PAGE:
-            self.fault_step(oldest)
+        self.fault_step(next(iter(self.eshr.values())))
         self.stats.stall_until_lane()
         self.stats.events["eshr_stalls"] += 1
 

@@ -173,6 +173,14 @@ def test_block_keys_differ_only_in_block_bits(fields, block):
     assert kb != k
 
 
+@given(st.binary(min_size=32, max_size=32))
+@settings(max_examples=100)
+def test_page_block_keys_equal_derive_block_key(page_key):
+    # any 32 bytes: the low 6 bits of the last byte are replaced, not assumed 0
+    keys = crypto._block_keys(page_key)
+    assert keys == [derive_block_key(page_key, b) for b in range(64)]
+
+
 def test_field_range_validation():
     with pytest.raises(ValueError):
         compose_page_key(1 << 64, 0, 0, 0)

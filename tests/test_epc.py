@@ -13,10 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from enclavesim import sim
+from enclavesim.config import PRESETS, load_config
 from enclavesim.crypto import compose_page_key, ecb_decrypt_page, unwrap_key
 from enclavesim.epc import (
     SCRATCH_VBASE,
     AccessOutcome,
+    EshrEntry,
     SecScaleEngine,
     write_value,
 )
@@ -215,11 +218,9 @@ def test_entry_completes_after_64_steps_and_clears_valid():
     eng.access(EID, 3 * PAGE_SIZE + 128, "R", 10)
     (e,) = eng.eshr.values()
     assert e.demand and e.cursor == 0 and e.ls_vector == 1 << 2  # block 2 preset
-    steps = 0
-    while e.slot in eng.eshr:
-        eng.fault_step(e)
-        steps += 1
-    assert steps == BLOCKS_PER_PAGE
+    before = eng.stats.events["fault_steps"]
+    eng.fault_step(e)  # no stop: the whole page
+    assert eng.stats.events["fault_steps"] - before == BLOCKS_PER_PAGE
     assert e.cursor == BLOCKS_PER_PAGE
     assert e.ls_vector == (1 << BLOCKS_PER_PAGE) - 1
     assert not eng.eshr
@@ -231,11 +232,147 @@ def test_load_bits_never_clear_while_entry_live():
     eng.access(EID, PAGE_SIZE + 7 * 64, "R", 10)
     (e,) = eng.eshr.values()
     seen = e.ls_vector
+    until = eng.stats.lane_free
+    advances = 0
     while e.slot in eng.eshr:
-        eng.fault_step(e)
+        until += 100  # a few 28-cycle block loads per advance
+        eng.fault_step(e, until)
+        advances += 1
         assert e.ls_vector & seen == seen, "a load-status bit was cleared"
+        assert e.ls_vector == seen | (1 << e.cursor) - 1
         seen = e.ls_vector
     assert e.cursor == BLOCKS_PER_PAGE
+    assert advances > 1
+
+
+def _one_block(eng, entry):
+    """One block move with its own lane charge: the lane's arithmetic before
+    an entry advanced in one charge.  Evicting a block is two DRAM moves and
+    two crypto passes, loading one is the same again, and a block whose
+    load-status bit is set needs no load."""
+    lat = eng.latency
+    b = entry.cursor
+    load_needed = not (entry.ls_vector >> b) & 1
+    moves = (2 if entry.e_bit else 0) + (2 if load_needed else 0)
+    eng.stats.lane_charge(
+        entry.born_cycles,
+        moves * lat.dram_occupancy_cycles + moves * lat.crypto_occupancy_cycles,
+    )
+    entry.ls_vector |= 1 << b
+    entry.cursor = b + 1
+    eng.stats.events["fault_steps"] += 1
+    if entry.cursor == BLOCKS_PER_PAGE:
+        eng._complete_entry(entry)
+
+
+def _block_by_block(eng, entry, until):
+    """fault_step(entry, until) one block at a time, the stop checked before
+    every block after the first."""
+    _one_block(eng, entry)
+    while entry.cursor < BLOCKS_PER_PAGE and (
+        until is None or eng.stats.lane_free < until
+    ):
+        _one_block(eng, entry)
+
+
+@st.composite
+def _lane_states(draw):
+    critical = draw(st.integers(0, 10**6))
+    lane_free = draw(st.integers(0, critical + 10**4))
+    born = draw(st.integers(0, critical))
+    page_cost = 64 * 56  # every block evicted and loaded at the default rates
+    offset = draw(st.none() | st.integers(-200, page_cost + 200))
+    until = None if offset is None else max(lane_free, born) + offset
+    return dict(
+        e_bit=draw(st.booleans()),
+        ls_vector=draw(st.integers(0, (1 << BLOCKS_PER_PAGE) - 1)),
+        cursor=draw(st.integers(0, BLOCKS_PER_PAGE - 1)),
+        verify=draw(st.booleans()),
+        critical=critical,
+        lane_free=lane_free,
+        born=born,
+        until=until,
+    )
+
+
+@pytest.mark.parametrize(
+    "latency",
+    [LatencyConfig(), LatencyConfig(crypto_occupancy_cycles=0)],
+    ids=["default", "no-crypto-occupancy"],
+)
+@given(state=_lane_states())
+@settings(max_examples=300, deadline=None)
+def test_fault_step_matches_block_by_block_reference(latency, state):
+    def advance(step):
+        eng = make_engine(epc_size=256 * 1024, total_size=16 * MIB, latency=latency)
+        page = eng.layout.eepc_base // PAGE_SIZE
+        entry = EshrEntry(
+            slot=0,
+            e_bit=state["e_bit"],
+            ls_vector=state["ls_vector"],
+            cursor=state["cursor"],
+            born_cycles=state["born"],
+            verify_payload=(page, bytes(32), bytes(PAGE_SIZE)) if state["verify"] else None,
+        )
+        eng.eshr[0] = entry
+        eng.stats.critical_cycles = state["critical"]
+        eng.stats.lane_free = state["lane_free"]
+        step(eng, entry, state["until"])
+        s = eng.stats
+        return (
+            entry.cursor, entry.ls_vector, s.lane_free, s.lane_busy_cycles,
+            s.events["fault_steps"], 0 in eng.eshr, eng.queue.jobs_submitted,
+        )
+
+    assert advance(SecScaleEngine.fault_step) == advance(_block_by_block)
+
+
+class _OneBlockLane(SecScaleEngine):
+    """The engine with the lane as it ran before an entry advanced in one
+    charge: each fault_step moves one block, and a stall steps its entry to
+    the end of the page."""
+
+    def fault_step(self, entry, until=None):
+        _one_block(self, entry)
+
+    def _stall_complete_oldest(self):
+        oldest = next(iter(self.eshr.values()))
+        while oldest.cursor < BLOCKS_PER_PAGE:
+            self.fault_step(oldest)
+        self.stats.stall_until_lane()
+        self.stats.events["eshr_stalls"] += 1
+
+
+# trend overrides that load the lane differently: ESHR stalls, a drain after
+# every access, a saturated and a busy lane, free crypto (zero-cost moves of
+# loaded blocks), and a bounded verifier queue
+LANE_RUNS = {
+    "eshr-1": ({"eshr_entries": 1}, None),
+    "eshr-2": ({"eshr_entries": 2}, None),
+    "blocking": ({"deferred": False}, None),
+    "1-per-1000": ({"workload": {"accesses_per_instruction": 1 / 1000}}, None),
+    "1-per-4000": ({"workload": {"accesses_per_instruction": 1 / 4000}}, None),
+    "no-crypto-cost": ({"latency": PRESETS["fault-only"]["latency"]}, None),
+    "max-outstanding-3": ({}, 3),
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", list(LANE_RUNS))
+def test_lane_in_one_charge_reports_like_one_block_steps(monkeypatch, name, seed):
+    overrides, limit = LANE_RUNS[name]
+    cfg = load_config(preset="trend", overrides=dict(overrides, model="secscale", seed=seed))
+    records = cfg.records()
+
+    def report(cls):
+        monkeypatch.setitem(
+            sim.MODEL_CLASSES, "secscale",
+            lambda c: cls(c, max_outstanding_jobs=limit),
+        )
+        return sim.run(cfg, records).to_json()
+
+    assert report(SecScaleEngine) == report(_OneBlockLane)
 
 
 def test_refault_charges_like_a_miss_and_marks_demand():
