@@ -16,9 +16,8 @@ import gzip
 import json
 import sys
 
-from .adversary import run_suite
+from .adversary import ATTACK_KINDS, run_suite
 from .config import (
-    ATTACK_KINDS,
     PRESETS,
     ConfigError,
     RunConfig,
@@ -66,14 +65,6 @@ def _report_files(reports: list[Report], out: str) -> tuple[str, str]:
     return jpath, cpath
 
 
-def _attack_files(results, out: str) -> list[dict]:
-    rows = [dataclasses.asdict(r) for r in results]
-    columns = list(rows[0])
-    _write_json(f"{out}.json", rows)
-    _write_csv(f"{out}.csv", columns, [[r[c] for c in columns] for r in rows])
-    return rows
-
-
 def _config_overrides(args) -> dict:
     overrides = {}
     for key in ("model", "seed", "out"):
@@ -88,13 +79,6 @@ def cmd_run(args) -> int:
     merged = merge_layers(args.config, args.preset, _config_overrides(args))
     cfg = RunConfig.from_dict(merged)
     out = cfg.out or "report"
-
-    if cfg.attack is not None:
-        rows = _attack_files(run_suite(cfg.attack.kinds, range(cfg.attack.seeds)), out)
-        detected = sum(r["detected"] for r in rows)
-        print(f"attacks detected: {detected}/{len(rows)}  -> {out}.json {out}.csv")
-        return EXIT_SECURITY if detected else EXIT_OK
-
     report = run(cfg, cfg.records())
     jpath, cpath = _report_files([report], out)
     print(
@@ -185,7 +169,10 @@ def cmd_attack(args) -> int:
     if args.seeds <= 0:
         raise ConfigError(f"--seeds: must be positive, got {args.seeds}")
     out = args.out or "attacks"
-    rows = _attack_files(run_suite(kinds, range(args.seeds)), out)
+    rows = [dataclasses.asdict(r) for r in run_suite(kinds, range(args.seeds))]
+    columns = list(rows[0])
+    _write_json(f"{out}.json", rows)
+    _write_csv(f"{out}.csv", columns, [[r[c] for c in columns] for r in rows])
     for kind in kinds:
         sub = [r for r in rows if r["kind"] == kind]
         hits = sum(r["detected"] for r in sub)
@@ -225,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int)
         p.add_argument("--out", help="output path base (.json/.csv appended)")
 
-    p_run = sub.add_parser("run", help="single simulation (or attack script) run")
+    p_run = sub.add_parser("run", help="single simulation run")
     common(p_run)
     p_run.set_defaults(func=cmd_run)
 

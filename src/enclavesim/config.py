@@ -20,7 +20,7 @@ import types
 import typing
 from dataclasses import dataclass, field
 
-from .adversary import ATTACK_KINDS
+from .layout import ConfigError
 from .sim import MODELS, SimConfig
 from .timing import LatencyConfig
 from .workload import (
@@ -32,10 +32,6 @@ from .workload import (
     open_trace,
     parse_trace,
 )
-
-
-class ConfigError(ValueError):
-    """Bad run configuration; the message names the offending key path."""
 
 
 _SIZE_RE = re.compile(r"^(\d+)\s*(?:([KMGT])(?:I?B)?|B)?$", re.IGNORECASE)
@@ -142,24 +138,6 @@ class WorkloadConfig:
         return generate(self.spec(default_seed))
 
 
-@dataclass(frozen=True)
-class AttackPlan:
-    kinds: tuple[str, ...] = ATTACK_KINDS
-    seeds: int = 100
-
-    @classmethod
-    def from_dict(cls, d: dict, path: str = "attack") -> "AttackPlan":
-        _check_keys(d, (f.name for f in dataclasses.fields(cls)), path)
-        kinds = tuple(d.get("kinds", ATTACK_KINDS))
-        for k in kinds:
-            if k not in ATTACK_KINDS:
-                raise ConfigError(f"{path}.kinds: unknown attack kind {k!r}")
-        plan = _build(cls, {"kinds": kinds, "seeds": d.get("seeds", 100)}, path)
-        if plan.seeds <= 0:
-            raise ConfigError(f"{path}.seeds: must be a positive integer")
-        return plan
-
-
 def _latency_from_dict(d: dict, path: str = "latency") -> LatencyConfig:
     _check_keys(d, (f.name for f in dataclasses.fields(LatencyConfig)), path)
     return _build(LatencyConfig, d, path)
@@ -171,7 +149,6 @@ class RunConfig(SimConfig):
 
     models: tuple[str, ...] = ()
     workload: WorkloadConfig = field(default_factory=WorkloadConfig)
-    attack: AttackPlan | None = None
     sweep: tuple[dict, ...] = ()
     out: str | None = None
 
@@ -193,8 +170,6 @@ class RunConfig(SimConfig):
             d["latency"] = _latency_from_dict(d["latency"])
         if "workload" in d:
             d["workload"] = WorkloadConfig.from_dict(d["workload"])
-        if d.get("attack") is not None:
-            d["attack"] = AttackPlan.from_dict(d["attack"])
         if "sweep" in d:
             rows = d["sweep"]
             if not isinstance(rows, (list, tuple)):
@@ -263,10 +238,6 @@ PRESETS: dict[str, dict] = {
         "epc_size": "1M",
         "latency": {"crypto_block_cycles": 0, "crypto_occupancy_cycles": 0},
         "workload": dict(_THRASH_WORKLOAD),
-    },
-    # the full physical-adversary suite
-    "attack-suite": {
-        "attack": {"kinds": list(ATTACK_KINDS), "seeds": 100},
     },
 }
 

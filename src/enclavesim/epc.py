@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -62,6 +62,7 @@ from .layout import (
     BLOCKS_PER_PAGE,
     KEY_SLOT_BYTES,
     PAGE_SIZE,
+    ConfigError,
     EmulatedDram,
     MemoryLayout,
     Region,
@@ -69,7 +70,7 @@ from .layout import (
 )
 from .merkle import EpcMerkle, carve_slots
 from .timing import CycleStats, mvc_cycles_per_page
-from .verifier import CatastrophicFailure, VerificationJob, VerifierQueue
+from .verifier import CatastrophicFailure, VerificationJob
 
 if TYPE_CHECKING:
     from .sim import SimConfig
@@ -129,6 +130,30 @@ class Enclave:
     eid: int
     n_pages: int
     base_page: int  # first eEPC physical page of the flat virtual range
+
+
+def register_enclave(
+    layout: MemoryLayout, enclaves: dict[int, Enclave], eid: int, n_pages: int
+) -> Enclave:
+    """Map an enclave's pages to the next free run of eEPC home pages.
+
+    Every model registers through this, so every model rejects the same
+    enclaves: an id that is zero or does not fit the key format's 31 bits,
+    and pages that would run past the eEPC into the forest region.
+    """
+    if eid in enclaves:
+        raise ValueError(f"enclave {eid} already registered")
+    if not 0 < eid < 1 << 31:
+        raise ConfigError(f"enclave id {eid}: must fit in 31 bits and be nonzero")
+    base = layout.eepc_base // PAGE_SIZE + sum(e.n_pages for e in enclaves.values())
+    free = layout.forest_base // PAGE_SIZE - base
+    if n_pages > free:
+        raise ConfigError(
+            f"eEPC exhausted: enclave {eid} needs {n_pages} home pages, "
+            f"{free} of the eEPC's {layout.eepc_size // PAGE_SIZE} are free"
+        )
+    enc = enclaves[eid] = Enclave(eid, n_pages, base)
+    return enc
 
 
 @dataclass
@@ -200,6 +225,7 @@ class SecScaleEngine:
             ssk_bytes=self.ssk.key_bytes,
             top_read=self._top_read,
             top_write=self._top_write,
+            events=self.stats.events,
             top_cache=cfg.top_cache,
         )
         # boot order matters: the top table must hold its boot digests
@@ -211,6 +237,7 @@ class SecScaleEngine:
             base_addr=protected * PAGE_SIZE,
             n_pages=protected,
             ssk_bytes=self.ssk.key_bytes,
+            events=self.stats.events,
             cache=counter_cache,
         )
         if protected * PAGE_SIZE + self.merkle.storage_bytes > layout.epc_size:
@@ -223,10 +250,9 @@ class SecScaleEngine:
         self.enclaves: dict[int, Enclave] = {}
         self.mapping_overrides: dict[tuple[int, int], int] = {}
         self.eepc_initialized: set[int] = set()
-        self._next_eepc_page = layout.eepc_base // PAGE_SIZE
 
         self.eshr: dict[int, EshrEntry] = {}  # slot -> live entry, oldest first
-        self.queue = VerifierQueue()
+        self.queue: deque[VerificationJob] = deque()  # strict FIFO
         self._club: tuple[int, list[tuple[int, bytes, bytes]]] | None = None
 
         self.last_icount = 0
@@ -234,17 +260,7 @@ class SecScaleEngine:
 
     # ------------------------------------------------------------ enclaves
     def register_enclave(self, eid: int, n_pages: int) -> Enclave:
-        if eid in self.enclaves:
-            raise ValueError(f"enclave {eid} already registered")
-        if not 0 < eid < 1 << 31:
-            raise ValueError("enclave id must fit in 31 bits and be nonzero")
-        end = self._next_eepc_page + n_pages
-        if end > self.layout.forest_base // PAGE_SIZE:
-            raise ValueError("eEPC exhausted")
-        enc = Enclave(eid, n_pages, self._next_eepc_page)
-        self._next_eepc_page = end
-        self.enclaves[eid] = enc
-        return enc
+        return register_enclave(self.layout, self.enclaves, eid, n_pages)
 
     def _phys_page(self, eid: int, vpage: int) -> int:
         enc = self.enclaves[eid]
@@ -377,7 +393,10 @@ class SecScaleEngine:
             enqueue_instructions=instructions,
             enqueue_cycles=self.stats.critical_cycles,
         )
-        self.queue.submit(job)
+        self.queue.append(job)
+        events = self.stats.events
+        events["verifier_jobs"] += 1
+        events["verifier_max_depth"] = max(events["verifier_max_depth"], len(self.queue))
         limit = self.max_outstanding_jobs
         if limit is not None:
             while len(self.queue) > limit:
@@ -385,17 +404,19 @@ class SecScaleEngine:
                 self.stats.stall_until_lane()
 
     def _retire_head(self):
-        job = self.queue.pop()
-        if job is None:
-            return
+        job = self.queue.popleft()
         before = self.dram.total_accesses()
         try:
             if job.kind == "verify":
+                # a verification's forest accesses, top read included, are
+                # its forest reads in the DRAM ledger
+                events, forest_reads = self.stats.events, self.dram.reads
                 for page, key, pt in job.items:
-                    res = self.forest.verify_page(page, page_mac(key, pt))
-                    self.stats.events["max_verify_forest_accesses"] = max(
-                        self.stats.events["max_verify_forest_accesses"],
-                        res.total_accesses,
+                    start = forest_reads["forest"]
+                    self.forest.verify_page(page, page_mac(key, pt))
+                    events["max_verify_forest_accesses"] = max(
+                        events["max_verify_forest_accesses"],
+                        forest_reads["forest"] - start,
                     )
             else:
                 self.forest.update(
@@ -413,7 +434,6 @@ class SecScaleEngine:
                 job.enqueue_cycles,
                 work + accesses * self.latency.dram_occupancy_cycles,
             )
-            self.stats.count_crypto("mac", BLOCKS_PER_PAGE * len(job.items))
 
     def _lane_pull(self, until: int | None) -> bool:
         """One unit of background work: advance a demand entry, else the
@@ -496,7 +516,7 @@ class SecScaleEngine:
         )
         self.dram.read(phys * PAGE_SIZE + block * BLOCK_SIZE, BLOCK_SIZE, "data")
         self.stats.charge_critical(2 * self.latency.dram_access_cycles)
-        self.stats.critical_crypto("ecb", 1)
+        self.stats.critical_crypto()
         self.stats.events["fault_critical_reads"] += 2
         return wrapped
 
@@ -512,8 +532,6 @@ class SecScaleEngine:
         )
         ciphertext = ecb_encrypt_page(key, plaintext)
         self.dram.write_span(slot.home * PAGE_SIZE, ciphertext, "data")
-        self.stats.count_crypto("ctr", BLOCKS_PER_PAGE)  # out of EPC decryption
-        self.stats.count_crypto("ecb", BLOCKS_PER_PAGE)
         self.eepc_initialized.add(slot.home)
         self._club_push(slot.home, key, plaintext, instructions=self.stats.instructions)
         del self.resident[(slot.eid, slot.vpage)]
@@ -558,13 +576,11 @@ class SecScaleEngine:
         if initialized:
             key = unwrap_key(self.ssk, wrapped, self.hw_key, eid, phys)
             plaintext = bytearray(ecb_decrypt_page(key, ciphertext))
-            self.stats.count_crypto("ecb", BLOCKS_PER_PAGE - (1 if is_read else 0))
             payload = (phys, key, bytes(plaintext))
         else:
             plaintext = bytearray(PAGE_SIZE)  # first touch: fresh zero page
             payload = None
             self.stats.events["first_touch_loads"] += 1
-        self.stats.count_crypto("ctr", BLOCKS_PER_PAGE)  # into-EPC re-encryption
 
         if pending_write is not None:
             offset, value = pending_write
@@ -657,7 +673,7 @@ class SecScaleEngine:
                     self._slot_base(slot) + block * BLOCK_SIZE, BLOCK_SIZE, "data"
                 )
                 self.stats.charge_critical(self.latency.dram_access_cycles)
-                self.stats.critical_crypto("ctr", 1)
+                self.stats.critical_crypto()
                 pt = self._slot_bytes(slot)
                 self._check_slot(slot, pt, critical=True)
                 value = pt[offset : offset + 8]
@@ -674,7 +690,7 @@ class SecScaleEngine:
                 self._rebind_slot(slot, bytes(pt), critical=not in_flight)
                 if not in_flight:
                     self.stats.charge_critical(self.latency.dram_access_cycles)
-                    self.stats.critical_crypto("ctr", 1)
+                    self.stats.critical_crypto()
 
         if not self.cfg.deferred:
             self._drain_all()

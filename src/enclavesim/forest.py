@@ -33,7 +33,7 @@ prior state to check against.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -75,20 +75,13 @@ def forest_storage(total_size: int) -> ForestStorage:
     )
 
 
-@dataclass
-class ForestVerifyResult:
-    page: int
-    dram_reads: int  # leaf + mid block reads
-    top_reads: int  # 0 or 1
-    top_cache_hit: bool
-
-    @property
-    def total_accesses(self) -> int:
-        return self.dram_reads + self.top_reads
-
-
 class MacForest:
-    """Leaf/mid storage, top callbacks, verified reads and clubbed updates."""
+    """Leaf/mid storage, top callbacks, verified reads and clubbed updates.
+
+    Region-cache hits and misses are counted in `events`, the run's one
+    counter (`CycleStats.events`); leaf and mid traffic is counted by the
+    DRAM under cause "forest".
+    """
 
     def __init__(
         self,
@@ -98,6 +91,8 @@ class MacForest:
         ssk_bytes: bytes,
         top_read: Callable[[int], bytes],
         top_write: Callable[[int, bytes], None],
+        *,
+        events: Counter,
         top_cache: bool = True,
     ):
         if n_pages <= 0 or n_pages % REGION_PAGES:
@@ -115,8 +110,7 @@ class MacForest:
         self.top_read = top_read
         self.top_write = top_write
         self._top_cache: OrderedDict[int, bytes] = OrderedDict()
-        self.top_cache_hits = 0
-        self.top_cache_misses = 0
+        self.events = events
 
         # boot pass (unmetered): mids describing all-zero leaf groups, plus
         # the region digests the top-table owner must install before use
@@ -151,11 +145,6 @@ class MacForest:
         return keyed_mac8(self.ssk, b"forest-top", region.to_bytes(8, "big"), mid_blob)
 
     # ----------------------------------------------------------- traffic
-    def _read_span(self, start: int, nbytes: int) -> tuple[bytearray, int]:
-        """Read a block-aligned span; returns the bytes and the block count."""
-        data = self.dram.read_span(start, nbytes, "forest")
-        return bytearray(data), nbytes // BLOCK_SIZE
-
     def _leaf_group_span(self, group: int) -> tuple[int, int]:
         start = self.leaf_base + group * GROUP_ARITY * MAC_BYTES
         return start, GROUP_ARITY * MAC_BYTES
@@ -184,16 +173,14 @@ class MacForest:
     # ------------------------------------------------------------ verify
     def _check_region(
         self, region: int, leaf_groups: dict[int, bytearray], page: int
-    ) -> tuple[bytearray, int, int]:
+    ) -> bytearray:
         """Check leaf groups against their stored mids, the mids against the top.
 
         The top comes from the region cache or the top_read callback, and the
-        authenticated top goes back into the cache.  Returns the mid group,
-        its block reads and the top reads (0 or 1); a mismatch raises,
-        naming `page`.
+        authenticated top goes back into the cache.  Returns the mid group;
+        a mismatch raises, naming `page`.
         """
-        mstart, mbytes = self._mid_group_span(region)
-        mids, reads = self._read_span(mstart, mbytes)
+        mids = bytearray(self.dram.read_span(*self._mid_group_span(region), "forest"))
         for g, leaves in leaf_groups.items():
             mslot = (g % REGION_ARITY) * MAC_BYTES
             if bytes(mids[mslot : mslot + MAC_BYTES]) != self._mid_mac(g, bytes(leaves)):
@@ -201,41 +188,31 @@ class MacForest:
                     f"MAC group digest mismatch above page {page}", page=page
                 )
         stored_top = self._top_cached(region)
-        top_reads = 0
         if stored_top is None:
-            self.top_cache_misses += 1
+            self.events["top_cache_misses"] += 1
             stored_top = self.top_read(region)
-            top_reads = 1
         else:
-            self.top_cache_hits += 1
+            self.events["top_cache_hits"] += 1
         if stored_top != self._top_mac(region, bytes(mids)):
             raise CatastrophicFailure(
                 f"region digest mismatch above page {page}", page=page
             )
         self._top_cache_put(region, stored_top)
-        return mids, reads, top_reads
+        return mids
 
-    def verify_page(self, page: int, expected_leaf: bytes) -> ForestVerifyResult:
+    def verify_page(self, page: int, expected_leaf: bytes) -> None:
         """Compare recomputed vs stored MACs at leaf, mid and top level."""
         if len(expected_leaf) != MAC_BYTES:
             raise ValueError("leaf MAC must be 8 bytes")
         group = self.group_of(page)
-        start, nbytes = self._leaf_group_span(group)
-        leaves, reads = self._read_span(start, nbytes)
+        span = self._leaf_group_span(group)
+        leaves = bytearray(self.dram.read_span(*span, "forest"))
         slot = (page % GROUP_ARITY) * MAC_BYTES
         if bytes(leaves[slot : slot + MAC_BYTES]) != expected_leaf:
             raise CatastrophicFailure(
                 f"page MAC mismatch at leaf level for page {page}", page=page
             )
-        _, mreads, top_reads = self._check_region(
-            self.region_of(page), {group: leaves}, page
-        )
-        return ForestVerifyResult(
-            page=page,
-            dram_reads=reads + mreads,
-            top_reads=top_reads,
-            top_cache_hit=not top_reads,
-        )
+        self._check_region(self.region_of(page), {group: leaves}, page)
 
     # ------------------------------------------------------------ update
     def update(self, updates: Iterable[tuple[int, bytes]]) -> None:
@@ -264,11 +241,11 @@ class MacForest:
             batch = by_region[region]
             bufs: dict[int, bytearray] = {}
             for g in sorted({self.group_of(p) for p, _ in batch}):
-                start, nbytes = self._leaf_group_span(g)
-                bufs[g], _ = self._read_span(start, nbytes)
+                span = self._leaf_group_span(g)
+                bufs[g] = bytearray(self.dram.read_span(*span, "forest"))
 
             # authenticate every byte the rebuild is about to trust
-            mids, _, _ = self._check_region(region, bufs, batch[0][0])
+            mids = self._check_region(region, bufs, batch[0][0])
 
             dirty_blocks: set[int] = set()
             for page, leaf in batch:

@@ -37,6 +37,11 @@ MAX_TOTAL_SIZE = 1 << PHYS_ADDR_BITS  # 512 GiB
 DRAM_CAUSES = ("data", "merkle", "forest", "key_table")
 
 
+class ConfigError(ValueError):
+    """A run configuration the simulated machine cannot hold; the message
+    names the offending key, size or enclave."""
+
+
 def check_size(name: str, size: int):
     """The rule for total and EPC sizes: a power of two, at least one page,
     that the physical space (and so the key format's page index) can address."""
@@ -92,7 +97,11 @@ class MemoryLayout:
                 raise ValueError(f"{name} must be a non-negative page multiple, got {v}")
         carved = self.forest_storage_size + self.key_table_size + self.scratch_size
         if self.epc_size + carved >= self.total_size:
-            raise ValueError("no eEPC space left after carving metadata regions")
+            raise ConfigError(
+                f"no eEPC space left after carving metadata regions: epc_size "
+                f"{self.epc_size} plus {carved} bytes of forest, key-table and "
+                f"scratch pages fill total_size {self.total_size}"
+            )
         object.__setattr__(self, "eepc_base", self.epc_size)
         object.__setattr__(self, "scratch_base", self.total_size - self.scratch_size)
         object.__setattr__(

@@ -12,8 +12,8 @@ and the chain terminates in root counters kept on-chip.
 A direct-mapped write-through 32 KiB counter cache holds verified
 node lines; a walk stops at the first cached ancestor.  Narrow internal
 counters can wrap: a wrap resets the slot and re-keys the affected child MAC
-in the same update (the re-encryption such designs charge), counted as an
-event.
+in the same update (the re-encryption such designs charge), counted as the
+run event `overflow_rekeys`.
 
 Storage for a 128 MiB protected range at arity 32 with 64-byte nodes is
 32768 + 1024 + 32 nodes = 2 MiB + 64 KiB + 2 KiB, with the root on-chip; a
@@ -23,10 +23,11 @@ the MAC forest exists to avoid.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .crypto import keyed_mac8
-from .layout import PAGE_SIZE, EmulatedDram
+from .layout import PAGE_SIZE, ConfigError, EmulatedDram
 from .verifier import CatastrophicFailure
 
 NODE_BYTES = 64
@@ -80,7 +81,11 @@ def carve_slots(epc_pages: int, reserved: int) -> int:
     while n + 1 + reserved + tree_pages(n + 1 + reserved) <= epc_pages:
         n += 1
     if n < 2:
-        raise ValueError("EPC too small for metadata plus two data slots")
+        raise ConfigError(
+            f"EPC too small for metadata plus two data slots: epc_size "
+            f"{epc_pages * PAGE_SIZE} beside {reserved} reserved pages and a "
+            "counter tree over them"
+        )
     return n
 
 
@@ -107,6 +112,8 @@ class EpcMerkle:
         base_addr: int,
         n_pages: int,
         ssk_bytes: bytes,
+        *,
+        events: Counter,
         cache: bool = True,
     ):
         self.dram = dram
@@ -122,7 +129,7 @@ class EpcMerkle:
             off += c * NODE_BYTES
         self.storage_bytes = off
         self.root_counters = [0] * self.counts[-1]
-        self.overflow_rekeys = 0
+        self.events = events
         # direct-mapped, write-through: line index -> (node_addr, bytes)
         self._cache: dict[int, tuple[int, bytes]] = {}
         self._init_storage()
@@ -292,7 +299,7 @@ class EpcMerkle:
                     # wrap: reset the slot alone, re-keying the child MAC
                     parent_word -= COUNTER_MAX << shift
                     parent_counter = 0
-                    self.overflow_rekeys += 1
+                    self.events["overflow_rekeys"] += 1
                 else:
                     parent_word += 1 << shift
                     parent_counter += 1

@@ -36,8 +36,10 @@ from dataclasses import dataclass, field
 from .crypto import FRESHNESS_MODES
 from .epc import (
     SCRATCH_VBASE,
+    Enclave,
     SecScaleEngine,
     make_layout,
+    register_enclave,
     scratch_page,
     unprotected_access,
     write_value,
@@ -118,13 +120,11 @@ class _PlainModel:
         self.layout = make_layout(cfg.total_size, cfg.epc_size)
         self.stats = CycleStats(cfg.latency)
         self.dram = EmulatedDram(self.layout)
-        self.enclaves: dict[int, tuple[int, int]] = {}  # eid -> (home page, pages)
-        self._next_page = self.layout.eepc_base // PAGE_SIZE
+        self.enclaves: dict[int, Enclave] = {}
         self.last_icount = 0
 
-    def register_enclave(self, eid: int, n_pages: int):
-        self.enclaves[eid] = (self._next_page, n_pages)
-        self._next_page += n_pages
+    def register_enclave(self, eid: int, n_pages: int) -> Enclave:
+        return register_enclave(self.layout, self.enclaves, eid, n_pages)
 
     def _advance(self, icount: int):
         self.stats.advance_instructions(icount - self.last_icount)
@@ -134,10 +134,10 @@ class _PlainModel:
         pass
 
     def final_state(self, eid: int) -> dict[int, bytes]:
-        base, n_pages = self.enclaves[eid]
+        enc = self.enclaves[eid]
         return {
-            v: self.dram.peek((base + v) * PAGE_SIZE, PAGE_SIZE)
-            for v in range(n_pages)
+            v: self.dram.peek((enc.base_page + v) * PAGE_SIZE, PAGE_SIZE)
+            for v in range(enc.n_pages)
         }
 
 
@@ -150,7 +150,7 @@ class BaselineModel(_PlainModel):
         if vpage >= SCRATCH_VBASE:
             phys = scratch_page(self.layout, vpage)
         else:
-            phys = self.enclaves[eid][0] + vpage
+            phys = self.enclaves[eid].base_page + vpage
         return unprotected_access(
             self.dram, self.stats, phys * PAGE_SIZE + vaddr % PAGE_SIZE,
             eid, vaddr, op, icount,
@@ -209,6 +209,7 @@ class SgxClientModel(_PlainModel):
             base_addr=self.n_slots * PAGE_SIZE,
             n_pages=self.n_slots,
             ssk_bytes=hashlib.sha256(b"sgx" + cfg.seed.to_bytes(8, "big")).digest(),
+            events=self.stats.events,
         )
         self.resident: dict[tuple[int, int], int] = {}
         self.slot_owner: list[tuple[int, int] | None] = [None] * self.n_slots
@@ -232,18 +233,17 @@ class SgxClientModel(_PlainModel):
             self.stats.charge_critical(
                 2 * BLOCKS_PER_PAGE * lat.dram_access_cycles
             )
-            self.stats.critical_crypto("ecb", BLOCKS_PER_PAGE)
+            self.stats.critical_crypto(BLOCKS_PER_PAGE)
         else:
             self.stats.lane_charge(
                 0,
                 2 * BLOCKS_PER_PAGE * lat.dram_occupancy_cycles
                 + BLOCKS_PER_PAGE * lat.crypto_occupancy_cycles,
             )
-            self.stats.count_crypto("ecb", BLOCKS_PER_PAGE)
 
     def _evict(self, slot: int):
         eid, vpage = self.slot_owner[slot]
-        home = self.enclaves[eid][0] + vpage
+        home = self.enclaves[eid].base_page + vpage
         self._copy_page(slot * PAGE_SIZE, home * PAGE_SIZE, critical=True)
         res = self.merkle.read_verify(slot)
         self.stats.charge_critical(
@@ -260,7 +260,7 @@ class SgxClientModel(_PlainModel):
         else:
             slot = self._victim()
             self._evict(slot)
-        home = self.enclaves[eid][0] + vpage
+        home = self.enclaves[eid].base_page + vpage
         self._copy_page(home * PAGE_SIZE, slot * PAGE_SIZE, critical=not cold)
         res = self.merkle.write_update(
             slot, self.dram.peek(slot * PAGE_SIZE, PAGE_SIZE)
@@ -307,14 +307,14 @@ class SgxClientModel(_PlainModel):
             block = base + (off & ~(BLOCK_SIZE - 1))
             self.dram.read(block, BLOCK_SIZE, "data")
             self.stats.charge_critical(lat.dram_access_cycles)
-            self.stats.critical_crypto("ctr", 1)
+            self.stats.critical_crypto()
             res = self.merkle.read_verify(slot)
             self.stats.charge_critical(lat.dram_access_cycles * res.dram_reads)
             return self.dram.peek(base + (off & ~7), 8)
         value = write_value(eid, vaddr, icount)
         self.dram.write(base + (off & ~7), value, "data")
         self.stats.charge_critical(lat.dram_access_cycles)
-        self.stats.critical_crypto("ctr", 1)
+        self.stats.critical_crypto()
         res = self.merkle.write_update(slot, self.dram.peek(base, PAGE_SIZE))
         self.stats.charge_critical(
             lat.dram_access_cycles * (res.dram_reads + res.dram_writes)
@@ -322,11 +322,11 @@ class SgxClientModel(_PlainModel):
         return value
 
     def final_state(self, eid: int) -> dict[int, bytes]:
-        base, n_pages = self.enclaves[eid]
+        enc = self.enclaves[eid]
         out = {}
-        for v in range(n_pages):
+        for v in range(enc.n_pages):
             slot = self.resident.get((eid, v))
-            src = slot * PAGE_SIZE if slot is not None else (base + v) * PAGE_SIZE
+            src = (enc.base_page + v if slot is None else slot) * PAGE_SIZE
             out[v] = self.dram.peek(src, PAGE_SIZE)
         return out
 
@@ -376,7 +376,7 @@ class DfpModel(SgxClientModel):
                 ):
                     return cand
             return None
-        n_pages = self.enclaves[faulting[0]][1]
+        n_pages = self.enclaves[faulting[0]].n_pages
         return faulting[0], self.rng.randrange(n_pages)
 
     def _fault(self, eid: int, vpage: int, op: str) -> int:
@@ -537,11 +537,7 @@ def run(cfg: SimConfig, records: list[TraceRecord]) -> Report:
     ev = s.events
     faults = ev["read_faults"] + ev["write_faults"]
     evictions = ev["evictions"]
-    hit_rate = None
-    if cfg.model == "secscale":
-        f = model.forest
-        seen = f.top_cache_hits + f.top_cache_misses
-        hit_rate = f.top_cache_hits / seen if seen else None
+    seen = ev["top_cache_hits"] + ev["top_cache_misses"]
     report = Report(
         model=cfg.model,
         seed=cfg.seed,
@@ -563,10 +559,10 @@ def run(cfg: SimConfig, records: list[TraceRecord]) -> Report:
         epc_miss_frac=faults / done if done else 0.0,
         clubbed_pairs=ev["clubbed_pairs"],
         club_frac=2 * ev["clubbed_pairs"] / evictions if evictions else 0.0,
-        top_cache_hit_rate=hit_rate,
+        top_cache_hit_rate=ev["top_cache_hits"] / seen if seen else None,
         max_verify_forest_accesses=ev["max_verify_forest_accesses"],
-        verifier_jobs=model.queue.jobs_submitted if cfg.model == "secscale" else 0,
-        verifier_max_depth=model.queue.max_depth if cfg.model == "secscale" else 0,
+        verifier_jobs=ev["verifier_jobs"],
+        verifier_max_depth=ev["verifier_max_depth"],
         eshr_stalls=ev["eshr_stalls"],
         barriers=ev["barriers"],
         events=dict(sorted(ev.items())),

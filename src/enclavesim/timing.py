@@ -1,4 +1,4 @@
-"""Cycle accounting: critical path, one background lane, crypto counts.
+"""Cycle accounting: critical path, one background lane, named events.
 
 The model separates three ideas:
 
@@ -7,8 +7,8 @@ The model separates three ideas:
   * occupancy   cycles a background transfer keeps the memory/crypto engines
                 busy; bandwidth-style constants an order of magnitude below
                 latency, otherwise no overlapped design could ever win
-  * counts      crypto blocks by kind and named events; DRAM traffic is
-                counted by cause in the emulated DRAM itself (layout.py)
+  * events      every named count of a run, in one Counter; DRAM traffic
+                is counted by cause in the emulated DRAM itself (layout.py)
 
 Background work (page moves, deferred verification, MAC updates) shares one
 lane that approximates the verification engine and the block loader running
@@ -68,8 +68,7 @@ class CycleStats:
         self.lane_free = 0  # cycle at which the background lane drains
         self.lane_busy_cycles = 0
         self.stall_cycles = 0
-        self.crypto_blocks = Counter()  # ecb / ctr / mac
-        self.events = Counter()
+        self.events = Counter()  # every named count the report reads
 
     # ---- critical path -------------------------------------------------
     def advance_instructions(self, n: int):
@@ -81,8 +80,7 @@ class CycleStats:
     def charge_critical(self, cycles: int):
         self.critical_cycles += cycles
 
-    def critical_crypto(self, kind: str, blocks: int = 1):
-        self.crypto_blocks[kind] += blocks
+    def critical_crypto(self, blocks: int = 1):
         self.critical_cycles += self.cfg.crypto_block_cycles * blocks
 
     # ---- background lane -----------------------------------------------
@@ -98,10 +96,6 @@ class CycleStats:
         if self.lane_free > self.critical_cycles:
             self.stall_cycles += self.lane_free - self.critical_cycles
             self.critical_cycles = self.lane_free
-
-    # ---- counting -------------------------------------------------------
-    def count_crypto(self, kind: str, blocks: int = 1):
-        self.crypto_blocks[kind] += blocks
 
     @property
     def total_cycles(self) -> int:

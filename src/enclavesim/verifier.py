@@ -1,4 +1,4 @@
-"""Deferred MAC verification: job queue, failure semantics, rate math.
+"""Deferred MAC verification: jobs, failure semantics, rate math.
 
 Page loads restart execution after two critical reads; the integrity check
 of the loaded page becomes a verification job consumed by a background MAC
@@ -12,7 +12,9 @@ MAC and walks the MAC forest comparing every level.  An "update" job carries
 one or two evicted pages whose new MACs must be installed; two same-region
 evictions ride in one clubbed job so the shared mid and top work happens
 once.  Retirement order is strictly FIFO, which is what makes the deferred
-byte-effects on forest storage agree with a serialized execution.
+byte-effects on forest storage agree with a serialized execution.  The
+engine (epc.py) keeps the pending jobs in a plain deque and counts
+submissions and the deepest queue as run events.
 
 Any mismatch raises CatastrophicFailure: the simulated machine halts,
 records which page was implicated and how many instructions executed
@@ -21,7 +23,6 @@ speculatively past the unverified read, and refuses further operations.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 JOB_KINDS = ("verify", "update")
@@ -54,27 +55,3 @@ class VerificationJob:
     def __post_init__(self):
         if self.kind not in JOB_KINDS:
             raise ValueError(f"kind must be one of {JOB_KINDS}, got {self.kind!r}")
-
-
-class VerifierQueue:
-    """Strict FIFO of pending jobs; counts submissions and the deepest queue."""
-
-    def __init__(self):
-        self.pending: deque[VerificationJob] = deque()
-        self.jobs_submitted = 0
-        self.max_depth = 0
-
-    def submit(self, job: VerificationJob) -> int:
-        self.pending.append(job)
-        self.jobs_submitted += 1
-        self.max_depth = max(self.max_depth, len(self.pending))
-        return len(self.pending)
-
-    def pop(self) -> VerificationJob | None:
-        return self.pending.popleft() if self.pending else None
-
-    def __len__(self) -> int:
-        return len(self.pending)
-
-    def __bool__(self) -> bool:
-        return bool(self.pending)

@@ -52,15 +52,6 @@ def test_benign_run_exits_zero_and_writes_reports(workdir):
     assert len(rows) == 2
 
 
-def test_attack_run_exits_security_code(workdir):
-    cfg = write_config(workdir, attack={"kinds": ["tamper-data"], "seeds": 2})
-    rc = main(["run", cfg, "--out", "atk"])
-    assert rc == EXIT_SECURITY
-    rows = json.loads((workdir / "atk.json").read_text())
-    assert len(rows) == 2
-    assert all(r["detected"] for r in rows)
-
-
 def test_usage_errors_exit_one(workdir, capsys):
     assert main(["run", "--model", "warp-drive"]) == EXIT_USAGE
     assert main(["definitely-not-a-command"]) == EXIT_USAGE
@@ -106,6 +97,37 @@ def test_size_the_layout_rejects_exits_one_with_path(workdir, capsys, config, pa
     bad.write_text(json.dumps(config))
     assert main(["run", str(bad)]) == EXIT_USAGE
     assert path in capsys.readouterr().err
+
+
+# configurations that only fail once a model is built: the sizes leave no
+# room for the metadata, or the trace's enclave does not fit; config -> what
+# the error line must name
+BUILD_ERRORS = {
+    "footprint-over-forest": (
+        {"total_size": "16M", "epc_size": "1M",
+         "workload": {"footprint": "15M", "n_accesses": 2000}},
+        "eEPC exhausted",
+    ),
+    "enclave-id-zero": (
+        {"workload": {"footprint": "64K", "n_accesses": 50, "enclave_id": 0}},
+        "enclave id 0",
+    ),
+    "total-16K": ({"total_size": "16K", "epc_size": "4K"}, "no eEPC space"),
+    "total-32K": ({"total_size": "32K", "epc_size": "4K"}, "no eEPC space"),
+    "secscale-epc-8K": ({"total_size": "1M", "epc_size": "8K"}, "two data slots"),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("name", sorted(BUILD_ERRORS))
+def test_build_errors_exit_one_with_one_error_line(workdir, capsys, command, name):
+    config, problem = BUILD_ERRORS[name]
+    cfg = write_config(workdir, models=["baseline", "secscale"], **config)
+    assert main([command, cfg, "--out", "out"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and problem in line
+    assert not (workdir / "out.json").exists()
 
 
 # ------------------------------------------------------------ reproducibility

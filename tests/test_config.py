@@ -104,15 +104,6 @@ def test_epc_size_must_fit_inside_total():
         RunConfig.from_dict({"total_size": "1M", "epc_size": "64M"})
 
 
-def test_attack_plan_validates_kinds_and_seeds():
-    with pytest.raises(ConfigError, match="attack.kinds"):
-        RunConfig.from_dict({"attack": {"kinds": ["tamper-everything"]}})
-    with pytest.raises(ConfigError, match="attack.seeds"):
-        RunConfig.from_dict({"attack": {"seeds": 0}})
-    with pytest.raises(ConfigError, match="attack.seeds"):
-        RunConfig.from_dict({"attack": {"seeds": True}})  # not one seed
-
-
 # -------------------------------------------------------------- precedence
 def test_flag_beats_file_beats_preset(tmp_path):
     path = tmp_path / "run.json"
@@ -161,13 +152,6 @@ def test_trend_preset_lists_all_five_models():
     cfg = load_config(preset="trend")
     assert len(cfg.models) == 5
     assert cfg.models[0] == "baseline"
-
-
-def test_attack_suite_preset_covers_all_kinds():
-    cfg = load_config(preset="attack-suite")
-    assert cfg.attack is not None
-    assert len(cfg.attack.kinds) == 10
-    assert cfg.attack.seeds == 100
 
 
 # ------------------------------------------------------------------ sweeps

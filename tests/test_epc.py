@@ -321,7 +321,7 @@ def test_fault_step_matches_block_by_block_reference(latency, state):
         s = eng.stats
         return (
             entry.cursor, entry.ls_vector, s.lane_free, s.lane_busy_cycles,
-            s.events["fault_steps"], 0 in eng.eshr, eng.queue.jobs_submitted,
+            s.events["fault_steps"], 0 in eng.eshr, s.events["verifier_jobs"],
         )
 
     assert advance(SecScaleEngine.fault_step) == advance(_block_by_block)
@@ -503,12 +503,12 @@ def test_evicted_page_is_encrypted_and_rekeyed_each_time():
 def test_first_touch_reads_zero_and_skips_verification():
     eng = make_engine()
     eng.register_enclave(EID, 8)
-    before = eng.queue.jobs_submitted
+    before = eng.stats.events["verifier_jobs"]
     out, val = eng.access(EID, 2 * PAGE_SIZE + 256, "R", 50)
     assert out is AccessOutcome.FAULT_STARTED
     assert val == bytes(8)
     eng.finalize()
-    assert eng.queue.jobs_submitted == before, "nothing to verify on first touch"
+    assert eng.stats.events["verifier_jobs"] == before, "nothing to verify on first touch"
     assert eng.stats.events["first_touch_loads"] == 1
 
 
@@ -575,14 +575,14 @@ def test_verify_flushes_same_region_pending_update_first():
     # verifying a page of the same region must push that update out first,
     # otherwise the verify walks forest state the update has not written yet
     eng._submit_job("verify", [(base_page + 1, key(base_page + 1), pt)], instructions=0)
-    assert [j.kind for j in eng.queue.pending] == ["update", "verify"]
+    assert [j.kind for j in eng.queue] == ["update", "verify"]
 
     # a verify in some other region leaves the pending update parked
     far = base_page + 5 * REGION_PAGES
     eng._club_push(base_page + 2, key(base_page + 2), pt, instructions=0)
     eng._submit_job("verify", [(far, key(far), pt)], instructions=0)
     assert eng._club is not None
-    assert [j.kind for j in eng.queue.pending] == ["update", "verify", "verify"]
+    assert [j.kind for j in eng.queue] == ["update", "verify", "verify"]
 
 
 # ---------------------------------------- emergent grouped verification
@@ -787,8 +787,9 @@ def test_max_outstanding_jobs_bounds_queue_depth():
         ic += 5
         eng.access(EID, v * PAGE_SIZE, "W", ic)
     eng.finalize()
-    assert eng.queue.max_depth <= 4  # one transient overshoot while draining
-    assert eng.queue.jobs_submitted > 0 and len(eng.queue) == 0
+    events = eng.stats.events
+    assert events["verifier_max_depth"] <= 4  # one transient overshoot while draining
+    assert events["verifier_jobs"] > 0 and len(eng.queue) == 0
 
 
 # ------------------------------------------------------ input validation

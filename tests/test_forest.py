@@ -1,6 +1,7 @@
 """MAC-forest storage arithmetic, access-count contracts, tamper detection."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -58,6 +59,7 @@ def make_forest(total=16 * MIB, top_cache=True):
         ssk_bytes=SSK,
         top_read=tops.read,
         top_write=tops.write,
+        events=Counter(),
         top_cache=top_cache,
     )
     tops.macs.update(f.boot_tops)  # the table owner installs boot digests
@@ -97,7 +99,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         make_forest()[0].__class__(
             dram=None, base_addr=0, n_pages=100, ssk_bytes=SSK,
-            top_read=None, top_write=None,
+            top_read=None, top_write=None, events=Counter(),
         )
 
 
@@ -116,6 +118,17 @@ def update_cost(f: MacForest, tops: TopStore, *pages: int) -> tuple[int, int, in
     f.update([(p, leaf_for(p)) for p in pages])
     after = (d.reads["forest"], d.writes["forest"], tops.writes, tops.reads)
     return tuple(a - b for a, b in zip(after, before))
+
+
+def verify_cost(f: MacForest, tops: TopStore, page: int, leaf: bytes) -> tuple[int, int, int]:
+    """One verification of `page`, as (forest reads, top reads, top-cache
+    hits) counted by the DRAM, the top table and the run's events."""
+    def counts():
+        return (f.dram.reads["forest"], tops.reads, f.events["top_cache_hits"])
+
+    before = counts()
+    f.verify_page(page, leaf)
+    return tuple(a - b for a, b in zip(counts(), before))
 
 
 def test_single_update_costs_six_accesses():
@@ -182,12 +195,12 @@ def test_verify_costs_at_most_four():
     f, _, tops = make_forest()
     f.update([(5, leaf_for(5))])
     f._top_cache.clear()
-    cold = f.verify_page(5, leaf_for(5))
-    assert not cold.top_cache_hit
-    assert (cold.dram_reads, cold.top_reads) == (3, 1)
-    assert cold.total_accesses == 4
-    warm = f.verify_page(5, leaf_for(5))
-    assert warm.top_cache_hit and warm.total_accesses == 3
+    cold = verify_cost(f, tops, 5, leaf_for(5))
+    assert cold[2] == 0  # no top-cache hit
+    assert cold[:2] == (3, 1)
+    assert sum(cold[:2]) == 4
+    warm = verify_cost(f, tops, 5, leaf_for(5))
+    assert warm[2] == 1 and sum(warm[:2]) == 3
 
 
 def test_top_cache_lru_evicts_ninth_region():
@@ -198,10 +211,10 @@ def test_top_cache_lru_evicts_ninth_region():
     for r in range(9):
         f.verify_page(r * 128, leaf_for(r * 128))
     before = tops.reads
-    res = f.verify_page(0, leaf_for(0))  # region 0 was evicted by region 8
-    assert res.top_reads == 1 and tops.reads == before + 1
-    res = f.verify_page(8 * 128, leaf_for(8 * 128))  # region 8 still resident
-    assert res.top_reads == 0
+    res = verify_cost(f, tops, 0, leaf_for(0))  # region 0 was evicted by region 8
+    assert res[1] == 1 and tops.reads == before + 1
+    res = verify_cost(f, tops, 8 * 128, leaf_for(8 * 128))  # region 8 still resident
+    assert res[1] == 0
 
 
 def test_top_cache_disabled_always_reads():
@@ -291,7 +304,7 @@ def test_top_cache_shields_against_top_tamper():
     f, _, tops = make_forest()
     f.update([(2, leaf_for(2))])
     tops.macs[0] = b"\x00" * 8
-    assert f.verify_page(2, leaf_for(2)).top_cache_hit
+    assert verify_cost(f, tops, 2, leaf_for(2))[2] == 1
 
 
 # ------------------------------------------------------------------ oracle
@@ -321,8 +334,8 @@ def test_brute_force_oracle_after_random_ops():
         version += 1
         if ref and rng.random() < 0.4:
             page = rng.choice(sorted(ref))
-            res = f.verify_page(page, ref[page])
-            assert res.total_accesses <= 4
+            res = verify_cost(f, tops, page, ref[page])
+            assert sum(res[:2]) <= 4
         elif ref and rng.random() < 0.5:
             pages = rng.sample(sorted(ref), k=min(2, len(ref)))
             ups = [(p, leaf_for(p, version)) for p in pages]

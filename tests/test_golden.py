@@ -1,10 +1,12 @@
 """Golden outputs: the CLI's files and stdout, pinned by sha256.
 
-Every preset runs through the CLI on a capped config (short workloads, two
-attack seeds), and the digests of its `.json`, `.csv` and stdout are compared
-with values recorded from an earlier version of the code.  `storage` at its
-defaults, two `gen-trace` files and three secscale `run`s that reach paths no
-preset does are pinned the same way.  A refactor that claims to keep outputs
+Every preset runs through the CLI on a capped config (short workloads), and
+the digests of its `.json`, `.csv` and stdout are compared with values
+recorded from an earlier version of the code.  The attack suite at two seeds,
+`storage` at its defaults, two `gen-trace` files and three secscale `run`s
+that reach paths no preset does are pinned the same way.  The written files
+leave out a report's `events`, so `Report.to_json()`, which carries them, is
+pinned for two secscale runs.  A refactor that claims to keep outputs
 byte-identical must leave the recorded digests untouched; a change that means
 to move a number updates the digest it moves and says why.
 """
@@ -15,18 +17,19 @@ import json
 import pytest
 
 from enclavesim.cli import main
+from enclavesim.config import load_config
+from enclavesim.sim import run
 
 CAPPED_ACCESSES = 1500
 CAPPED_SEEDS = 2
 
-# preset -> (subcommand, config file capping its workload or attack suite)
+# preset -> (subcommand, config file capping its workload)
 PRESET_RUNS = {
     "trend": ("compare", {"workload": {"n_accesses": CAPPED_ACCESSES}}),
     "ablation": ("compare", {"workload": {"n_accesses": CAPPED_ACCESSES}}),
     "fault-sweep": ("compare", {"workload": {"n_accesses": CAPPED_ACCESSES}}),
     "merkle-only": ("run", {"workload": {"n_accesses": CAPPED_ACCESSES}}),
     "fault-only": ("run", {"workload": {"n_accesses": CAPPED_ACCESSES}}),
-    "attack-suite": ("run", {"attack": {"seeds": CAPPED_SEEDS}}),
 }
 
 # secscale paths no preset reaches: `run` on the capped trend config with one
@@ -58,12 +61,6 @@ GOLDEN = {
         "stdout": "bee42f4ec8f04cedad601bce3a416489a15c8a975ef9e4824a9fddac06ebb6b5",
         "json": "b53f9ea0d09931f4d8839844e63a2334876089c59a86790898817b8196b442f6",
         "csv": "679b98a3febf202cfd908702ec33808a381844a5144c65ed0884e275072ab16f",
-    },
-    "preset:attack-suite": {
-        "exit": 2,
-        "stdout": "03865394475dbf9221968b34a7cb1ef39e60bf7f1977b3f61f028aacc2f2ff30",
-        "json": "2ccae94097642a2cf04e70cd242faa7883b648c1e99c1ac78cbc27e5904cfab0",
-        "csv": "7cab8d809d423de686c50eac64447e2a0dea2b2406d70473f1082dceadae0f71",
     },
     "preset:fault-only": {
         "exit": 0,
@@ -107,6 +104,12 @@ GOLDEN = {
         "json": "fb8c3def04e2c103d7b1719574e7bcb20ea4d57d42616114d15da67a73f5f2e5",
         "csv": "8fc8c6f7f175818793c421d64f1e6751cccbeae7b3c46943f5e5000073f28bb5",
     },
+    "attack": {
+        "exit": 2,
+        "stdout": "2ed86ab37e383fe3f3471225608083d4ed1c789fba05b11a73b5190ad2d5d46d",
+        "json": "2ccae94097642a2cf04e70cd242faa7883b648c1e99c1ac78cbc27e5904cfab0",
+        "csv": "7cab8d809d423de686c50eac64447e2a0dea2b2406d70473f1082dceadae0f71",
+    },
     "storage": {
         "exit": 0,
         "stdout": "4753a4daa0c618bf1dcbd396b66d9b5d8c197f0efeda42e4d71d6f44af8e1222",
@@ -124,6 +127,14 @@ GOLDEN = {
 }
 
 
+# sha256 of Report.to_json() for secscale on the capped trend config, bare
+# and with the SECSCALE_RUNS override of the same name
+REPORT_JSON_GOLDEN = {
+    "trend": "7fb7bc8d0f6bb3e2766b4140a86197ebc2c8968595b892254b6accba11d88199",
+    "eshr-2": "6142e52871a859d6298f4e65bd101106731a67675e020e7bb1264f1189bd95cd",
+}
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -138,6 +149,22 @@ def _preset_outputs(workdir, capsys, preset, command, capped):
         "json": _sha((workdir / "out.json").read_bytes()),
         "csv": _sha((workdir / "out.csv").read_bytes()),
     }
+
+
+def _attack_outputs(workdir, capsys):
+    rc = main(["attack", "--seeds", str(CAPPED_SEEDS), "--out", "out"])
+    return {
+        "exit": rc,
+        "stdout": _sha(capsys.readouterr().out.encode()),
+        "json": _sha((workdir / "out.json").read_bytes()),
+        "csv": _sha((workdir / "out.csv").read_bytes()),
+    }
+
+
+def _report_json_digest(name):
+    capped = SECSCALE_RUNS.get(name, {"workload": {"n_accesses": CAPPED_ACCESSES}})
+    cfg = load_config(preset="trend", overrides={"model": "secscale", **capped})
+    return _sha(run(cfg, cfg.records()).to_json().encode())
 
 
 def _storage_outputs(workdir, capsys):
@@ -170,6 +197,15 @@ def test_preset_outputs_match_golden(workdir, capsys, preset):
 def test_secscale_run_outputs_match_golden(workdir, capsys, name):
     outputs = _preset_outputs(workdir, capsys, "trend", "run", SECSCALE_RUNS[name])
     assert outputs == GOLDEN[f"secscale:{name}"]
+
+
+def test_attack_outputs_match_golden(workdir, capsys):
+    assert _attack_outputs(workdir, capsys) == GOLDEN["attack"]
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_JSON_GOLDEN))
+def test_secscale_report_json_matches_golden(name):
+    assert _report_json_digest(name) == REPORT_JSON_GOLDEN[name]
 
 
 def test_storage_output_matches_golden(workdir, capsys):

@@ -1,6 +1,7 @@
 """Counter-tree storage arithmetic, verified walks, caching and tampering."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +28,9 @@ SSK = bytes(range(32))
 def make_tree(n_pages=64, cache=True):
     lay = MemoryLayout.build(total_size=16 * MIB, epc_size=4 * MIB)
     dram = EmulatedDram(lay)
-    tree = EpcMerkle(dram, base_addr=0, n_pages=n_pages, ssk_bytes=SSK, cache=cache)
+    tree = EpcMerkle(
+        dram, base_addr=0, n_pages=n_pages, ssk_bytes=SSK, events=Counter(), cache=cache
+    )
     return tree, dram
 
 
@@ -197,7 +200,7 @@ def test_internal_counter_wrap_rekeys_and_survives():
     pt = bytes(4096)
     for _ in range(16385):
         tree.write_update(0, pt)
-    assert tree.overflow_rekeys >= 1
+    assert tree.events["overflow_rekeys"] >= 1
     assert tree.read_verify(0).major == 16385
     _oracle_check_all_nodes(tree, dram)
 
@@ -330,5 +333,5 @@ def test_counter_wrap_leaves_neighbour_slots_alone(level):
     if level == 1:
         # the grandparent's slot 0 counts all 16,387 writes: it wrapped too
         assert _slots(dram.peek(tree.node_addr(2, 0), NODE_BYTES))[0] == 3
-    assert tree.overflow_rekeys == 3 - level
+    assert tree.events["overflow_rekeys"] == 3 - level
     _oracle_check_all_nodes(tree, dram)

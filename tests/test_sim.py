@@ -9,8 +9,10 @@ import dataclasses
 
 import pytest
 
-from enclavesim.layout import PAGE_SIZE
+from enclavesim.epc import make_layout
+from enclavesim.layout import PAGE_SIZE, ConfigError
 from enclavesim.sim import (
+    MODEL_CLASSES,
     MODELS,
     REPORT_COLUMNS,
     DfpModel,
@@ -92,6 +94,25 @@ def test_models_agree_at_a_small_epc():
         models=("baseline", "sgx-client", "dfp", "secscale"),
     )
     assert len({r.final_state_digest for r in reports.values()}) == 1
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_every_model_rejects_the_same_enclaves(model):
+    config = SimConfig(model=model, total_size=16 << 20, epc_size=1 << 20)
+    layout = make_layout(config.total_size, config.epc_size)
+    eepc_pages = layout.eepc_size // PAGE_SIZE  # the home pages below the forest
+    for eid, problem in ((0, "enclave id 0"), (1 << 31, "31 bits")):
+        with pytest.raises(ConfigError, match=problem):
+            run(config, [TraceRecord("R", 0, eid, 1)])
+    with pytest.raises(ConfigError, match="eEPC exhausted"):
+        run(config, [TraceRecord("R", eepc_pages * PAGE_SIZE, 1, 1)])
+    # every eEPC page up to the forest region is an enclave's to use
+    rep = run(config, [TraceRecord("W", (eepc_pages - 1) * PAGE_SIZE, 1, 1)])
+    assert rep.accesses == 1 and rep.security_failure is None
+    model_run = MODEL_CLASSES[model](config)
+    model_run.register_enclave(1, 1)
+    with pytest.raises(ValueError, match="already registered"):
+        model_run.register_enclave(1, 1)
 
 
 def test_state_digest_is_order_independent():
