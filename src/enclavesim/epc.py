@@ -40,7 +40,6 @@ page can never leak plaintext past the enclave boundary.
 
 from __future__ import annotations
 
-import enum
 import hashlib
 from collections import OrderedDict, deque
 from dataclasses import dataclass
@@ -114,15 +113,8 @@ def unprotected_access(
     else:
         value = write_value(eid, vaddr, icount)
         dram.write(addr & ~7, value, "data")
-    stats.charge_critical(stats.cfg.dram_access_cycles)
+    stats.charge(dram=1)
     return value
-
-
-class AccessOutcome(enum.Enum):
-    EPC_HIT = "epc_hit"
-    FAULT_STARTED = "fault_started"
-    QUEUED_WRITE = "queued_write"
-    SCRATCH_ACCESS = "scratch_access"
 
 
 @dataclass
@@ -316,23 +308,16 @@ class SecScaleEngine:
     def _slot_bytes(self, slot: EpcSlot) -> bytes:
         return self.dram.peek(self._slot_base(slot), PAGE_SIZE)
 
-    def _charge_tree(self, accesses: int, *, critical: bool):
-        """Counter-tree traffic: latency on the critical path, else lane time."""
-        if critical:
-            self.stats.charge_critical(self.latency.dram_access_cycles * accesses)
-        else:
-            self.stats.lane_charge(0, self.latency.dram_occupancy_cycles * accesses)
-
-    def _check_slot(self, slot: EpcSlot, plaintext: bytes, *, critical: bool):
+    def _check_slot(self, slot: EpcSlot, plaintext: bytes, *, lane_at: int | None):
         """Re-check an EPC page's bytes against the counter tree."""
         res = self.merkle.read_verify(slot.index)
         self.merkle.check_data(slot.index, res.major, plaintext, res.data_mac)
-        self._charge_tree(res.dram_reads, critical=critical)
+        self.stats.charge(dram=res.dram_reads, lane_at=lane_at)
 
-    def _rebind_slot(self, slot: EpcSlot, plaintext: bytes, *, critical: bool):
+    def _rebind_slot(self, slot: EpcSlot, plaintext: bytes, *, lane_at: int | None):
         """Bind an EPC page's new bytes into the counter tree."""
         res = self.merkle.write_update(slot.index, plaintext)
-        self._charge_tree(res.dram_reads + res.dram_writes, critical=critical)
+        self.stats.charge(dram=res.dram_reads + res.dram_writes, lane_at=lane_at)
 
     # ------------------------------------------------------ lane scheduling
     def fault_step(self, entry: EshrEntry, until: int | None = None):
@@ -351,8 +336,7 @@ class SecScaleEngine:
         left = BLOCKS_PER_PAGE - cursor
         if left <= 0:
             raise ValueError("entry is not live")
-        lat = self.latency
-        load = 2 * (lat.dram_occupancy_cycles + lat.crypto_occupancy_cycles)
+        load = self.stats.occupancy(dram=2, crypto=2)
         evict = load if entry.e_bit else 0
         loaded = entry.ls_vector >> cursor
 
@@ -428,11 +412,10 @@ class SecScaleEngine:
             )
             raise
         finally:
-            accesses = self.dram.total_accesses() - before
-            work = mvc_cycles_per_page(self.latency) * len(job.items)
-            self.stats.lane_charge(
-                job.enqueue_cycles,
-                work + accesses * self.latency.dram_occupancy_cycles,
+            self.stats.charge(
+                dram=self.dram.total_accesses() - before,
+                cycles=mvc_cycles_per_page(self.latency) * len(job.items),
+                lane_at=job.enqueue_cycles,
             )
 
     def _lane_pull(self, until: int | None) -> bool:
@@ -515,8 +498,7 @@ class SecScaleEngine:
             self.layout.key_table_slot(phys), KEY_SLOT_BYTES, "key_table"
         )
         self.dram.read(phys * PAGE_SIZE + block * BLOCK_SIZE, BLOCK_SIZE, "data")
-        self.stats.charge_critical(2 * self.latency.dram_access_cycles)
-        self.stats.critical_crypto()
+        self.stats.charge(dram=2, crypto=1)
         self.stats.events["fault_critical_reads"] += 2
         return wrapped
 
@@ -524,7 +506,7 @@ class SecScaleEngine:
         """Eagerly re-key, re-encrypt and write back a victim page."""
         # integrity gate before the page leaves hardware protection
         plaintext = self.dram.read_span(self._slot_base(slot), PAGE_SIZE, "data")
-        self._check_slot(slot, plaintext, critical=False)
+        self._check_slot(slot, plaintext, lane_at=0)
 
         key = compose_page_key(self.hw_key, slot.eid, self.freshness.draw(), slot.home)
         self.dram.write(
@@ -592,7 +574,7 @@ class SecScaleEngine:
         self.inverted[phys] = slot.index
         page = bytes(plaintext)
         self.dram.write_span(self._slot_base(slot), page, "data")
-        self._rebind_slot(slot, page, critical=False)
+        self._rebind_slot(slot, page, lane_at=0)
 
         entry = EshrEntry(
             slot=slot.index,
@@ -608,9 +590,8 @@ class SecScaleEngine:
         return slot
 
     # -------------------------------------------------------------- access
-    def access(
-        self, eid: int, vaddr: int, op: str, icount: int
-    ) -> tuple[AccessOutcome, bytes | None]:
+    def access(self, eid: int, vaddr: int, op: str, icount: int) -> bytes:
+        """One 8-byte access; returns the bytes read or written."""
         if self.failure is not None:
             raise RuntimeError("engine halted by catastrophic failure")
         if op not in ("R", "W"):
@@ -648,11 +629,9 @@ class SecScaleEngine:
             )
             if op == "R":
                 self.stats.events["read_faults"] += 1
-                outcome = AccessOutcome.FAULT_STARTED
                 value = self._slot_bytes(slot)[offset : offset + 8]
             else:
                 self.stats.events["write_faults"] += 1
-                outcome = AccessOutcome.QUEUED_WRITE
         else:
             slot = self.slots[slot_idx]
             entry = self.eshr.get(slot_idx)
@@ -664,37 +643,31 @@ class SecScaleEngine:
                 entry.ls_vector |= 1 << block
                 entry.demand = True
                 self.stats.events["refaults"] += 1
-                outcome = AccessOutcome.FAULT_STARTED
                 value = self._slot_bytes(slot)[offset : offset + 8]
             elif op == "R":
                 self.stats.events["epc_hits"] += 1
-                outcome = AccessOutcome.EPC_HIT
                 self.dram.read(
                     self._slot_base(slot) + block * BLOCK_SIZE, BLOCK_SIZE, "data"
                 )
-                self.stats.charge_critical(self.latency.dram_access_cycles)
-                self.stats.critical_crypto()
+                self.stats.charge(dram=1, crypto=1)
                 pt = self._slot_bytes(slot)
-                self._check_slot(slot, pt, critical=True)
+                self._check_slot(slot, pt, lane_at=None)
                 value = pt[offset : offset + 8]
             else:
                 # resident write: update the page and rebind the counter tree
                 in_flight = entry is not None
                 self.stats.events["queued_writes" if in_flight else "epc_hits"] += 1
-                outcome = (
-                    AccessOutcome.QUEUED_WRITE if in_flight else AccessOutcome.EPC_HIT
-                )
                 pt = bytearray(self._slot_bytes(slot))
                 pt[offset : offset + 8] = value
                 self.dram.write(self._slot_base(slot) + offset, value, "data")
-                self._rebind_slot(slot, bytes(pt), critical=not in_flight)
+                # in flight, the tree work rides the lane; resident, it waits
+                self._rebind_slot(slot, bytes(pt), lane_at=0 if in_flight else None)
                 if not in_flight:
-                    self.stats.charge_critical(self.latency.dram_access_cycles)
-                    self.stats.critical_crypto()
+                    self.stats.charge(dram=1, crypto=1)
 
         if not self.cfg.deferred:
             self._drain_all()
-        return outcome, value
+        return value
 
     # ------------------------------------------------------------- scratch
     def _scratch_access(self, eid, vaddr, op, icount):
@@ -703,10 +676,10 @@ class SecScaleEngine:
         if op == "W":
             # externally visible write: barrier, pay the exit, then store
             self.syscall_barrier()
-            self.stats.charge_critical(self.latency.enclave_enter_exit)
+            self.stats.charge(cycles=self.latency.enclave_enter_exit)
         value = unprotected_access(self.dram, self.stats, addr, eid, vaddr, op, icount)
         self.stats.events["scratch_reads" if op == "R" else "scratch_writes"] += 1
-        return AccessOutcome.SCRATCH_ACCESS, value
+        return value
 
     # ------------------------------------------------------------- barrier
     def syscall_barrier(self) -> int:

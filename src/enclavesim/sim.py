@@ -74,7 +74,7 @@ class SimConfig:
     model: str = "secscale"
     total_size: int = 64 << 20
     epc_size: int = 1 << 20
-    seed: int = 0
+    seed: int = 0  # a 64-bit unsigned value: models hash its 8 bytes
     deferred: bool = True
     clubbing: bool = True
     top_cache: bool = True
@@ -87,6 +87,8 @@ class SimConfig:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed must be within [0, 2**64), got {self.seed}")
         check_size("total_size", self.total_size)
         check_size("epc_size", self.epc_size)
         if self.epc_size >= self.total_size:
@@ -180,12 +182,10 @@ class PenglaiModel(BaselineModel):
             if len(self._roots) > lat.penglai_root_cache_entries:
                 self._roots.popitem(last=False)
             self.stats.events["root_cache_misses"] += 1
-            self.stats.charge_critical(lat.penglai_mount_cycles)
+            self.stats.charge(cycles=lat.penglai_mount_cycles)
             self.stats.events["mounts"] += 1
         self.stats.events["walk_reads"] += lat.penglai_walk_accesses
-        self.stats.charge_critical(
-            lat.penglai_walk_accesses * lat.dram_access_cycles
-        )
+        self.stats.charge(dram=lat.penglai_walk_accesses)
 
     def access(self, eid: int, vaddr: int, op: str, icount: int):
         if vaddr // PAGE_SIZE < SCRATCH_VBASE:
@@ -224,31 +224,21 @@ class SgxClientModel(_PlainModel):
     def _victim(self) -> int:
         return next(iter(self._lru))
 
-    def _copy_page(self, src: int, dst: int, *, critical: bool):
-        """Software page copy: per-block read+write, plus crypto charges."""
-        lat = self.cfg.latency
+    def _copy_page(self, src: int, dst: int, *, lane_at: int | None):
+        """Software page copy: a read and a write per block, each block
+        re-encrypted once."""
         data = self.dram.read_span(src, PAGE_SIZE, "data")
         self.dram.write_span(dst, data, "data")
-        if critical:
-            self.stats.charge_critical(
-                2 * BLOCKS_PER_PAGE * lat.dram_access_cycles
-            )
-            self.stats.critical_crypto(BLOCKS_PER_PAGE)
-        else:
-            self.stats.lane_charge(
-                0,
-                2 * BLOCKS_PER_PAGE * lat.dram_occupancy_cycles
-                + BLOCKS_PER_PAGE * lat.crypto_occupancy_cycles,
-            )
+        self.stats.charge(
+            dram=2 * BLOCKS_PER_PAGE, crypto=BLOCKS_PER_PAGE, lane_at=lane_at
+        )
 
     def _evict(self, slot: int):
         eid, vpage = self.slot_owner[slot]
         home = self.enclaves[eid].base_page + vpage
-        self._copy_page(slot * PAGE_SIZE, home * PAGE_SIZE, critical=True)
+        self._copy_page(slot * PAGE_SIZE, home * PAGE_SIZE, lane_at=None)
         res = self.merkle.read_verify(slot)
-        self.stats.charge_critical(
-            self.cfg.latency.dram_access_cycles * res.dram_reads
-        )
+        self.stats.charge(dram=res.dram_reads)
         del self.resident[(eid, vpage)]
         self.slot_owner[slot] = None
         self._lru.pop(slot, None)
@@ -261,19 +251,12 @@ class SgxClientModel(_PlainModel):
             slot = self._victim()
             self._evict(slot)
         home = self.enclaves[eid].base_page + vpage
-        self._copy_page(home * PAGE_SIZE, slot * PAGE_SIZE, critical=not cold)
+        lane_at = 0 if cold else None  # a prefetch loads in the background
+        self._copy_page(home * PAGE_SIZE, slot * PAGE_SIZE, lane_at=lane_at)
         res = self.merkle.write_update(
             slot, self.dram.peek(slot * PAGE_SIZE, PAGE_SIZE)
         )
-        lat = self.cfg.latency
-        accesses = res.dram_reads + res.dram_writes
-        if cold:
-            # background tree work costs occupancy per access, as in epc.py;
-            # at the 100/10 access/occupancy cycles of every preset this is
-            # the same charge as a tenth of the critical-path cost
-            self.stats.lane_charge(0, lat.dram_occupancy_cycles * accesses)
-        else:
-            self.stats.charge_critical(lat.dram_access_cycles * accesses)
+        self.stats.charge(dram=res.dram_reads + res.dram_writes, lane_at=lane_at)
         self.resident[(eid, vpage)] = slot
         self.slot_owner[slot] = (eid, vpage)
         if not cold:
@@ -281,14 +264,12 @@ class SgxClientModel(_PlainModel):
         return slot
 
     def _fault(self, eid: int, vpage: int, op: str) -> int:
-        lat = self.cfg.latency
-        self.stats.charge_critical(lat.sgx_fault_penalty)
+        self.stats.charge(cycles=self.cfg.latency.sgx_fault_penalty)
         self.stats.events["read_faults" if op == "R" else "write_faults"] += 1
         return self._insert(eid, vpage)
 
     def access(self, eid: int, vaddr: int, op: str, icount: int):
         self._advance(icount)
-        lat = self.cfg.latency
         vpage, off = vaddr // PAGE_SIZE, vaddr % PAGE_SIZE
         if vpage >= SCRATCH_VBASE:
             addr = scratch_page(self.layout, vpage) * PAGE_SIZE + off
@@ -306,19 +287,13 @@ class SgxClientModel(_PlainModel):
         if op == "R":
             block = base + (off & ~(BLOCK_SIZE - 1))
             self.dram.read(block, BLOCK_SIZE, "data")
-            self.stats.charge_critical(lat.dram_access_cycles)
-            self.stats.critical_crypto()
             res = self.merkle.read_verify(slot)
-            self.stats.charge_critical(lat.dram_access_cycles * res.dram_reads)
+            self.stats.charge(dram=1 + res.dram_reads, crypto=1)
             return self.dram.peek(base + (off & ~7), 8)
         value = write_value(eid, vaddr, icount)
         self.dram.write(base + (off & ~7), value, "data")
-        self.stats.charge_critical(lat.dram_access_cycles)
-        self.stats.critical_crypto()
         res = self.merkle.write_update(slot, self.dram.peek(base, PAGE_SIZE))
-        self.stats.charge_critical(
-            lat.dram_access_cycles * (res.dram_reads + res.dram_writes)
-        )
+        self.stats.charge(dram=1 + res.dram_reads + res.dram_writes, crypto=1)
         return value
 
     def final_state(self, eid: int) -> dict[int, bytes]:

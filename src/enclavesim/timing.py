@@ -10,6 +10,11 @@ The model separates three ideas:
   * events      every named count of a run, in one Counter; DRAM traffic
                 is counted by cause in the emulated DRAM itself (layout.py)
 
+`CycleStats.charge` is the one price list: a model states the DRAM
+accesses, crypto blocks and flat cycles a step uses, and `charge` applies
+latency when the step is on the critical path and occupancy when it runs on
+the lane.
+
 Background work (page moves, deferred verification, MAC updates) shares one
 lane that approximates the verification engine and the block loader running
 in parallel with execution.  The lane is a busy-until clock: work submitted
@@ -77,19 +82,31 @@ class CycleStats:
         self.instructions += n
         self.critical_cycles += n  # one cycle per instruction baseline
 
-    def charge_critical(self, cycles: int):
-        self.critical_cycles += cycles
+    # ---- the price list ------------------------------------------------
+    def charge(self, dram: int = 0, crypto: int = 0, cycles: int = 0, *,
+               lane_at: int | None = None):
+        """Price `dram` accesses, `crypto` 64-byte blocks and flat `cycles`:
+        latency on the critical path when `lane_at` is None, otherwise
+        occupancy on the lane from no earlier than `lane_at`."""
+        cfg = self.cfg
+        if lane_at is None:
+            self.critical_cycles += (
+                dram * cfg.dram_access_cycles + crypto * cfg.crypto_block_cycles + cycles
+            )
+        else:
+            self.lane_charge(lane_at, self.occupancy(dram, crypto) + cycles)
 
-    def critical_crypto(self, blocks: int = 1):
-        self.critical_cycles += self.cfg.crypto_block_cycles * blocks
+    def occupancy(self, dram: int = 0, crypto: int = 0) -> int:
+        """Lane cycles that `dram` accesses and `crypto` blocks keep busy."""
+        cfg = self.cfg
+        return dram * cfg.dram_occupancy_cycles + crypto * cfg.crypto_occupancy_cycles
 
     # ---- background lane -----------------------------------------------
-    def lane_charge(self, available_at: int, duration: int) -> int:
+    def lane_charge(self, available_at: int, duration: int):
         """Occupy the lane for `duration` cycles, no earlier than available_at."""
         start = max(self.lane_free, available_at)
         self.lane_free = start + duration
         self.lane_busy_cycles += duration
-        return self.lane_free
 
     def stall_until_lane(self):
         """Critical path waits for the lane to drain (barriers, full tables)."""

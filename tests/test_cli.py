@@ -15,7 +15,7 @@ import pytest
 from enclavesim.cli import EXIT_MISMATCH, EXIT_OK, EXIT_SECURITY, EXIT_USAGE, main
 from enclavesim.config import parse_size
 from enclavesim.merkle import merkle_storage_bytes
-from enclavesim.sim import REPORT_COLUMNS
+from enclavesim.sim import MODELS, REPORT_COLUMNS
 
 MIB = 1 << 20
 
@@ -128,6 +128,29 @@ def test_build_errors_exit_one_with_one_error_line(workdir, capsys, command, nam
     [line] = captured.err.splitlines()
     assert line.startswith("error: ") and problem in line
     assert not (workdir / "out.json").exists()
+
+
+# every model hashes the seed's 8 bytes, so a seed outside them is a config
+# error, whichever model or command would have met it first
+@pytest.mark.parametrize(
+    "argv",
+    [["run", "--preset", "merkle-only", "--model", m, "--seed", "-1"] for m in MODELS]
+    + [["compare", "--preset", "trend", "--seed", "-1"]],
+    ids=[f"run-{m}" for m in MODELS] + ["compare-trend"],
+)
+def test_negative_seed_exits_one_with_one_error_line(workdir, capsys, argv):
+    assert main(argv + ["--out", "neg"]) == EXIT_USAGE
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and "seed" in line
+    assert not (workdir / "neg.json").exists()
+
+
+def test_seed_beyond_64_bits_exits_one_with_one_error_line(workdir, capsys):
+    cfg = write_config(workdir, seed=1 << 64)
+    assert main(["run", cfg, "--out", "big"]) == EXIT_USAGE
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and "seed" in line
+    assert not (workdir / "big.json").exists()
 
 
 # ------------------------------------------------------------ reproducibility

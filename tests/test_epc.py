@@ -18,7 +18,6 @@ from enclavesim.config import PRESETS, load_config
 from enclavesim.crypto import compose_page_key, ecb_decrypt_page, unwrap_key
 from enclavesim.epc import (
     SCRATCH_VBASE,
-    AccessOutcome,
     EshrEntry,
     SecScaleEngine,
     write_value,
@@ -46,14 +45,21 @@ def make_engine(epc_size=1 * MIB, total_size=64 * MIB, max_outstanding_jobs=None
     )
 
 
-def run_trace(eng, trace):
-    """trace: iterable of (vaddr, op, gap). Returns list of (outcome, value)."""
-    out = []
-    ic = eng.last_icount
-    for vaddr, op, gap in trace:
-        ic += gap
-        out.append(eng.access(EID, vaddr, op, ic))
-    return out
+# the events that say which path an access took: a fault, a hit, a write
+# to a page in flight, a restart on a block not yet landed, or scratch
+OUTCOME_EVENTS = (
+    "read_faults", "write_faults", "epc_hits", "queued_writes", "refaults",
+    "scratch_reads", "scratch_writes",
+)
+
+
+def access_outcome(eng, eid, vaddr, op, icount):
+    """One access: the 8 bytes it returned and the outcome events it counted."""
+    events = eng.stats.events
+    before = {name: events[name] for name in OUTCOME_EVENTS}
+    value = eng.access(eid, vaddr, op, icount)
+    counted = {n: events[n] - b for n, b in before.items() if events[n] != b}
+    return counted, value
 
 
 # --------------------------------------------------------------- carving
@@ -129,7 +135,7 @@ def test_read_returns_last_written_value_across_evictions():
         stored[v] = write_value(EID, v * PAGE_SIZE, ic)
     for v in range(400):
         ic += 100
-        _, val = eng.access(EID, v * PAGE_SIZE, "R", ic)
+        val = eng.access(EID, v * PAGE_SIZE, "R", ic)
         assert val == stored[v], f"page {v} corrupted on round trip"
     eng.finalize()
     assert eng.stats.events["evictions"] >= 150
@@ -155,8 +161,8 @@ def test_read_miss_charges_exactly_two_dram_reads_plus_decrypt():
     for v in range(n):  # pages 0..39 were evicted by the LRU sweep
         ic += 20000
         instr += 20000
-        out, _ = eng.access(EID, v * PAGE_SIZE + 512, "R", ic)
-        assert out is AccessOutcome.FAULT_STARTED
+        counted, _ = access_outcome(eng, EID, v * PAGE_SIZE + 512, "R", ic)
+        assert counted == {"read_faults": 1}
     assert eng.stats.events["eshr_stalls"] == 0, "gap too small to isolate charges"
     per_miss = 2 * lat.dram_access_cycles + lat.crypto_block_cycles
     assert eng.stats.critical_cycles - base_critical == instr + n * per_miss
@@ -168,8 +174,8 @@ def test_write_miss_charges_nothing_critical():
     eng = make_engine()
     eng.register_enclave(EID, 64)
     base = eng.stats.critical_cycles
-    out, _ = eng.access(EID, 5 * PAGE_SIZE, "W", 1000)
-    assert out is AccessOutcome.QUEUED_WRITE
+    counted, _ = access_outcome(eng, EID, 5 * PAGE_SIZE, "W", 1000)
+    assert counted == {"write_faults": 1}
     assert eng.stats.critical_cycles - base == 1000  # instructions only
 
 
@@ -180,8 +186,8 @@ def test_epc_hit_charges_one_read_one_decrypt():
     eng.access(EID, 0, "W", 10000)
     eng.syscall_barrier()
     base = eng.stats.critical_cycles
-    out, _ = eng.access(EID, 64, "R", 20000)
-    assert out is AccessOutcome.EPC_HIT
+    counted, _ = access_outcome(eng, EID, 64, "R", 20000)
+    assert counted == {"epc_hits": 1}
     extra = eng.stats.critical_cycles - base - 10000
     assert extra == lat.dram_access_cycles + lat.crypto_block_cycles
 
@@ -388,8 +394,8 @@ def test_refault_charges_like_a_miss_and_marks_demand():
     eng.access(EID, 0, "R", ic)  # miss on evicted page 0, entry in flight
     (e,) = eng.eshr.values()
     base = eng.stats.critical_cycles
-    out, val = eng.access(EID, 40 * 64, "R", ic)  # block 40 not yet landed
-    assert out is AccessOutcome.FAULT_STARTED
+    counted, val = access_outcome(eng, EID, 40 * 64, "R", ic)  # block 40 not yet landed
+    assert counted == {"refaults": 1}
     assert eng.stats.events["refaults"] == 1
     assert e.ls_vector >> 40 & 1
     assert val == bytes(8)  # block 40 of page 0 was never written
@@ -504,8 +510,8 @@ def test_first_touch_reads_zero_and_skips_verification():
     eng = make_engine()
     eng.register_enclave(EID, 8)
     before = eng.stats.events["verifier_jobs"]
-    out, val = eng.access(EID, 2 * PAGE_SIZE + 256, "R", 50)
-    assert out is AccessOutcome.FAULT_STARTED
+    counted, val = access_outcome(eng, EID, 2 * PAGE_SIZE + 256, "R", 50)
+    assert counted == {"read_faults": 1}
     assert val == bytes(8)
     eng.finalize()
     assert eng.stats.events["verifier_jobs"] == before, "nothing to verify on first touch"
@@ -662,10 +668,11 @@ def test_scratch_write_pays_exit_and_scratch_is_shared():
     eng.register_enclave(9, 8)
     vaddr = SCRATCH_VBASE * PAGE_SIZE + 24
     base = eng.stats.critical_cycles
-    out, val = eng.access(EID, vaddr, "W", 100)
-    assert out is AccessOutcome.SCRATCH_ACCESS
+    counted, val = access_outcome(eng, EID, vaddr, "W", 100)
+    assert counted == {"scratch_writes": 1}
     assert eng.stats.critical_cycles - base >= 100 + lat.enclave_enter_exit
-    _, seen = eng.access(9, vaddr, "R", 200)
+    counted, seen = access_outcome(eng, 9, vaddr, "R", 200)
+    assert counted == {"scratch_reads": 1}
     assert seen == val, "scratch pages are shared address space"
     assert eng.stats.events["barriers"] == 1
 

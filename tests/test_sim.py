@@ -6,10 +6,11 @@ are checked against the direction the respective design argues for.
 """
 
 import dataclasses
+import random
 
 import pytest
 
-from enclavesim.epc import make_layout
+from enclavesim.epc import SCRATCH_VBASE, make_layout, write_value
 from enclavesim.layout import PAGE_SIZE, ConfigError
 from enclavesim.sim import (
     MODEL_CLASSES,
@@ -113,6 +114,57 @@ def test_every_model_rejects_the_same_enclaves(model):
     model_run.register_enclave(1, 1)
     with pytest.raises(ValueError, match="already registered"):
         model_run.register_enclave(1, 1)
+
+
+def test_every_model_returns_the_same_value_for_every_access():
+    # two enclaves over more pages than the 256 KiB EPC holds, plus scratch
+    # words both enclaves share; a small pool of words, so most reads see a
+    # written value
+    rng = random.Random(12)
+    pool = [(1, rng.randrange(120) * PAGE_SIZE + rng.randrange(512) * 8)
+            for _ in range(120)]
+    pool += [(2, rng.randrange(40) * PAGE_SIZE + rng.randrange(512) * 8)
+             for _ in range(40)]
+    pool += [(None, (SCRATCH_VBASE + v) * PAGE_SIZE + 8 * v) for v in range(4)]
+    records, ic = [], 0
+    for _ in range(3000):
+        ic += rng.randrange(1, 2000)
+        eid, vaddr = rng.choice(pool)
+        eid = eid or rng.choice((1, 2))  # either enclave reaches scratch
+        records.append(TraceRecord("RW"[rng.random() < 0.4], vaddr, eid, ic))
+
+    values = {}
+    for name in MODELS:
+        model = MODEL_CLASSES[name](
+            SimConfig(model=name, total_size=16 << 20, epc_size=256 << 10, seed=3)
+        )
+        for eid, n_pages in sorted(enclave_footprints(records).items()):
+            model.register_enclave(eid, max(n_pages, 1))
+        if isinstance(model, DfpModel):
+            model.set_trace(records)
+        values[name] = [
+            model.access(r.enclave_id, r.vaddr, r.op, r.icount) for r in records
+        ]
+        model.finalize()
+    for name in MODELS:
+        assert values[name] == values["baseline"], f"{name} returned other values"
+
+    last = {}  # scratch words are shared, enclave words are the enclave's own
+    scratch_ops, reads, written_reads = set(), 0, 0
+    for r, value in zip(records, values["baseline"]):
+        scratch = r.vaddr // PAGE_SIZE >= SCRATCH_VBASE
+        word = r.vaddr if scratch else (r.enclave_id, r.vaddr)
+        if scratch:
+            scratch_ops.add(r.op)
+        if r.op == "W":
+            last[word] = write_value(r.enclave_id, r.vaddr, r.icount)
+            assert value == last[word]
+        else:
+            reads += 1
+            written_reads += word in last
+            assert value == last.get(word, bytes(8))
+    assert scratch_ops == {"R", "W"}
+    assert written_reads > reads // 2, "most reads should see a written value"
 
 
 def test_state_digest_is_order_independent():
