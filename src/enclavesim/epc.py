@@ -1,5 +1,9 @@
 """Overlapped EPC paging engine: fault handling, deferral, clubbing.
 
+`Model`, the base every model in sim.py builds on, lives here too: it holds
+the emulated memory, the clock, the enclave map and the one checked
+`access`; `SecScaleEngine` is the overlapped design on top of it.
+
 The EPC acts as a page-granular LRU cache over the encrypted eEPC.  A read
 miss charges exactly two DRAM reads on the critical path -- the demanded
 64-byte block and the page's wrapped-key slot -- plus one block decrypt,
@@ -86,35 +90,10 @@ def make_layout(total_size: int, epc_size: int) -> MemoryLayout:
     )
 
 
-def scratch_page(layout: MemoryLayout, vpage: int) -> int:
-    """Physical page behind a scratch virtual page; all enclaves share it."""
-    base = layout.scratch_base // PAGE_SIZE
-    return base + (vpage - SCRATCH_VBASE) % layout.scratch_pages
-
-
 def write_value(eid: int, vaddr: int, icount: int) -> bytes:
     """Deterministic 8-byte store value; shared with reference executions."""
     x = eid * 0x9E3779B97F4A7C15 ^ vaddr * 0xC2B2AE3D27D4EB4F ^ icount * 0x165667B19E3779F9
     return (x & (1 << 64) - 1).to_bytes(8, "big")
-
-
-def unprotected_access(
-    dram: EmulatedDram, stats: CycleStats, addr: int, eid: int, vaddr: int,
-    op: str, icount: int,
-) -> bytes:
-    """One 8-byte access at physical `addr` with no protection: a block read
-    or an 8-byte write, and one DRAM latency on the critical path.  No model
-    charges an enclave exit here; only secscale adds one, before a write."""
-    if op == "R":
-        block = addr & ~(BLOCK_SIZE - 1)
-        data = dram.read(block, BLOCK_SIZE, "data")
-        off = (addr - block) & ~7
-        value = data[off : off + 8]
-    else:
-        value = write_value(eid, vaddr, icount)
-        dram.write(addr & ~7, value, "data")
-    stats.charge(dram=1)
-    return value
 
 
 @dataclass
@@ -124,28 +103,115 @@ class Enclave:
     base_page: int  # first eEPC physical page of the flat virtual range
 
 
-def register_enclave(
-    layout: MemoryLayout, enclaves: dict[int, Enclave], eid: int, n_pages: int
-) -> Enclave:
-    """Map an enclave's pages to the next free run of eEPC home pages.
+class Model:
+    """What every model shares, the secscale engine included.
 
-    Every model registers through this, so every model rejects the same
-    enclaves: an id that is zero or does not fit the key format's 31 bits,
-    and pages that would run past the eEPC into the forest region.
+    Emulated memory that counts its traffic, one cycle account, and enclaves
+    mapped to consecutive home pages in the eEPC.  `access` is the one entry
+    and checks its input the same way for every model; it advances the
+    clock, then sends a scratch page to `_scratch_access` and an enclave
+    page to `_secure_access`.  The default `_secure_access` is the
+    unprotected reference, and a design overrides what it does differently.
     """
-    if eid in enclaves:
-        raise ValueError(f"enclave {eid} already registered")
-    if not 0 < eid < 1 << 31:
-        raise ConfigError(f"enclave id {eid}: must fit in 31 bits and be nonzero")
-    base = layout.eepc_base // PAGE_SIZE + sum(e.n_pages for e in enclaves.values())
-    free = layout.forest_base // PAGE_SIZE - base
-    if n_pages > free:
-        raise ConfigError(
-            f"eEPC exhausted: enclave {eid} needs {n_pages} home pages, "
-            f"{free} of the eEPC's {layout.eepc_size // PAGE_SIZE} are free"
-        )
-    enc = enclaves[eid] = Enclave(eid, n_pages, base)
-    return enc
+
+    def __init__(self, cfg: SimConfig):
+        self.cfg = cfg
+        self.layout = make_layout(cfg.total_size, cfg.epc_size)
+        self.stats = CycleStats(cfg.latency)
+        self.dram = EmulatedDram(self.layout)
+        self.enclaves: dict[int, Enclave] = {}
+        self.last_icount = 0
+
+    # ------------------------------------------------------------ enclaves
+    def register_enclave(self, eid: int, n_pages: int) -> Enclave:
+        """Map an enclave's pages to the next free run of eEPC home pages.
+
+        Every model rejects the same enclaves: an id that is zero or does
+        not fit the key format's 31 bits, fewer than one page, and pages
+        that would run past the eEPC into the forest region.
+        """
+        if eid in self.enclaves:
+            raise ValueError(f"enclave {eid} already registered")
+        if not 0 < eid < 1 << 31:
+            raise ConfigError(f"enclave id {eid}: must fit in 31 bits and be nonzero")
+        if n_pages < 1:
+            raise ConfigError(f"enclave {eid}: n_pages {n_pages} must be at least 1")
+        layout = self.layout
+        used = sum(e.n_pages for e in self.enclaves.values())
+        base = layout.eepc_base // PAGE_SIZE + used
+        free = layout.forest_base // PAGE_SIZE - base
+        if n_pages > free:
+            raise ConfigError(
+                f"eEPC exhausted: enclave {eid} needs {n_pages} home pages, "
+                f"{free} of the eEPC's {layout.eepc_size // PAGE_SIZE} are free"
+            )
+        enc = self.enclaves[eid] = Enclave(eid, n_pages, base)
+        return enc
+
+    def home_page(self, eid: int, vpage: int) -> int:
+        """The eEPC physical page an enclave's virtual page belongs to."""
+        try:
+            enc = self.enclaves[eid]
+        except KeyError:
+            raise ValueError(f"enclave {eid} not registered") from None
+        if not 0 <= vpage < enc.n_pages:
+            raise ValueError(f"vpage {vpage} outside enclave {eid} range")
+        return enc.base_page + vpage
+
+    # -------------------------------------------------------------- access
+    def access(self, eid: int, vaddr: int, op: str, icount: int) -> bytes:
+        """One 8-byte access; returns the bytes read or written."""
+        if op not in ("R", "W"):
+            raise ValueError(f"op must be R or W, got {op!r}")
+        if icount < self.last_icount:
+            raise ValueError("icount must be non-decreasing")
+        self._advance(icount)
+        if vaddr // PAGE_SIZE >= SCRATCH_VBASE:
+            return self._scratch_access(eid, vaddr, op, icount)
+        return self._secure_access(eid, vaddr, op, icount)
+
+    def _advance(self, icount: int):
+        self.stats.advance_instructions(icount - self.last_icount)
+        self.last_icount = icount
+
+    def _scratch_access(self, eid: int, vaddr: int, op: str, icount: int) -> bytes:
+        """Scratch pages bypass protection, and all enclaves share them.  No
+        enclave exit is charged here; only secscale adds one, before a write."""
+        layout = self.layout
+        vpage = vaddr // PAGE_SIZE - SCRATCH_VBASE
+        page = layout.scratch_base // PAGE_SIZE + vpage % layout.scratch_pages
+        self.stats.events["scratch_reads" if op == "R" else "scratch_writes"] += 1
+        return self._unprotected(page, eid, vaddr, op, icount)
+
+    def _secure_access(self, eid: int, vaddr: int, op: str, icount: int) -> bytes:
+        """The unprotected reference: the enclave page at its home."""
+        page = self.home_page(eid, vaddr // PAGE_SIZE)
+        return self._unprotected(page, eid, vaddr, op, icount)
+
+    def _unprotected(self, page: int, eid: int, vaddr: int, op: str, icount: int):
+        """One 8-byte access in physical `page` with no protection: a block
+        read or an 8-byte write, and one DRAM latency on the critical path."""
+        addr = page * PAGE_SIZE + vaddr % PAGE_SIZE
+        if op == "R":
+            block = addr & ~(BLOCK_SIZE - 1)
+            data = self.dram.read(block, BLOCK_SIZE, "data")
+            off = (addr - block) & ~7
+            value = data[off : off + 8]
+        else:
+            value = write_value(eid, vaddr, icount)
+            self.dram.write(addr & ~7, value, "data")
+        self.stats.charge(dram=1)
+        return value
+
+    def finalize(self):
+        pass
+
+    def final_state(self, eid: int) -> dict[int, bytes]:
+        """Plaintext of each of an enclave's pages, keyed by virtual page."""
+        return {
+            v: self.dram.peek(self.home_page(eid, v) * PAGE_SIZE, PAGE_SIZE)
+            for v in range(self.enclaves[eid].n_pages)
+        }
 
 
 @dataclass
@@ -172,7 +238,7 @@ class EshrEntry:
     verify_payload: tuple[int, bytes, bytes] | None = None  # (page, key, pt)
 
 
-class SecScaleEngine:
+class SecScaleEngine(Model):
     """Deterministic single-core model of the overlapped protection design.
 
     Built like every other model, from the run's SimConfig.  Two settings
@@ -191,12 +257,10 @@ class SecScaleEngine:
     ):
         if max_outstanding_jobs is not None and max_outstanding_jobs <= 0:
             raise ValueError("max_outstanding_jobs must be positive when set")
-        self.cfg = cfg
+        super().__init__(cfg)
         self.max_outstanding_jobs = max_outstanding_jobs
-        self.layout = layout = make_layout(cfg.total_size, cfg.epc_size)
+        layout = self.layout
         self.latency = cfg.latency
-        self.stats = CycleStats(cfg.latency)
-        self.dram = EmulatedDram(layout)
 
         h = hashlib.sha256(b"engine-seed" + cfg.seed.to_bytes(8, "big")).digest()
         self.hw_key = int.from_bytes(h[:8], "big")
@@ -239,7 +303,6 @@ class SecScaleEngine:
         self.slots = OrderedDict((i, EpcSlot(i)) for i in range(self.n_slots))
         self.resident: dict[tuple[int, int], int] = {}  # (eid, vpage) -> slot
         self.inverted: dict[int, int] = {}  # physical eEPC page -> slot
-        self.enclaves: dict[int, Enclave] = {}
         self.mapping_overrides: dict[tuple[int, int], int] = {}
         self.eepc_initialized: set[int] = set()
 
@@ -247,18 +310,11 @@ class SecScaleEngine:
         self.queue: deque[VerificationJob] = deque()  # strict FIFO
         self._club: tuple[int, list[tuple[int, bytes, bytes]]] | None = None
 
-        self.last_icount = 0
         self.failure: CatastrophicFailure | None = None
 
     # ------------------------------------------------------------ enclaves
-    def register_enclave(self, eid: int, n_pages: int) -> Enclave:
-        return register_enclave(self.layout, self.enclaves, eid, n_pages)
-
     def _phys_page(self, eid: int, vpage: int) -> int:
-        enc = self.enclaves[eid]
-        if vpage >= enc.n_pages:
-            raise ValueError(f"vpage {vpage} outside enclave {eid} range")
-        phys = self.mapping_overrides.get((eid, vpage), enc.base_page + vpage)
+        phys = self.mapping_overrides.get((eid, vpage), self.home_page(eid, vpage))
         if self.layout.classify(page_base(phys)) is not Region.EEPC:
             raise CatastrophicFailure(
                 f"secure virtual page {vpage} mapped outside the protected "
@@ -435,7 +491,9 @@ class SecScaleEngine:
             return True
         return False
 
-    def _drain_opportunistic(self):
+    def _advance(self, icount: int):
+        """Advance the clock, then let the lane catch up with it."""
+        super()._advance(icount)
         stats = self.stats
         while stats.lane_free < stats.critical_cycles and self._lane_pull(
             stats.critical_cycles
@@ -591,30 +649,18 @@ class SecScaleEngine:
 
     # -------------------------------------------------------------- access
     def access(self, eid: int, vaddr: int, op: str, icount: int) -> bytes:
-        """One 8-byte access; returns the bytes read or written."""
+        """`Model.access`; a catastrophic failure halts the engine."""
         if self.failure is not None:
             raise RuntimeError("engine halted by catastrophic failure")
-        if op not in ("R", "W"):
-            raise ValueError(f"op must be R or W, got {op!r}")
-        if icount < self.last_icount:
-            raise ValueError("icount must be non-decreasing")
         try:
-            return self._access(eid, vaddr, op, icount)
+            return super().access(eid, vaddr, op, icount)
         except CatastrophicFailure as cf:
             self.failure = cf
             self.stats.events["catastrophic_failures"] += 1
             raise
 
-    def _access(self, eid, vaddr, op, icount):
-        self.stats.advance_instructions(icount - self.last_icount)
-        self.last_icount = icount
-        self._drain_opportunistic()
+    def _secure_access(self, eid, vaddr, op, icount):
         vpage = vaddr // PAGE_SIZE
-        if vpage >= SCRATCH_VBASE:
-            return self._scratch_access(eid, vaddr, op, icount)
-        if eid not in self.enclaves:
-            raise ValueError(f"enclave {eid} not registered")
-
         block = (vaddr % PAGE_SIZE) // BLOCK_SIZE
         offset = (vaddr % PAGE_SIZE) & ~7
         value = write_value(eid, vaddr, icount) if op == "W" else None
@@ -671,15 +717,11 @@ class SecScaleEngine:
 
     # ------------------------------------------------------------- scratch
     def _scratch_access(self, eid, vaddr, op, icount):
-        phys = scratch_page(self.layout, vaddr // PAGE_SIZE)
-        addr = phys * PAGE_SIZE + vaddr % PAGE_SIZE
         if op == "W":
             # externally visible write: barrier, pay the exit, then store
             self.syscall_barrier()
             self.stats.charge(cycles=self.latency.enclave_enter_exit)
-        value = unprotected_access(self.dram, self.stats, addr, eid, vaddr, op, icount)
-        self.stats.events["scratch_reads" if op == "R" else "scratch_writes"] += 1
-        return value
+        return super()._scratch_access(eid, vaddr, op, icount)
 
     # ------------------------------------------------------------- barrier
     def syscall_barrier(self) -> int:

@@ -14,6 +14,10 @@ Five memory-protection designs consume identical traces:
               small root cache that absorbs the walk for hot regions
   baseline    unprotected DRAM, one access per reference
 
+Every model is an `epc.Model`: the base holds memory, clock and enclave map
+and owns the one checked `access`, and each design overrides what it does
+differently, mostly `_secure_access`.
+
 The comparison models are performance models: they charge what their design
 costs but store plaintext bytes, so every model's final state must equal
 the unprotected reference — which is the cross-model correctness oracle.
@@ -34,26 +38,10 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from .crypto import FRESHNESS_MODES
-from .epc import (
-    SCRATCH_VBASE,
-    Enclave,
-    SecScaleEngine,
-    make_layout,
-    register_enclave,
-    scratch_page,
-    unprotected_access,
-    write_value,
-)
-from .layout import (
-    BLOCK_SIZE,
-    BLOCKS_PER_PAGE,
-    DRAM_CAUSES,
-    PAGE_SIZE,
-    EmulatedDram,
-    check_size,
-)
+from .epc import SCRATCH_VBASE, Model, SecScaleEngine, write_value
+from .layout import BLOCK_SIZE, BLOCKS_PER_PAGE, DRAM_CAUSES, PAGE_SIZE, check_size
 from .merkle import EpcMerkle, carve_slots
-from .timing import CycleStats, LatencyConfig
+from .timing import LatencyConfig
 from .verifier import CatastrophicFailure
 from .workload import TraceRecord
 
@@ -109,54 +97,8 @@ class SimConfig:
 # --------------------------------------------------------------------------
 # Comparison models
 # --------------------------------------------------------------------------
-class _PlainModel:
-    """What the plaintext comparison models share.
-
-    Emulated memory that counts its traffic, one cycle account, and enclaves
-    mapped to consecutive home pages in the eEPC.  Pages that bypass
-    protection go through `epc.unprotected_access`, as secscale's do.
-    """
-
-    def __init__(self, cfg: SimConfig):
-        self.cfg = cfg
-        self.layout = make_layout(cfg.total_size, cfg.epc_size)
-        self.stats = CycleStats(cfg.latency)
-        self.dram = EmulatedDram(self.layout)
-        self.enclaves: dict[int, Enclave] = {}
-        self.last_icount = 0
-
-    def register_enclave(self, eid: int, n_pages: int) -> Enclave:
-        return register_enclave(self.layout, self.enclaves, eid, n_pages)
-
-    def _advance(self, icount: int):
-        self.stats.advance_instructions(icount - self.last_icount)
-        self.last_icount = icount
-
-    def finalize(self):
-        pass
-
-    def final_state(self, eid: int) -> dict[int, bytes]:
-        enc = self.enclaves[eid]
-        return {
-            v: self.dram.peek((enc.base_page + v) * PAGE_SIZE, PAGE_SIZE)
-            for v in range(enc.n_pages)
-        }
-
-
-class BaselineModel(_PlainModel):
+class BaselineModel(Model):
     """Unprotected memory: one DRAM access per reference."""
-
-    def access(self, eid: int, vaddr: int, op: str, icount: int):
-        self._advance(icount)
-        vpage = vaddr // PAGE_SIZE
-        if vpage >= SCRATCH_VBASE:
-            phys = scratch_page(self.layout, vpage)
-        else:
-            phys = self.enclaves[eid].base_page + vpage
-        return unprotected_access(
-            self.dram, self.stats, phys * PAGE_SIZE + vaddr % PAGE_SIZE,
-            eid, vaddr, op, icount,
-        )
 
 
 class PenglaiModel(BaselineModel):
@@ -187,14 +129,12 @@ class PenglaiModel(BaselineModel):
         self.stats.events["walk_reads"] += lat.penglai_walk_accesses
         self.stats.charge(dram=lat.penglai_walk_accesses)
 
-    def access(self, eid: int, vaddr: int, op: str, icount: int):
-        if vaddr // PAGE_SIZE < SCRATCH_VBASE:
-            self._advance(icount)  # leaves super()._advance a no-op
-            self._walk(eid, vaddr // PAGE_SIZE)
-        return super().access(eid, vaddr, op, icount)
+    def _secure_access(self, eid: int, vaddr: int, op: str, icount: int):
+        self._walk(eid, vaddr // PAGE_SIZE)
+        return super()._secure_access(eid, vaddr, op, icount)
 
 
-class SgxClientModel(_PlainModel):
+class SgxClientModel(Model):
     """EPC cache with a counter tree and a synchronous software paging path.
 
     Every fault exits to a kernel handler (flat penalty), which copies and
@@ -235,7 +175,7 @@ class SgxClientModel(_PlainModel):
 
     def _evict(self, slot: int):
         eid, vpage = self.slot_owner[slot]
-        home = self.enclaves[eid].base_page + vpage
+        home = self.home_page(eid, vpage)
         self._copy_page(slot * PAGE_SIZE, home * PAGE_SIZE, lane_at=None)
         res = self.merkle.read_verify(slot)
         self.stats.charge(dram=res.dram_reads)
@@ -245,12 +185,12 @@ class SgxClientModel(_PlainModel):
         self.stats.events["evictions"] += 1
 
     def _insert(self, eid: int, vpage: int, *, cold: bool = False) -> int:
+        home = self.home_page(eid, vpage)  # a bad page raises before eviction
         if self.free:
             slot = self.free.pop()
         else:
             slot = self._victim()
             self._evict(slot)
-        home = self.enclaves[eid].base_page + vpage
         lane_at = 0 if cold else None  # a prefetch loads in the background
         self._copy_page(home * PAGE_SIZE, slot * PAGE_SIZE, lane_at=lane_at)
         res = self.merkle.write_update(
@@ -268,15 +208,8 @@ class SgxClientModel(_PlainModel):
         self.stats.events["read_faults" if op == "R" else "write_faults"] += 1
         return self._insert(eid, vpage)
 
-    def access(self, eid: int, vaddr: int, op: str, icount: int):
-        self._advance(icount)
+    def _secure_access(self, eid: int, vaddr: int, op: str, icount: int):
         vpage, off = vaddr // PAGE_SIZE, vaddr % PAGE_SIZE
-        if vpage >= SCRATCH_VBASE:
-            addr = scratch_page(self.layout, vpage) * PAGE_SIZE + off
-            return unprotected_access(
-                self.dram, self.stats, addr, eid, vaddr, op, icount
-            )
-
         slot = self.resident.get((eid, vpage))
         if slot is None:
             slot = self._fault(eid, vpage, op)
@@ -297,12 +230,11 @@ class SgxClientModel(_PlainModel):
         return value
 
     def final_state(self, eid: int) -> dict[int, bytes]:
-        enc = self.enclaves[eid]
         out = {}
-        for v in range(enc.n_pages):
+        for v in range(self.enclaves[eid].n_pages):
             slot = self.resident.get((eid, v))
-            src = (enc.base_page + v if slot is None else slot) * PAGE_SIZE
-            out[v] = self.dram.peek(src, PAGE_SIZE)
+            page = self.home_page(eid, v) if slot is None else slot
+            out[v] = self.dram.peek(page * PAGE_SIZE, PAGE_SIZE)
         return out
 
 
@@ -331,14 +263,17 @@ class DfpModel(SgxClientModel):
         self._future = [(r.enclave_id, r.vaddr // PAGE_SIZE) for r in records]
         self._pos = 0
 
-    def access(self, eid: int, vaddr: int, op: str, icount: int):
+    def access(self, eid: int, vaddr: int, op: str, icount: int) -> bytes:
+        out = super().access(eid, vaddr, op, icount)
+        self._pos += 1
+        return out
+
+    def _secure_access(self, eid: int, vaddr: int, op: str, icount: int):
         slot = self.resident.get((eid, vaddr // PAGE_SIZE))
         if slot in self._prefetched:
             del self._prefetched[slot]
             self.stats.events["prefetch_hits"] += 1
-        out = super().access(eid, vaddr, op, icount)
-        self._pos += 1
-        return out
+        return super()._secure_access(eid, vaddr, op, icount)
 
     def _predict(self, faulting: tuple[int, int]) -> tuple[int, int] | None:
         horizon = self._future[self._pos : self._pos + self.cfg.dfp_lookahead]

@@ -105,6 +105,8 @@ class SyntheticSpec:
             raise ValueError("accesses_per_instruction must be positive")
         if self.stride_bytes <= 0 or self.stride_bytes % BLOCK_SIZE:
             raise ValueError("stride must be a positive multiple of 64")
+        if not 0 <= self.seed < 1 << 64:  # Random(-5) would replay seed 5
+            raise ValueError(f"seed must be within [0, 2**64), got {self.seed}")
 
     @property
     def icount_gap(self) -> int:

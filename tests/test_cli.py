@@ -75,13 +75,16 @@ def test_unknown_config_key_exits_one_with_path(workdir, capsys):
         ({"eshr_entries": "4"}, "eshr_entries"),
         ({"seed": "3"}, "seed"),
         ({"eshr_entries": 0}, "eshr_entries"),
+        # Random(-5) seeds as Random(5): the generator seed must be in range
+        ({"workload": {"seed": -5}}, "workload: seed"),
     ],
 )
 def test_bad_config_value_exits_one_with_path(workdir, capsys, config, path):
     bad = workdir / "bad.json"
     bad.write_text(json.dumps(config))
     assert main(["run", str(bad)]) == EXIT_USAGE
-    assert path in capsys.readouterr().err
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and path in line
 
 
 @pytest.mark.parametrize(
@@ -131,18 +134,19 @@ def test_build_errors_exit_one_with_one_error_line(workdir, capsys, command, nam
 
 
 # every model hashes the seed's 8 bytes, so a seed outside them is a config
-# error, whichever model or command would have met it first
+# error, whichever model or command would have met it first; the generator
+# would take -5 for 5
 @pytest.mark.parametrize(
     "argv",
     [["run", "--preset", "merkle-only", "--model", m, "--seed", "-1"] for m in MODELS]
-    + [["compare", "--preset", "trend", "--seed", "-1"]],
-    ids=[f"run-{m}" for m in MODELS] + ["compare-trend"],
+    + [["compare", "--preset", "trend", "--seed", "-1"], ["gen-trace", "--seed", "-5"]],
+    ids=[f"run-{m}" for m in MODELS] + ["compare-trend", "gen-trace"],
 )
 def test_negative_seed_exits_one_with_one_error_line(workdir, capsys, argv):
     assert main(argv + ["--out", "neg"]) == EXIT_USAGE
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith("error: ") and "seed" in line
-    assert not (workdir / "neg.json").exists()
+    assert not (workdir / "neg.json").exists() and not (workdir / "neg").exists()
 
 
 def test_seed_beyond_64_bits_exits_one_with_one_error_line(workdir, capsys):

@@ -114,6 +114,33 @@ def test_every_model_rejects_the_same_enclaves(model):
     model_run.register_enclave(1, 1)
     with pytest.raises(ValueError, match="already registered"):
         model_run.register_enclave(1, 1)
+    # an empty or negative enclave would let the next one's base fall
+    # inside the enclaves before it, or the EPC carve below the eEPC
+    for n_pages in (0, -3):
+        with pytest.raises(ConfigError, match="n_pages"):
+            model_run.register_enclave(2, n_pages)
+    assert list(model_run.enclaves) == [1]
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_every_model_rejects_the_same_accesses(model):
+    config = SimConfig(model=model, total_size=16 << 20, epc_size=256 << 10)
+    m = MODEL_CLASSES[model](config)
+    m.register_enclave(1, 4)
+    m.register_enclave(2, 4)
+    for v in range(4):
+        m.access(2, v * PAGE_SIZE + 8, "W", 10 + v)
+    before = m.final_state(2)
+    bad = {
+        "op": (1, 0, "X", 20),
+        "enclave": (3, 0, "R", 20),
+        "vpage": (1, 4 * PAGE_SIZE, "W", 20),  # enclave 2's first home page
+        "icount": (1, 0, "R", 5),
+    }
+    for name, args in bad.items():
+        with pytest.raises(ValueError):
+            m.access(*args)
+        assert m.final_state(2) == before, f"a bad {name} changed enclave 2"
 
 
 def test_every_model_returns_the_same_value_for_every_access():
@@ -133,7 +160,7 @@ def test_every_model_returns_the_same_value_for_every_access():
         eid = eid or rng.choice((1, 2))  # either enclave reaches scratch
         records.append(TraceRecord("RW"[rng.random() < 0.4], vaddr, eid, ic))
 
-    values = {}
+    values, scratch_counts = {}, {}
     for name in MODELS:
         model = MODEL_CLASSES[name](
             SimConfig(model=name, total_size=16 << 20, epc_size=256 << 10, seed=3)
@@ -146,6 +173,8 @@ def test_every_model_returns_the_same_value_for_every_access():
             model.access(r.enclave_id, r.vaddr, r.op, r.icount) for r in records
         ]
         model.finalize()
+        events = model.stats.events
+        scratch_counts[name] = (events["scratch_reads"], events["scratch_writes"])
     for name in MODELS:
         assert values[name] == values["baseline"], f"{name} returned other values"
 
@@ -164,6 +193,9 @@ def test_every_model_returns_the_same_value_for_every_access():
             written_reads += word in last
             assert value == last.get(word, bytes(8))
     assert scratch_ops == {"R", "W"}
+    scratch = [r.op for r in records if r.vaddr // PAGE_SIZE >= SCRATCH_VBASE]
+    expected = (scratch.count("R"), scratch.count("W"))
+    assert scratch_counts == dict.fromkeys(MODELS, expected)
     assert written_reads > reads // 2, "most reads should see a written value"
 
 
