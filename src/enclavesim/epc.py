@@ -108,10 +108,11 @@ class Model:
 
     Emulated memory that counts its traffic, one cycle account, and enclaves
     mapped to consecutive home pages in the eEPC.  `access` is the one entry
-    and checks its input the same way for every model; it advances the
-    clock, then sends a scratch page to `_scratch_access` and an enclave
-    page to `_secure_access`.  The default `_secure_access` is the
-    unprotected reference, and a design overrides what it does differently.
+    and checks its input the same way for every model, before anything is
+    charged; it advances the clock, then sends a scratch page to
+    `_scratch_access` and an enclave page to `_secure_access`.  The default
+    `_secure_access` is the unprotected reference, and a design overrides
+    what it does differently.
     """
 
     def __init__(self, cfg: SimConfig):
@@ -165,9 +166,12 @@ class Model:
             raise ValueError(f"op must be R or W, got {op!r}")
         if icount < self.last_icount:
             raise ValueError("icount must be non-decreasing")
-        self._advance(icount)
-        if vaddr // PAGE_SIZE >= SCRATCH_VBASE:
+        vpage = vaddr // PAGE_SIZE
+        if vpage >= SCRATCH_VBASE:
+            self._advance(icount)
             return self._scratch_access(eid, vaddr, op, icount)
+        self.home_page(eid, vpage)  # an unknown enclave or page raises here
+        self._advance(icount)
         return self._secure_access(eid, vaddr, op, icount)
 
     def _advance(self, icount: int):
@@ -495,10 +499,9 @@ class SecScaleEngine(Model):
         """Advance the clock, then let the lane catch up with it."""
         super()._advance(icount)
         stats = self.stats
-        while stats.lane_free < stats.critical_cycles and self._lane_pull(
-            stats.critical_cycles
-        ):
-            pass
+        # the lane has work only while an entry is live or a job is queued
+        while (self.eshr or self.queue) and stats.lane_free < stats.critical_cycles:
+            self._lane_pull(stats.critical_cycles)
 
     def _drain_all(self):
         self._club_flush()

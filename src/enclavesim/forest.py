@@ -37,7 +37,7 @@ from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .crypto import MAC_BYTES, keyed_mac8
+from .crypto import MAC_BYTES, MacKey, keyed_mac8
 from .layout import BLOCK_SIZE, PAGE_SIZE, EmulatedDram, _round_up_pages
 from .verifier import CatastrophicFailure
 
@@ -101,7 +101,7 @@ class MacForest:
             raise ValueError("base_addr must be block aligned")
         self.dram = dram
         self.top_cache_enabled = top_cache
-        self.ssk = ssk_bytes
+        self.ssk = MacKey(ssk_bytes)
         self.n_pages = n_pages
         self.n_groups = n_pages // GROUP_ARITY
         self.n_regions = self.n_groups // REGION_ARITY

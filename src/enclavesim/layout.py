@@ -182,6 +182,7 @@ class EmulatedDram:
 
     def __init__(self, layout: MemoryLayout):
         self.layout = layout
+        self._size = layout.total_size
         self._pages: dict[int, bytearray] = {}
         self.reads: Counter[str] = Counter()
         self.writes: Counter[str] = Counter()
@@ -192,8 +193,11 @@ class EmulatedDram:
         if addr < 0 or addr + length > self.layout.total_size:
             raise ValueError(f"access [{addr:#x}, +{length}) outside physical space")
 
+    # peek and poke test the span inline, the hot case, and call _span_ok
+    # only for its error
     def peek(self, addr: int, length: int) -> bytes:
-        self._span_ok(addr, length)
+        if length <= 0 or addr < 0 or addr + length > self._size:
+            self._span_ok(addr, length)
         off = addr & (PAGE_SIZE - 1)
         if off + length <= PAGE_SIZE:  # inside one page: one slice
             buf = self._pages.get(addr >> PAGE_SHIFT)
@@ -209,7 +213,8 @@ class EmulatedDram:
         return bytes(out)
 
     def poke(self, addr: int, data: bytes):
-        self._span_ok(addr, len(data))
+        if not data or addr < 0 or addr + len(data) > self._size:
+            self._span_ok(addr, len(data))
         page, off = addr >> PAGE_SHIFT, addr & (PAGE_SIZE - 1)
         if off + len(data) <= PAGE_SIZE:  # inside one page: one slice
             buf = self._pages.get(page)

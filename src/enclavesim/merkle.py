@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .crypto import keyed_mac8
+from .crypto import MacKey, keyed_mac8
 from .layout import PAGE_SIZE, ConfigError, EmulatedDram
 from .verifier import CatastrophicFailure
 
@@ -119,7 +119,7 @@ class EpcMerkle:
         self.dram = dram
         self.base = base_addr
         self.n_pages = n_pages
-        self.ssk = ssk_bytes
+        self.ssk = MacKey(ssk_bytes)
         self.cache_enabled = cache
         self.counts = level_counts(n_pages, ARITY)
         self.offsets = []
@@ -130,6 +130,7 @@ class EpcMerkle:
         self.storage_bytes = off
         self.root_counters = [0] * self.counts[-1]
         self.events = events
+        self._paths: dict[int, tuple[tuple[int, int], ...]] = {}  # see _path
         # direct-mapped, write-through: line index -> (node_addr, bytes)
         self._cache: dict[int, tuple[int, bytes]] = {}
         self._init_storage()
@@ -138,14 +139,20 @@ class EpcMerkle:
     def node_addr(self, level: int, idx: int) -> int:
         return self.base + self.offsets[level] + idx * NODE_BYTES
 
-    def _path(self, page: int) -> list[tuple[int, int]]:
-        """(node index, node address) at each stored level, leaf first."""
+    def _path(self, page: int) -> tuple[tuple[int, int], ...]:
+        """(node index, node address) at each stored level, leaf first.
+
+        A page's path never changes, so it is worked out once and kept.
+        """
         if not 0 <= page < self.n_pages:
             raise ValueError(f"page {page} outside protected range")
-        path, idx = [], page
-        for level in range(len(self.counts)):
-            path.append((idx, self.node_addr(level, idx)))
-            idx //= ARITY
+        path = self._paths.get(page)
+        if path is None:
+            nodes, idx = [], page
+            for level in range(len(self.counts)):
+                nodes.append((idx, self.node_addr(level, idx)))
+                idx //= ARITY
+            path = self._paths[page] = tuple(nodes)
         return path
 
     # ------------------------------------------------------- node codecs
@@ -217,7 +224,7 @@ class EpcMerkle:
     # -------------------------------------------------------- trusted walk
     def _fetch_verified_path(
         self, page: int, full: bool = False
-    ) -> tuple[list[tuple[int, int]], dict[int, bytes], int]:
+    ) -> tuple[tuple[tuple[int, int], ...], dict[int, bytes], int]:
         """Return page's path and trusted node bytes for levels on it.
 
         A read walk stops at the first cache-resident ancestor; an update

@@ -416,7 +416,8 @@ def enclave_footprints(records: list[TraceRecord]) -> dict[int, int]:
 def run(cfg: SimConfig, records: list[TraceRecord]) -> Report:
     """Execute one trace on one model and summarize it."""
     model = MODEL_CLASSES[cfg.model](cfg)
-    for eid, n_pages in sorted(enclave_footprints(records).items()):
+    footprints = enclave_footprints(records)
+    for eid, n_pages in sorted(footprints.items()):
         model.register_enclave(eid, max(n_pages, 1))
     if isinstance(model, DfpModel):
         model.set_trace(records)
@@ -438,10 +439,7 @@ def run(cfg: SimConfig, records: list[TraceRecord]) -> Report:
 
     states = {}
     if failure is None:
-        states = {
-            eid: model.final_state(eid)
-            for eid in sorted(enclave_footprints(records))
-        }
+        states = {eid: model.final_state(eid) for eid in sorted(footprints)}
 
     s, d = model.stats, model.dram
     ev = s.events

@@ -6,12 +6,13 @@ import pytest
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives import hmac as oracle_hmac
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from enclavesim import crypto
 from enclavesim.crypto import (
     FreshnessSource,
+    MacKey,
     Ssk,
     compose_page_key,
     derive_block_key,
@@ -234,6 +235,33 @@ def test_keyed_mac8_is_truncated_hmac_over_domain_then_parts(parts):
     for chunk in (b"forest-mid", *parts):
         ref.update(chunk)
     assert keyed_mac8(key, b"forest-mid", *parts) == ref.finalize()[:8]
+
+
+@given(
+    st.binary(max_size=200),
+    st.binary(max_size=16),
+    st.lists(st.binary(max_size=300), max_size=4),
+)
+@example(bytes(64), b"tree-node", [])  # a key of exactly one hash block
+@example(bytes(65), b"", [b""])  # one byte longer: the key is hashed first
+@settings(max_examples=200)
+def test_mac_key_gives_the_raw_key_hmac(key, domain, parts):
+    ref = oracle_hmac.HMAC(key, hashes.SHA256())
+    ref.update(domain + b"".join(parts))
+    expect = ref.finalize()[:8]
+    held = MacKey(key)
+    assert keyed_mac8(key, domain, *parts) == expect
+    assert keyed_mac8(held, domain, *parts) == expect
+    # the held pad states are copied, never advanced
+    assert keyed_mac8(held, domain, *parts) == expect
+
+
+def test_page_cipher_buffer_holds_at_most_a_page():
+    with pytest.raises(ValueError, match="at most 4096 bytes"):
+        crypto.aes_encrypt(KAT_KEY, bytes(4096 + 16))
+    # the shared buffer does not leak one call's bytes into the next
+    assert crypto.aes_encrypt(KAT_KEY, KAT_PT) == KAT_CT
+    assert crypto.aes_decrypt(KAT_KEY, KAT_CT) == KAT_PT
 
 
 def test_wrap_unwrap_roundtrip():

@@ -1,5 +1,7 @@
 """Address-space partitioning and emulated-DRAM behavior."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -159,3 +161,29 @@ def test_cross_page_peek_poke():
     addr = lay.eepc_base + PAGE_SIZE - 8
     dram.poke(addr, bytes(range(16)))
     assert dram.peek(addr, 16) == bytes(range(16))
+
+
+@pytest.mark.parametrize(
+    "addr,length,message",
+    [
+        (0x2000, 0, "length must be positive"),
+        (0x2000, -8, "length must be positive"),
+        (-1, 8, "access [-0x1, +8) outside physical space"),
+        (16 * MIB - 4, 8, f"access [{16 * MIB - 4:#x}, +8) outside physical space"),
+    ],
+)
+def test_peek_and_poke_reject_bad_spans(addr, length, message):
+    dram = EmulatedDram(small_layout())
+    with pytest.raises(ValueError, match=re.escape(message)):
+        dram.peek(addr, length)
+    if length >= 0:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            dram.poke(addr, bytes(length))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            dram.write(addr, bytes(length), "data")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        dram.read_span(addr, length, "data")
+    assert dram.touched_pages() == 0
+    # the last byte of the physical space is in range
+    dram.poke(16 * MIB - 1, b"\x01")
+    assert dram.peek(16 * MIB - 1, 1) == b"\x01"

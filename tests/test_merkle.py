@@ -88,6 +88,32 @@ def test_write_through_keeps_dram_current():
         assert cached is not None and cached == dram.peek(addr, NODE_BYTES)
 
 
+@pytest.mark.parametrize("n_pages,levels", [(1, 1), (32, 1), (33, 2), (1100, 3)])
+def test_kept_paths_equal_a_fresh_walk(n_pages, levels):
+    lay = MemoryLayout.build(total_size=16 * MIB, epc_size=4 * MIB)
+    base = 8 * MIB
+    tree = EpcMerkle(
+        EmulatedDram(lay), base_addr=base, n_pages=n_pages, ssk_bytes=SSK,
+        events=Counter(),
+    )
+    counts = level_counts(n_pages, ARITY)
+    assert len(counts) == levels
+    starts = [base + sum(counts[:level]) * NODE_BYTES for level in range(levels)]
+
+    def fresh(page):
+        return tuple(
+            (page // ARITY**level, starts[level] + page // ARITY**level * NODE_BYTES)
+            for level in range(levels)
+        )
+
+    for _ in range(2):  # first computed, then kept
+        for page in range(n_pages):
+            assert tree._path(page) == fresh(page)
+        for page in (-1, n_pages):
+            with pytest.raises(ValueError, match="outside protected range"):
+                tree._path(page)
+
+
 def _slots(raw: bytes) -> list[int]:
     """All ARITY counters of an internal node, unpacked one by one."""
     word = int.from_bytes(raw[:56], "little")

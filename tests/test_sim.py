@@ -122,6 +122,20 @@ def test_every_model_rejects_the_same_enclaves(model):
     assert list(model_run.enclaves) == [1]
 
 
+def _counters(m):
+    """Everything an access may charge or move, as plain values."""
+    s = m.stats
+    lane = [
+        (e.slot, e.cursor, e.ls_vector, e.demand)
+        for e in getattr(m, "eshr", {}).values()
+    ]
+    return (
+        s.instructions, s.critical_cycles, s.lane_free, s.lane_busy_cycles,
+        s.stall_cycles, dict(s.events), dict(m.dram.reads), dict(m.dram.writes),
+        m.last_icount, lane, len(getattr(m, "queue", ())), getattr(m, "_pos", None),
+    )
+
+
 @pytest.mark.parametrize("model", MODELS)
 def test_every_model_rejects_the_same_accesses(model):
     config = SimConfig(model=model, total_size=16 << 20, epc_size=256 << 10)
@@ -130,17 +144,22 @@ def test_every_model_rejects_the_same_accesses(model):
     m.register_enclave(2, 4)
     for v in range(4):
         m.access(2, v * PAGE_SIZE + 8, "W", 10 + v)
-    before = m.final_state(2)
+    if model == "secscale":
+        assert m.eshr, "the lane should still have work pending"
+    before, charged = m.final_state(2), _counters(m)
     bad = {
         "op": (1, 0, "X", 20),
         "enclave": (3, 0, "R", 20),
+        "enclave write": (3, 0, "W", 20),
         "vpage": (1, 4 * PAGE_SIZE, "W", 20),  # enclave 2's first home page
+        "vpage read": (1, 4 * PAGE_SIZE, "R", 20),
         "icount": (1, 0, "R", 5),
     }
     for name, args in bad.items():
         with pytest.raises(ValueError):
             m.access(*args)
         assert m.final_state(2) == before, f"a bad {name} changed enclave 2"
+        assert _counters(m) == charged, f"a bad {name} was charged"
 
 
 def test_every_model_returns_the_same_value_for_every_access():
