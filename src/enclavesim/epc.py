@@ -149,12 +149,15 @@ class Model:
         enc = self.enclaves[eid] = Enclave(eid, n_pages, base)
         return enc
 
-    def home_page(self, eid: int, vpage: int) -> int:
-        """The eEPC physical page an enclave's virtual page belongs to."""
+    def _enclave(self, eid: int) -> Enclave:
         try:
-            enc = self.enclaves[eid]
+            return self.enclaves[eid]
         except KeyError:
             raise ValueError(f"enclave {eid} not registered") from None
+
+    def home_page(self, eid: int, vpage: int) -> int:
+        """The eEPC physical page an enclave's virtual page belongs to."""
+        enc = self._enclave(eid)
         if not 0 <= vpage < enc.n_pages:
             raise ValueError(f"vpage {vpage} outside enclave {eid} range")
         return enc.base_page + vpage
@@ -168,6 +171,7 @@ class Model:
             raise ValueError("icount must be non-decreasing")
         vpage = vaddr // PAGE_SIZE
         if vpage >= SCRATCH_VBASE:
+            self._enclave(eid)  # an unknown enclave raises here
             self._advance(icount)
             return self._scratch_access(eid, vaddr, op, icount)
         self.home_page(eid, vpage)  # an unknown enclave or page raises here
@@ -288,10 +292,6 @@ class SecScaleEngine(Model):
             events=self.stats.events,
             top_cache=cfg.top_cache,
         )
-        # boot order matters: the top table must hold its boot digests
-        # before the counter tree MACs the page content covering them
-        for region, mac in self.forest.boot_tops.items():
-            self.dram.poke(self.top_base_page * PAGE_SIZE + region * 8, mac)
         self.merkle = EpcMerkle(
             self.dram,
             base_addr=protected * PAGE_SIZE,

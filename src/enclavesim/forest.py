@@ -25,10 +25,22 @@ land in the same region can be clubbed: they share the mid-group read, the
 mid-block write and the top write (seven accesses when the leaves share a
 group, nine otherwise, against twelve unclubbed).
 
-Construction seeds the mid storage with MACs over all-zero leaf groups and
-exposes the matching region digests as `boot_tops`, which the top-table owner
-must install; that gives the very first update of a region an authentic
-prior state to check against.
+Construction writes nothing, so boot costs the same at any memory size.  A
+mid or top word that reads as eight zero bytes stands for its boot value: for
+mid g, the mid MAC over sixteen zero leaves; for top r, the top MAC over
+region r's eight boot mids.  `_check_region`, the one place that reads mids
+and tops, resolves zero words before it compares anything, and an update
+writes its region's whole mid group back, so after a region's first update
+its DRAM words and its top are the real MACs.  The very first update of a
+region therefore still has an authentic prior state to check against.
+
+This is as strong as writing every boot value at construction.  A boot value
+is a pure function of the SSK and its index, and that eager state would sit
+in the clear in DRAM, so an adversary who writes zeros gains nothing over
+one who replays a boot value; the same checks catch both (the hardware-held
+top for a mid, the counter tree over the top table for a top word).  A
+genuine MAC that happens to be zero is read as its boot value: a false
+detection with probability 2^-64, never a missed one.
 """
 
 from __future__ import annotations
@@ -45,6 +57,8 @@ GROUP_ARITY = 16  # leaf MACs per mid; a group is two 64-byte blocks
 REGION_ARITY = 8  # mid MACs per top; a region's mids are one block
 REGION_PAGES = GROUP_ARITY * REGION_ARITY
 TOP_CACHE_ENTRIES = 8
+ZERO_MAC = bytes(MAC_BYTES)  # a mid or top word that stands for its boot value
+ZERO_GROUP = bytes(GROUP_ARITY * MAC_BYTES)
 
 
 @dataclass(frozen=True)
@@ -112,16 +126,6 @@ class MacForest:
         self._top_cache: OrderedDict[int, bytes] = OrderedDict()
         self.events = events
 
-        # boot pass (unmetered): mids describing all-zero leaf groups, plus
-        # the region digests the top-table owner must install before use
-        zero_group = bytes(GROUP_ARITY * MAC_BYTES)
-        for g in range(self.n_groups):
-            dram.poke(self.mid_addr(g), self._mid_mac(g, zero_group))
-        self.boot_tops: dict[int, bytes] = {}
-        for r in range(self.n_regions):
-            mstart, mbytes = self._mid_group_span(r)
-            self.boot_tops[r] = self._top_mac(r, dram.peek(mstart, mbytes))
-
     # ------------------------------------------------------------ layout
     def leaf_addr(self, page: int) -> int:
         if not 0 <= page < self.n_pages:
@@ -143,6 +147,13 @@ class MacForest:
 
     def _top_mac(self, region: int, mid_blob: bytes) -> bytes:
         return keyed_mac8(self.ssk, b"forest-top", region.to_bytes(8, "big"), mid_blob)
+
+    def _boot_mids(self, region: int) -> bytes:
+        """The region's eight mids over all-zero leaf groups."""
+        first = region * REGION_ARITY
+        return b"".join(
+            self._mid_mac(g, ZERO_GROUP) for g in range(first, first + REGION_ARITY)
+        )
 
     # ----------------------------------------------------------- traffic
     def _leaf_group_span(self, group: int) -> tuple[int, int]:
@@ -178,9 +189,17 @@ class MacForest:
 
         The top comes from the region cache or the top_read callback, and the
         authenticated top goes back into the cache.  Returns the mid group;
-        a mismatch raises, naming `page`.
+        a mismatch raises, naming `page`.  Zero mid and top words are read as
+        their boot values first, so the returned mids hold none.
         """
         mids = bytearray(self.dram.read_span(*self._mid_group_span(region), "forest"))
+        boot_mids = None
+        if 0 in memoryview(mids).cast("Q"):
+            boot_mids = self._boot_mids(region)
+            for lo in range(0, len(mids), MAC_BYTES):
+                word = slice(lo, lo + MAC_BYTES)
+                if mids[word] == ZERO_MAC:
+                    mids[word] = boot_mids[word]
         for g, leaves in leaf_groups.items():
             mslot = (g % REGION_ARITY) * MAC_BYTES
             if bytes(mids[mslot : mslot + MAC_BYTES]) != self._mid_mac(g, bytes(leaves)):
@@ -191,6 +210,10 @@ class MacForest:
         if stored_top is None:
             self.events["top_cache_misses"] += 1
             stored_top = self.top_read(region)
+            if stored_top == ZERO_MAC:
+                if boot_mids is None:
+                    boot_mids = self._boot_mids(region)
+                stored_top = self._top_mac(region, boot_mids)
         else:
             self.events["top_cache_hits"] += 1
         if stored_top != self._top_mac(region, bytes(mids)):

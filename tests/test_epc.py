@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from enclavesim import forest as forest_mod
 from enclavesim import sim
 from enclavesim.config import PRESETS, load_config
 from enclavesim.crypto import compose_page_key, ecb_decrypt_page, unwrap_key
@@ -778,6 +779,37 @@ def test_inverted_map_collision_is_catastrophic():
     assert eng.stats.events["catastrophic_failures"] == 1
 
 
+@pytest.mark.parametrize(
+    "op",
+    [
+        "R",
+        pytest.param("W", marks=pytest.mark.xfail(
+            strict=True,
+            reason="a resident write rebinds its page into the counter tree "
+            "without checking the old data MAC, laundering the flipped byte",
+        )),
+    ],
+)
+def test_a_flipped_resident_byte_is_caught_by_the_next_access(op):
+    # the module docstring: an adversary flipping EPC bytes between accesses
+    # is caught; a write must not bless the flip and carry it out to the eEPC
+    eng = make_engine()
+    eng.register_enclave(EID, 300)
+    eng.access(EID, 0, "W", 100)
+    eng.syscall_barrier()  # page 0 resident, nothing in flight
+    slot_base = eng.resident[(EID, 0)] * PAGE_SIZE
+    flipped = bytearray(eng.dram.peek(slot_base + 512, 1))
+    flipped[0] ^= 1
+    eng.dram.poke(slot_base + 512, bytes(flipped))
+    with pytest.raises(CatastrophicFailure, match="data MAC mismatch"):
+        eng.access(EID, 8, op, 200)  # another word of the same page
+        ic = 200
+        for v in range(1, 300):  # push page 0 out to the eEPC
+            ic += 100
+            eng.access(EID, v * PAGE_SIZE, "W", ic)
+        eng.finalize()
+
+
 def test_mapping_outside_protected_region_is_catastrophic():
     eng = make_engine()
     eng.register_enclave(EID, 8)
@@ -820,6 +852,23 @@ def test_unknown_enclave_and_bad_op():
 
 
 # -------------------------------------------------------- metadata carve
+
+
+def test_paper_scale_boot_makes_no_forest_mac_and_touches_only_the_epc(monkeypatch):
+    # forest mids and tops are worked out on first read, so building the
+    # engine at 512 GiB costs only the counter tree over the EPC carve
+    calls = []
+    real = forest_mod.keyed_mac8
+
+    def counted(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(forest_mod, "keyed_mac8", counted)
+    eng = make_engine(epc_size=128 * MIB, total_size=512 << 30)
+    assert calls == []
+    assert eng.dram.touched_pages() > 0
+    assert {eng.layout.classify(p * PAGE_SIZE) for p in eng.dram._pages} == {Region.EPC}
 
 
 @pytest.mark.parametrize("epc_kib", [64, 128, 256, 512, 1024, 4096, 16384])

@@ -62,7 +62,19 @@ def make_forest(total=16 * MIB, top_cache=True):
         events=Counter(),
         top_cache=top_cache,
     )
-    tops.macs.update(f.boot_tops)  # the table owner installs boot digests
+    return f, dram, tops
+
+
+def make_eager_forest(**kw):
+    """A forest whose DRAM and top table hold every boot value up front:
+    mids over zero leaf groups, tops over each region's boot mids."""
+    f, dram, tops = make_forest(**kw)
+    zero_group = bytes(GROUP_ARITY * MAC_BYTES)
+    mids = b"".join(f._mid_mac(g, zero_group) for g in range(f.n_groups))
+    dram.poke(f.mid_base, mids)
+    span = REGION_ARITY * MAC_BYTES
+    for r in range(f.n_regions):
+        tops.macs[r] = f._top_mac(r, mids[r * span : (r + 1) * span])
     return f, dram, tops
 
 
@@ -325,28 +337,146 @@ def _oracle_check(f: MacForest, dram: EmulatedDram, tops: TopStore, leaves_ref: 
         assert tops.macs.get(r) == expect, f"stale top {r}"
 
 
-def test_brute_force_oracle_after_random_ops():
-    f, dram, tops = make_forest()
-    rng = random.Random(99)
+def random_ops(n_pages: int, seed: int = 99, n: int = 300):
+    """A random sequence of ("verify", page, leaf) and ("update", items)
+    operations in which every verify names its page's current leaf; returns
+    the operations and the final leaf of every updated page."""
+    rng = random.Random(seed)
     ref: dict[int, bytes] = {}
-    version = 0
-    for _ in range(300):
-        version += 1
+    ops = []
+    for version in range(1, n + 1):
         if ref and rng.random() < 0.4:
             page = rng.choice(sorted(ref))
-            res = verify_cost(f, tops, page, ref[page])
-            assert sum(res[:2]) <= 4
+            ops.append(("verify", page, ref[page]))
         elif ref and rng.random() < 0.5:
             pages = rng.sample(sorted(ref), k=min(2, len(ref)))
             ups = [(p, leaf_for(p, version)) for p in pages]
-            f.update(ups)
-            ref.update({p: l for p, l in ups})
+            ops.append(("update", ups))
+            ref.update(ups)
         else:
-            page = rng.randrange(f.n_pages)
-            leaf = leaf_for(page, version)
-            f.update([(page, leaf)])
-            ref[page] = leaf
+            page = rng.randrange(n_pages)
+            ups = [(page, leaf_for(page, version))]
+            ops.append(("update", ups))
+            ref.update(ups)
+    return ops, ref
+
+
+def test_brute_force_oracle_after_random_ops():
+    f, dram, tops = make_forest()
+    ops, ref = random_ops(f.n_pages)
+    for op in ops:
+        if op[0] == "verify":
+            res = verify_cost(f, tops, op[1], op[2])
+            assert sum(res[:2]) <= 4
+        else:
+            f.update(op[1])
     _oracle_check(f, dram, tops, ref)
+
+
+# ------------------------------------------------------------ lazy boot
+def _outcome(call) -> str:
+    try:
+        call()
+    except CatastrophicFailure as cf:
+        return str(cf)
+    return "ok"
+
+
+def _apply(f: MacForest, op) -> str:
+    if op[0] == "verify":
+        return _outcome(lambda: f.verify_page(op[1], op[2]))
+    return _outcome(lambda: f.update(op[1]))
+
+
+@pytest.mark.parametrize("top_cache", [True, False])
+def test_lazy_boot_behaves_like_an_eager_one(top_cache):
+    # the same operations on a forest that resolves zero words and on one
+    # holding every boot value: same outcomes, same traffic, same top
+    # writes, and the same mid bytes wherever a region has been updated
+    lazy, lazy_dram, lazy_tops = make_forest(top_cache=top_cache)
+    eager, eager_dram, eager_tops = make_eager_forest(top_cache=top_cache)
+    ops, ref = random_ops(lazy.n_pages)
+    for op in ops:
+        assert _apply(lazy, op) == _apply(eager, op) == "ok"
+    assert lazy_dram.reads == eager_dram.reads
+    assert lazy_dram.writes == eager_dram.writes
+    assert lazy.events == eager.events
+    assert (lazy_tops.reads, lazy_tops.writes) == (eager_tops.reads, eager_tops.writes)
+    updated = {lazy.region_of(p) for p in ref}
+    assert {r: lazy_tops.macs[r] for r in updated} == {
+        r: eager_tops.macs[r] for r in updated
+    }
+    assert set(lazy_tops.macs) == updated
+    for r in updated:
+        span = lazy._mid_group_span(r)
+        assert lazy_dram.peek(*span) == eager_dram.peek(*span), f"region {r}"
+
+
+def test_boot_writes_nothing():
+    f, dram, tops = make_forest()
+    assert dram.touched_pages() == 0 and not tops.macs
+
+
+def test_zeroed_written_mid_is_caught_at_the_group():
+    f, dram, _ = make_forest()
+    f.update([(0, leaf_for(0))])
+    dram.poke(f.mid_addr(0), bytes(MAC_BYTES))
+    with pytest.raises(CatastrophicFailure, match="MAC group digest mismatch"):
+        f.verify_page(0, leaf_for(0))
+
+
+def test_zeroed_written_top_is_caught_at_the_region():
+    f, _, tops = make_forest(top_cache=False)
+    f.update([(2, leaf_for(2))])
+    tops.macs[0] = bytes(MAC_BYTES)
+    with pytest.raises(CatastrophicFailure, match="region digest mismatch"):
+        f.verify_page(2, leaf_for(2))
+
+
+def _zero_group_and_mid(f, dram, group):
+    start, length = f._leaf_group_span(group)
+    dram.poke(start, bytes(length))
+    dram.poke(f.mid_addr(group), bytes(MAC_BYTES))
+
+
+@pytest.mark.parametrize("top_cache", [True, False])
+def test_zeroed_written_group_and_mid_are_caught_at_the_region(top_cache):
+    # leaves and mid back at zero agree with each other as a boot group,
+    # but not with the region's top
+    f, dram, _ = make_forest(top_cache=top_cache)
+    f.update([(0, leaf_for(0))])
+    f.update([(40, leaf_for(40))])  # group 2, same region
+    _zero_group_and_mid(f, dram, 0)
+    with pytest.raises(CatastrophicFailure, match="region digest mismatch"):
+        f.update([(1, leaf_for(1))])  # same group as the zeroed one
+
+    f, dram, _ = make_forest(top_cache=top_cache)
+    f.update([(0, leaf_for(0))])
+    f.update([(40, leaf_for(40))])
+    _zero_group_and_mid(f, dram, 0)
+    with pytest.raises(CatastrophicFailure, match="region digest mismatch"):
+        f.verify_page(40, leaf_for(40))  # elsewhere in the region
+    # a verify in the zeroed group itself stops at its zeroed leaf
+    with pytest.raises(CatastrophicFailure, match="at leaf level"):
+        f.verify_page(0, leaf_for(0))
+
+
+def test_zeroing_an_unwritten_mid_or_top_changes_nothing():
+    def run(zero):
+        f, dram, tops = make_forest(top_cache=False)
+        f.update([(0, leaf_for(0))])
+        if zero:
+            dram.poke(f._mid_group_span(1)[0], bytes(REGION_ARITY * MAC_BYTES))
+            tops.macs[1] = bytes(MAC_BYTES)
+        outcomes = [
+            _outcome(lambda: f.update([(128, leaf_for(128))])),
+            _outcome(lambda: f.verify_page(128, leaf_for(128))),
+            _outcome(lambda: f.verify_page(0, leaf_for(0))),
+        ]
+        return outcomes, dict(dram.reads), dict(dram.writes), tops.macs
+
+    assert run(True) == run(False)
+    assert run(True)[0] == ["ok"] * 3
 
 
 def test_traffic_reconciles_with_dram_counters(region_ledger):

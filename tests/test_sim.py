@@ -154,6 +154,8 @@ def test_every_model_rejects_the_same_accesses(model):
         "vpage": (1, 4 * PAGE_SIZE, "W", 20),  # enclave 2's first home page
         "vpage read": (1, 4 * PAGE_SIZE, "R", 20),
         "icount": (1, 0, "R", 5),
+        "scratch write": (3, SCRATCH_VBASE * PAGE_SIZE, "W", 20),
+        "scratch read": (3, SCRATCH_VBASE * PAGE_SIZE, "R", 20),
     }
     for name, args in bad.items():
         with pytest.raises(ValueError):
