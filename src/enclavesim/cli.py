@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import gzip
 import json
+import os
 import sys
 
 from .adversary import ATTACK_KINDS, run_suite
@@ -57,8 +58,18 @@ def _write_csv(path: str, columns, rows) -> None:
         writer.writerows(rows)
 
 
-def _report_files(reports: list[Report], out: str) -> tuple[str, str]:
-    jpath, cpath = f"{out}.json", f"{out}.csv"
+def _report_paths(out: str, config: str | None) -> tuple[str, str]:
+    """The report's JSON and CSV paths; neither may be the config file."""
+    paths = f"{out}.json", f"{out}.csv"
+    if config is not None:
+        for path in paths:
+            if os.path.exists(path) and os.path.samefile(path, config):
+                raise ConfigError(f"output {path} would overwrite the config file {config}")
+    return paths
+
+
+def _report_files(reports: list[Report], paths: tuple[str, str]) -> tuple[str, str]:
+    jpath, cpath = paths
     payload = [r.to_dict() for r in reports]
     _write_json(jpath, payload[0] if len(payload) == 1 else payload)
     _write_csv(cpath, REPORT_COLUMNS, [r.csv_row() for r in reports])
@@ -78,9 +89,9 @@ def _config_overrides(args) -> dict:
 def cmd_run(args) -> int:
     merged = merge_layers(args.config, args.preset, _config_overrides(args))
     cfg = RunConfig.from_dict(merged)
-    out = cfg.out or "report"
+    paths = _report_paths(cfg.out or "report", args.config)
     report = run(cfg, cfg.records())
-    jpath, cpath = _report_files([report], out)
+    jpath, cpath = _report_files([report], paths)
     print(
         f"{report.model} seed={report.seed}: {report.total_cycles} cycles, "
         f"{report.accesses} accesses  -> {jpath} {cpath}"
@@ -94,7 +105,7 @@ def cmd_run(args) -> int:
 def cmd_compare(args) -> int:
     merged = merge_layers(args.config, args.preset, _config_overrides(args))
     cfg = RunConfig.from_dict(merged)
-    out = cfg.out or "compare"
+    paths = _report_paths(cfg.out or "compare", args.config)
 
     if merged.get("sweep"):
         rows = expand_sweep(merged)
@@ -113,7 +124,7 @@ def cmd_compare(args) -> int:
             return EXIT_MISMATCH
         reports = [table[name] for name in names]  # duplicates keep their rows
 
-    jpath, cpath = _report_files(reports, out)
+    jpath, cpath = _report_files(reports, paths)
     width = max(len(r.model) for r in reports)
     for rep in reports:
         slow = f"{rep.slowdown:6.3f}" if rep.slowdown is not None else "     -"

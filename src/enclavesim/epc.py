@@ -27,7 +27,10 @@ Two bookkeeping layers deliberately run at different times:
 EPC-resident plaintext lives in emulated DRAM like everything else; it is
 bound into the counter tree on every change and re-checked against it on
 every use, so an adversary flipping EPC bytes between accesses is caught
-the same way one flipping eEPC ciphertext is.
+the same way one flipping eEPC ciphertext is.  The forest's top MACs sit
+in EPC pages too, behind a `TopTable` that the counter tree guards; the
+forest holds the table, not the engine, so an engine holds no reference
+cycle and is freed as soon as its last user lets go of it.
 
 Forest byte-effects are deferred: a loaded page's verification and an
 evicted page's MAC update become FIFO jobs (the eviction side waits in a
@@ -45,9 +48,9 @@ page can never leak plaintext past the enclave boundary.
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict, deque
+from collections import Counter, OrderedDict, deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from .crypto import (
     FreshnessSource,
@@ -79,6 +82,7 @@ if TYPE_CHECKING:
     from .sim import SimConfig
 
 SCRATCH_VBASE = 0xFFFF0  # virtual pages at/above this index address scratch
+ZERO_PAGE = bytes(PAGE_SIZE)  # the plaintext of a page never written
 
 
 def make_layout(total_size: int, epc_size: int) -> MemoryLayout:
@@ -214,12 +218,64 @@ class Model:
     def finalize(self):
         pass
 
+    def final_pages(self, eid: int) -> Iterator[tuple[int, bytes]]:
+        """Each of an enclave's pages as (vpage, plaintext), in vpage order.
+
+        A generator: it reads one page per step, so a digest fed from it
+        never holds the enclave whole.  A model whose pages do not all sit
+        at their homes overrides this one method; `final_state` is built
+        from it.
+        """
+        enc = self.enclaves[eid]
+        for v in range(enc.n_pages):
+            yield v, self.dram.peek((enc.base_page + v) * PAGE_SIZE, PAGE_SIZE)
+
     def final_state(self, eid: int) -> dict[int, bytes]:
         """Plaintext of each of an enclave's pages, keyed by virtual page."""
-        return {
-            v: self.dram.peek(self.home_page(eid, v) * PAGE_SIZE, PAGE_SIZE)
-            for v in range(self.enclaves[eid].n_pages)
-        }
+        return dict(self.final_pages(eid))
+
+
+class TopTable:
+    """The forest's top MACs: one 8-byte word per region in EPC pages.
+
+    The table's pages sit right after the data slots and the counter tree
+    protects them, so a top is checked against the tree on every read and
+    rebound into it on every write; that is what makes a top hardware-held.
+    Every access is one metered DRAM access under cause "forest" and one
+    `top_table_accesses` event.  The forest reads and writes tops through
+    `read` and `write`; the table holds only the DRAM, the tree and the
+    event counter, never the engine that built it.
+    """
+
+    def __init__(
+        self, dram: EmulatedDram, merkle: EpcMerkle, events: Counter, base_page: int
+    ):
+        self.dram = dram
+        self.merkle = merkle
+        self.events = events
+        self.base_page = base_page
+
+    def _slot_addr(self, region: int) -> tuple[int, int]:
+        addr = self.base_page * PAGE_SIZE + region * 8
+        return addr, addr // PAGE_SIZE
+
+    def read(self, region: int) -> bytes:
+        # called only while a job retires; the retire path charges occupancy
+        # for every access this makes, so no lane charge happens here
+        addr, tpage = self._slot_addr(region)
+        data = self.dram.read(addr, 8, "forest")
+        self.events["top_table_accesses"] += 1
+        res = self.merkle.read_verify(tpage)
+        self.merkle.check_data(
+            tpage, res.major, self.dram.peek(tpage * PAGE_SIZE, PAGE_SIZE), res.data_mac
+        )
+        return data
+
+    def write(self, region: int, mac: bytes):
+        addr, tpage = self._slot_addr(region)
+        self.dram.write(addr, mac, "forest")
+        self.events["top_table_accesses"] += 1
+        self.merkle.write_update(tpage, self.dram.peek(tpage * PAGE_SIZE, PAGE_SIZE))
 
 
 @dataclass
@@ -282,16 +338,6 @@ class SecScaleEngine(Model):
         self.n_slots = carve_slots(layout.epc_pages, self.top_table_pages)
         self.top_base_page = self.n_slots
         protected = self.n_slots + self.top_table_pages
-        self.forest = MacForest(
-            self.dram,
-            base_addr=layout.forest_base,
-            n_pages=layout.total_pages,
-            ssk_bytes=self.ssk.key_bytes,
-            top_read=self._top_read,
-            top_write=self._top_write,
-            events=self.stats.events,
-            top_cache=cfg.top_cache,
-        )
         self.merkle = EpcMerkle(
             self.dram,
             base_addr=protected * PAGE_SIZE,
@@ -302,6 +348,19 @@ class SecScaleEngine(Model):
         )
         if protected * PAGE_SIZE + self.merkle.storage_bytes > layout.epc_size:
             raise AssertionError("counter-tree nodes overflow the EPC carve")
+        # the forest reaches the tops through the table, not the engine, so
+        # nothing the engine owns points back at it
+        tops = TopTable(self.dram, self.merkle, self.stats.events, self.top_base_page)
+        self.forest = MacForest(
+            self.dram,
+            base_addr=layout.forest_base,
+            n_pages=layout.total_pages,
+            ssk_bytes=self.ssk.key_bytes,
+            top_read=tops.read,
+            top_write=tops.write,
+            events=self.stats.events,
+            top_cache=cfg.top_cache,
+        )
 
         # LRU order, least recently touched first; never-used slots lead it
         self.slots = OrderedDict((i, EpcSlot(i)) for i in range(self.n_slots))
@@ -314,7 +373,9 @@ class SecScaleEngine(Model):
         self.queue: deque[VerificationJob] = deque()  # strict FIFO
         self._club: tuple[int, list[tuple[int, bytes, bytes]]] | None = None
 
-        self.failure: CatastrophicFailure | None = None
+        # the detail of the failure that halted the engine; not the exception,
+        # whose traceback would hold the engine's own frames
+        self.failure: str | None = None
 
     # ------------------------------------------------------------ enclaves
     def _phys_page(self, eid: int, vpage: int) -> int:
@@ -326,29 +387,6 @@ class SecScaleEngine(Model):
                 page=phys,
             )
         return phys
-
-    # --------------------------------------------------- forest top table
-    def _top_slot_addr(self, region: int) -> tuple[int, int]:
-        addr = self.top_base_page * PAGE_SIZE + region * 8
-        return addr, addr // PAGE_SIZE
-
-    def _top_read(self, region: int) -> bytes:
-        # called only while a job retires; the retire path charges occupancy
-        # for every access this makes, so no lane charge happens here
-        addr, tpage = self._top_slot_addr(region)
-        data = self.dram.read(addr, 8, "forest")
-        self.stats.events["top_table_accesses"] += 1
-        res = self.merkle.read_verify(tpage)
-        self.merkle.check_data(
-            tpage, res.major, self.dram.peek(tpage * PAGE_SIZE, PAGE_SIZE), res.data_mac
-        )
-        return data
-
-    def _top_write(self, region: int, mac: bytes):
-        addr, tpage = self._top_slot_addr(region)
-        self.dram.write(addr, mac, "forest")
-        self.stats.events["top_table_accesses"] += 1
-        self.merkle.write_update(tpage, self.dram.peek(tpage * PAGE_SIZE, PAGE_SIZE))
 
     # ----------------------------------------------------------------- LRU
     def _touch(self, slot: EpcSlot):
@@ -658,7 +696,7 @@ class SecScaleEngine(Model):
         try:
             return super().access(eid, vaddr, op, icount)
         except CatastrophicFailure as cf:
-            self.failure = cf
+            self.failure = cf.detail
             self.stats.events["catastrophic_failures"] += 1
             raise
 
@@ -741,25 +779,25 @@ class SecScaleEngine(Model):
         try:
             self._drain_all()
         except CatastrophicFailure as cf:
-            self.failure = cf
+            self.failure = cf.detail
             self.stats.events["catastrophic_failures"] += 1
             raise
 
     # -------------------------------------------------------------- state
-    def final_state(self, eid: int) -> dict[int, bytes]:
-        """Logical plaintext of an enclave's pages (oracle extraction)."""
+    def final_pages(self, eid: int) -> Iterator[tuple[int, bytes]]:
+        """Logical plaintext of an enclave's pages (oracle extraction): the
+        EPC copy of a resident page, else its eEPC page decrypted, or
+        `ZERO_PAGE` when that eEPC page was never written."""
         enc = self.enclaves[eid]
-        out = {}
         for vpage in range(enc.n_pages):
             slot_idx = self.resident.get((eid, vpage))
             if slot_idx is not None:
-                out[vpage] = self._slot_bytes(self.slots[slot_idx])
+                yield vpage, self._slot_bytes(self.slots[slot_idx])
                 continue
             phys = self.mapping_overrides.get((eid, vpage), enc.base_page + vpage)
             if phys not in self.eepc_initialized:
-                out[vpage] = bytes(PAGE_SIZE)
+                yield vpage, ZERO_PAGE
                 continue
             wrapped = self.dram.peek(self.layout.key_table_slot(phys), KEY_SLOT_BYTES)
             key = unwrap_key(self.ssk, wrapped, self.hw_key, eid, phys)
-            out[vpage] = ecb_decrypt_page(key, self.dram.peek(phys * PAGE_SIZE, PAGE_SIZE))
-        return out
+            yield vpage, ecb_decrypt_page(key, self.dram.peek(phys * PAGE_SIZE, PAGE_SIZE))

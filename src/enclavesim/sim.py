@@ -35,6 +35,7 @@ import hashlib
 import json
 import random
 from collections import OrderedDict
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 
 from .crypto import FRESHNESS_MODES
@@ -229,13 +230,11 @@ class SgxClientModel(Model):
         self.stats.charge(dram=1 + res.dram_reads + res.dram_writes, crypto=1)
         return value
 
-    def final_state(self, eid: int) -> dict[int, bytes]:
-        out = {}
+    def final_pages(self, eid: int) -> Iterator[tuple[int, bytes]]:
         for v in range(self.enclaves[eid].n_pages):
             slot = self.resident.get((eid, v))
             page = self.home_page(eid, v) if slot is None else slot
-            out[v] = self.dram.peek(page * PAGE_SIZE, PAGE_SIZE)
-        return out
+            yield v, self.dram.peek(page * PAGE_SIZE, PAGE_SIZE)
 
 
 class DfpModel(SgxClientModel):
@@ -390,14 +389,25 @@ REPORT_COLUMNS = tuple(
 )
 
 
-def state_digest(states: dict[int, dict[int, bytes]]) -> str:
-    """Order-independent digest of {eid: {vpage: page bytes}}."""
+def state_digest(
+    states: Mapping[int, Mapping[int, bytes] | Iterable[tuple[int, bytes]]],
+) -> str:
+    """SHA-256 over every enclave's final pages, as a hex string.
+
+    `states` maps an enclave id to its pages: a {vpage: page bytes} dict, or
+    (vpage, page bytes) pairs in ascending vpage order as `Model.final_pages`
+    yields them.  Pairs are hashed as they arrive, so a run's digest holds
+    one page at a time.  Enclaves go in ascending id order and pages in
+    ascending vpage order, each as its 8-byte big-endian enclave id, its
+    8-byte big-endian vpage, then its bytes.
+    """
     h = hashlib.sha256()
     for eid in sorted(states):
-        for vpage in sorted(states[eid]):
+        pages = states[eid]
+        for vpage, page in sorted(pages.items()) if isinstance(pages, Mapping) else pages:
             h.update(eid.to_bytes(8, "big"))
             h.update(vpage.to_bytes(8, "big"))
-            h.update(states[eid][vpage])
+            h.update(page)
     return h.hexdigest()
 
 
@@ -422,24 +432,21 @@ def run(cfg: SimConfig, records: list[TraceRecord]) -> Report:
     if isinstance(model, DfpModel):
         model.set_trace(records)
 
-    failure: CatastrophicFailure | None = None
+    # the failure's fields, not the exception: its traceback holds this
+    # frame, and so the model, until a garbage collection
+    failure = speculative = None
     done = 0
-    for rec in records:
-        try:
+    try:
+        for rec in records:
             model.access(rec.enclave_id, rec.vaddr, rec.op, rec.icount)
-        except CatastrophicFailure as cf:
-            failure = cf
-            break
-        done += 1
-    if failure is None:
-        try:
-            model.finalize()
-        except CatastrophicFailure as cf:
-            failure = cf
+            done += 1
+        model.finalize()
+    except CatastrophicFailure as cf:
+        failure, speculative = cf.detail, cf.speculative_instructions
 
-    states = {}
-    if failure is None:
-        states = {eid: model.final_state(eid) for eid in sorted(footprints)}
+    digest = ""
+    if failure is None and footprints:
+        digest = state_digest({eid: model.final_pages(eid) for eid in footprints})
 
     s, d = model.stats, model.dram
     ev = s.events
@@ -474,11 +481,9 @@ def run(cfg: SimConfig, records: list[TraceRecord]) -> Report:
         eshr_stalls=ev["eshr_stalls"],
         barriers=ev["barriers"],
         events=dict(sorted(ev.items())),
-        security_failure=failure.detail if failure else None,
-        speculative_instructions=(
-            failure.speculative_instructions if failure else None
-        ),
-        final_state_digest=state_digest(states) if states else "",
+        security_failure=failure,
+        speculative_instructions=speculative,
+        final_state_digest=digest,
     )
     return report
 

@@ -9,14 +9,17 @@ from enclavesim.layout import BLOCK_SIZE
 
 
 class _FlippedPenglai(sim.PenglaiModel):
-    """A deliberately wrong model: its final memory differs by one byte."""
+    """A deliberately wrong model: its final memory differs by one byte.
 
-    def final_state(self, eid):
-        state = super().final_state(eid)
-        page = bytearray(state[0])
-        page[0] ^= 1
-        state[0] = bytes(page)
-        return state
+    The flip is in `final_pages`, the stream `sim.run` digests, so
+    `final_state` shows it too.
+    """
+
+    def final_pages(self, eid):
+        for vpage, page in super().final_pages(eid):
+            if vpage == 0:
+                page = bytes([page[0] ^ 1]) + page[1:]
+            yield vpage, page
 
 
 @pytest.fixture

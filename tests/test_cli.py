@@ -157,6 +157,19 @@ def test_seed_beyond_64_bits_exits_one_with_one_error_line(workdir, capsys):
     assert not (workdir / "big.json").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("name", ["paper.json", "paper.csv"])
+def test_out_onto_the_config_exits_one_and_writes_nothing(workdir, capsys, command, name):
+    # the config's path is absolute and --out is relative: both name one file
+    cfg = write_config(workdir, name=name, models=["baseline", "secscale"])
+    before = (workdir / name).read_bytes()
+    assert main([command, cfg, "--out", "paper"]) == EXIT_USAGE
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and name in line
+    assert (workdir / name).read_bytes() == before
+    assert [p.name for p in workdir.iterdir()] == [name]
+
+
 # ------------------------------------------------------------ reproducibility
 def test_same_config_twice_is_byte_identical(workdir):
     cfg = write_config(workdir)

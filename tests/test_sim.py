@@ -6,11 +6,17 @@ are checked against the direction the respective design argues for.
 """
 
 import dataclasses
+import gc
 import random
+import tracemalloc
+import weakref
 
 import pytest
 
-from enclavesim.epc import SCRATCH_VBASE, make_layout, write_value
+from enclavesim.adversary import run_attack
+from enclavesim.config import load_config
+from enclavesim.epc import SCRATCH_VBASE, Model, make_layout, write_value
+from enclavesim.forest import MacForest
 from enclavesim.layout import PAGE_SIZE, ConfigError
 from enclavesim.sim import (
     MODEL_CLASSES,
@@ -24,6 +30,7 @@ from enclavesim.sim import (
     run,
     state_digest,
 )
+from enclavesim.verifier import CatastrophicFailure
 from enclavesim.workload import SyntheticSpec, TraceRecord, generate
 
 
@@ -164,6 +171,19 @@ def test_every_model_rejects_the_same_accesses(model):
         assert _counters(m) == charged, f"a bad {name} was charged"
 
 
+def _drive(sim_cfg, records):
+    """Run a trace through `sim_cfg.model` as `run` does; return the
+    finalized model and the value of every access."""
+    model = MODEL_CLASSES[sim_cfg.model](sim_cfg)
+    for eid, n_pages in sorted(enclave_footprints(records).items()):
+        model.register_enclave(eid, max(n_pages, 1))
+    if isinstance(model, DfpModel):
+        model.set_trace(records)
+    values = [model.access(r.enclave_id, r.vaddr, r.op, r.icount) for r in records]
+    model.finalize()
+    return model, values
+
+
 def test_every_model_returns_the_same_value_for_every_access():
     # two enclaves over more pages than the 256 KiB EPC holds, plus scratch
     # words both enclaves share; a small pool of words, so most reads see a
@@ -183,17 +203,10 @@ def test_every_model_returns_the_same_value_for_every_access():
 
     values, scratch_counts = {}, {}
     for name in MODELS:
-        model = MODEL_CLASSES[name](
-            SimConfig(model=name, total_size=16 << 20, epc_size=256 << 10, seed=3)
+        model, values[name] = _drive(
+            SimConfig(model=name, total_size=16 << 20, epc_size=256 << 10, seed=3),
+            records,
         )
-        for eid, n_pages in sorted(enclave_footprints(records).items()):
-            model.register_enclave(eid, max(n_pages, 1))
-        if isinstance(model, DfpModel):
-            model.set_trace(records)
-        values[name] = [
-            model.access(r.enclave_id, r.vaddr, r.op, r.icount) for r in records
-        ]
-        model.finalize()
         events = model.stats.events
         scratch_counts[name] = (events["scratch_reads"], events["scratch_writes"])
     for name in MODELS:
@@ -226,6 +239,79 @@ def test_state_digest_is_order_independent():
     assert state_digest(a) == state_digest(b)
     c = {1: {0: b"y" * PAGE_SIZE, 1: b"x" * PAGE_SIZE}}
     assert state_digest(a) != state_digest(c)
+
+
+# ---------------------------------------------------------------- memory
+
+
+def test_final_pages_stream_is_final_state_and_digests_the_same():
+    cfg = load_config(preset="trend")
+    records = cfg.records()
+    [eid] = enclave_footprints(records)
+    reference = None
+    for name in MODELS:
+        model, _ = _drive(dataclasses.replace(cfg, model=name), records)
+        pages = list(model.final_pages(eid))
+        assert [v for v, _ in pages] == list(range(len(pages))), name
+        assert dict(pages) == model.final_state(eid), name
+        if reference is None:
+            reference = dict(pages)
+        assert dict(pages) == reference, f"{name} differs from {MODELS[0]}"
+        digest = state_digest({eid: model.final_pages(eid)})
+        assert digest == state_digest({eid: reference}), name
+    assert digest == run(cfg, records).final_state_digest
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_a_run_digests_its_final_state_page_by_page(model):
+    # a 16 MiB enclave (4,096 pages) of which four pages are touched: a
+    # digest that held the final state would hold 16 MiB
+    records = [
+        TraceRecord(op, v * PAGE_SIZE + 8, 1, 1000 * (i + 1))
+        for i, (op, v) in enumerate((op, v) for op in "WR" for v in (0, 1, 2, 4095))
+    ]
+    tracemalloc.start()
+    try:
+        rep = run(cfg(model=model), records)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.final_state_digest
+    assert peak < 1 << 20, f"{model} peaked at {peak / (1 << 20):.1f} MiB"
+
+
+def _fail_verification(forest, page, mac):
+    raise CatastrophicFailure(f"forced failure at page {page}", page=page)
+
+
+def test_no_model_outlives_its_run(monkeypatch):
+    # with the cycle collector off, only reference counting frees a model:
+    # a model in a reference cycle stays alive here
+    born = []
+    model_init = Model.__init__
+
+    def tracked(self, *args, **kwargs):
+        model_init(self, *args, **kwargs)
+        born.append((type(self).__name__, weakref.ref(self)))
+
+    monkeypatch.setattr(Model, "__init__", tracked)
+    records = trace(n=2000, seed=4)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for name in MODELS:
+            run(cfg(model=name, seed=4), records)
+        # a detected attack halts its engine inside an access, and so does a
+        # failed verification inside a run
+        assert run_attack("replay-epc-counter", 0).detected
+        monkeypatch.setattr(MacForest, "verify_page", _fail_verification)
+        assert run(cfg(model="secscale", seed=4), records).security_failure
+        alive = [name for name, ref in born if ref() is not None]
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert len(born) == len(MODELS) + 2
+    assert not alive, f"still alive after their runs: {alive}"
 
 
 # ---------------------------------------------------------------- timing
