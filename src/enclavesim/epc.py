@@ -68,6 +68,7 @@ from .layout import (
     BLOCKS_PER_PAGE,
     KEY_SLOT_BYTES,
     PAGE_SIZE,
+    ZERO_PAGE,
     ConfigError,
     EmulatedDram,
     MemoryLayout,
@@ -82,7 +83,6 @@ if TYPE_CHECKING:
     from .sim import SimConfig
 
 SCRATCH_VBASE = 0xFFFF0  # virtual pages at/above this index address scratch
-ZERO_PAGE = bytes(PAGE_SIZE)  # the plaintext of a page never written
 
 
 def make_layout(total_size: int, epc_size: int) -> MemoryLayout:

@@ -31,6 +31,7 @@ PAGE_SIZE = 4096
 PAGE_SHIFT = 12
 BLOCK_SIZE = 64
 BLOCKS_PER_PAGE = PAGE_SIZE // BLOCK_SIZE  # 64
+ZERO_PAGE = bytes(PAGE_SIZE)  # the plaintext of a page never written
 KEY_SLOT_BYTES = 16
 PHYS_ADDR_BITS = 39
 MAX_TOTAL_SIZE = 1 << PHYS_ADDR_BITS  # 512 GiB
@@ -263,3 +264,9 @@ class EmulatedDram:
 
     def touched_pages(self) -> int:
         return len(self._pages)
+
+    def touched_in(self, addr: int, length: int) -> bool:
+        """Whether a page overlapping [addr, addr+length) is materialized;
+        O(touched pages), not O(length)."""
+        lo, hi = addr >> PAGE_SHIFT, (addr + length - 1) >> PAGE_SHIFT
+        return any(lo <= page <= hi for page in self._pages)

@@ -6,14 +6,36 @@ holding its 56-bit major write counter and an 8-byte MAC over its plaintext
 contents; internal nodes hold one counter per child packed into 56 bytes
 (448/arity bits each: 14 bits at the arity of 32) plus an 8-byte
 node MAC.  A node's MAC is keyed by the counter its parent holds for it, so
-replaying any stale (node, MAC) pair fails against the incremented parent,
-and the chain terminates in root counters kept on-chip.
+a replayed stale (node, MAC) pair fails against the incremented parent, and
+the chain terminates in root counters kept on-chip.
+
+Narrow internal counters can wrap: a wrap resets the slot to 0 and re-keys
+the affected child MAC in the same update (the re-encryption such designs
+charge), counted as the run event `overflow_rekeys`.  A wrap re-keys only
+that child, so a parent slot that has counted exactly 2^14 more writes holds
+the same counter again, and the child's snapshot from before them verifies:
+that replay is open, pinned as a strict xfail in tests/test_merkle.py.
 
 A direct-mapped write-through 32 KiB counter cache holds verified
-node lines; a walk stops at the first cached ancestor.  Narrow internal
-counters can wrap: a wrap resets the slot and re-keys the affected child MAC
-in the same update (the re-encryption such designs charge), counted as the
-run event `overflow_rekeys`.
+node lines; a walk stops at the first cached ancestor.
+
+Construction writes nothing and computes no MAC, so boot costs the same at
+any EPC size.  A stored node that reads as 64 zero bytes under a trusted
+parent counter (or root counter) of 0 stands for its boot value and is
+trusted without a MAC check.  For an internal node the boot value is every
+child counter at 0, which the zero bytes already say; for a leaf it is major
+0 over the zero page, and `read_verify`, the one reader of a leaf's data
+MAC, works that MAC out when it meets a boot leaf.  A node's first update
+writes its real bytes and bumps its parent's counter, so from then on zeros
+fail the MAC check like any other forgery.
+
+This is as strong as writing every boot node at construction.  An eager boot
+node is a pure function of the SSK and its index, keyed by parent counter 0,
+and it would sit in the clear in DRAM, so an adversary who writes zeros
+gains nothing over one who replays those bytes: both verify exactly where
+the parent counter reads 0, and nowhere else.  The rule rests on the tree's
+DRAM starting unwritten -- the protected pages and the node storage -- which
+construction checks.
 
 Storage for a 128 MiB protected range at arity 32 with 64-byte nodes is
 32768 + 1024 + 32 nodes = 2 MiB + 64 KiB + 2 KiB, with the root on-chip; a
@@ -27,7 +49,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .crypto import MacKey, keyed_mac8
-from .layout import PAGE_SIZE, ConfigError, EmulatedDram
+from .layout import PAGE_SIZE, ZERO_PAGE, ConfigError, EmulatedDram
 from .verifier import CatastrophicFailure
 
 NODE_BYTES = 64
@@ -39,6 +61,7 @@ ARITY = 32  # children per internal node
 COUNTER_BITS = COUNTER_AREA_BITS // ARITY  # 14: per-child counter width
 COUNTER_MAX = (1 << COUNTER_BITS) - 1
 CACHE_LINES = 32768 // NODE_BYTES  # a 32 KiB counter cache
+ZERO_NODE = bytes(NODE_BYTES)  # under a parent counter of 0: a boot node
 
 
 def level_counts(n_leaves: int, arity: int) -> list[int]:
@@ -104,7 +127,12 @@ class WriteResult:
 
 
 class EpcMerkle:
-    """Byte-exact counter tree over `n_pages` slots starting at `base_addr`."""
+    """Byte-exact counter tree over the first `n_pages` physical pages.
+
+    Its nodes are stored from `base_addr`.  Both spans must be unwritten
+    when the tree is built: a node still zero stands for its boot value, and
+    a boot leaf for the zero page.
+    """
 
     def __init__(
         self,
@@ -133,7 +161,12 @@ class EpcMerkle:
         self._paths: dict[int, tuple[tuple[int, int], ...]] = {}  # see _path
         # direct-mapped, write-through: line index -> (node_addr, bytes)
         self._cache: dict[int, tuple[int, bytes]] = {}
-        self._init_storage()
+        for addr, length in ((0, n_pages * PAGE_SIZE), (base_addr, self.storage_bytes)):
+            if dram.touched_in(addr, length):
+                raise ValueError(
+                    f"counter tree over written DRAM: [{addr:#x}, +{length:#x}) "
+                    "holds materialized pages, which no boot value stands for"
+                )
 
     # ------------------------------------------------------------ layout
     def node_addr(self, level: int, idx: int) -> int:
@@ -193,21 +226,6 @@ class EpcMerkle:
             plaintext,
         )
 
-    # ------------------------------------------------------------- boot
-    def _init_storage(self):
-        """Write a MAC-consistent tree over boot-time page content (unmetered)."""
-        zeros = bytes(COUNTER_AREA_BYTES)
-        for level, count in enumerate(self.counts):
-            for idx in range(count):
-                if level == 0:
-                    content = self.dram.peek(idx * PAGE_SIZE, PAGE_SIZE)
-                    dmac = self.data_mac(idx, 0, content)
-                    mac = self._leaf_mac(idx, 0, 0, dmac)
-                    raw = self._leaf_bytes(0, dmac, mac)
-                else:
-                    raw = zeros + self._node_mac(level, idx, 0, zeros)
-                self.dram.poke(self.node_addr(level, idx), raw)
-
     # ------------------------------------------------------------ cache
     def _cache_get(self, addr: int) -> bytes | None:
         if not self.cache_enabled:
@@ -245,7 +263,8 @@ class EpcMerkle:
             else:
                 fetched.append((level, self.dram.read(addr, NODE_BYTES, "merkle")))
 
-        # verify top-down so each parent is trusted before its child
+        # verify top-down so each parent is trusted before its child; zeros
+        # under a counter of 0 are the node's boot value (module docstring)
         top = len(path) - 1
         for level, raw in reversed(fetched):
             idx, addr = path[level]
@@ -253,17 +272,20 @@ class EpcMerkle:
                 parent_counter = self.root_counters[idx]
             else:
                 parent_counter = child_counter(trusted[level + 1], idx)
-            if level == 0:
-                major, dmac, stored = self._leaf_fields(raw)
-                expect = self._leaf_mac(idx, parent_counter, major, dmac)
-            else:
-                stored = raw[COUNTER_AREA_BYTES:]
-                expect = self._node_mac(level, idx, parent_counter, raw[:COUNTER_AREA_BYTES])
-            if stored != expect:
-                raise CatastrophicFailure(
-                    f"counter-tree node MAC mismatch at level {level} node {idx}",
-                    page=page,
-                )
+            if parent_counter or raw != ZERO_NODE:
+                if level == 0:
+                    major, dmac, stored = self._leaf_fields(raw)
+                    expect = self._leaf_mac(idx, parent_counter, major, dmac)
+                else:
+                    stored = raw[COUNTER_AREA_BYTES:]
+                    expect = self._node_mac(
+                        level, idx, parent_counter, raw[:COUNTER_AREA_BYTES]
+                    )
+                if stored != expect:
+                    raise CatastrophicFailure(
+                        f"counter-tree node MAC mismatch at level {level} node {idx}",
+                        page=page,
+                    )
             trusted[level] = raw
             self._cache_put(addr, raw)
         return path, trusted, len(fetched)
@@ -272,8 +294,15 @@ class EpcMerkle:
     def read_verify(self, page: int) -> ReadResult:
         """Authenticate the counter path of a page; returns its major counter."""
         _, trusted, reads = self._fetch_verified_path(page)
-        major, dmac, _ = self._leaf_fields(trusted[0])
+        major, dmac = self._bound_data(page, trusted[0])
         return ReadResult(major=major, data_mac=dmac, dram_reads=reads)
+
+    def _bound_data(self, page: int, leaf: bytes) -> tuple[int, bytes]:
+        """The (major, data MAC) a trusted leaf binds its page to; a boot
+        leaf binds major 0 over the zero page."""
+        if leaf == ZERO_NODE:
+            return 0, self.data_mac(page, 0, ZERO_PAGE)
+        return int.from_bytes(leaf[:8], "little"), leaf[8:16]
 
     def check_data(self, page: int, major: int, plaintext: bytes, stored_mac: bytes):
         if self.data_mac(page, major, plaintext) != stored_mac:

@@ -21,8 +21,10 @@ differently, mostly `_secure_access`.
 The comparison models are performance models: they charge what their design
 costs but store plaintext bytes, so every model's final state must equal
 the unprotected reference — which is the cross-model correctness oracle.
-Only the secscale engine materializes real ciphertext and MAC bytes, and
-only it is the subject of the attack suite.
+The counter trees of sgx-client and dfp are the secscale engine's
+`EpcMerkle` and hold real counter and MAC bytes, but only the secscale
+engine materializes real ciphertext, and only it is the subject of the
+attack suite.
 
 Reports carry a fixed column order so CSV output from different runs always
 lines up.

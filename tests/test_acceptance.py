@@ -22,8 +22,8 @@ from enclavesim.config import expand_sweep, load_config, merge_layers
 from enclavesim.crypto import ecb_decrypt_page, page_mac, unwrap_key
 from enclavesim.epc import SecScaleEngine
 from enclavesim.forest import GROUP_ARITY, REGION_ARITY, forest_storage
-from enclavesim.layout import KEY_SLOT_BYTES, PAGE_SIZE
-from enclavesim.merkle import ARITY, child_counter, merkle_storage_bytes
+from enclavesim.layout import KEY_SLOT_BYTES, PAGE_SIZE, ZERO_PAGE
+from enclavesim.merkle import ARITY, ZERO_NODE, child_counter, merkle_storage_bytes
 from enclavesim.sim import (
     MODEL_CLASSES,
     SimConfig,
@@ -173,7 +173,9 @@ def test_a4_metadata_equals_brute_force_recomputation():
             zero, bytes(mbytes)
         )
 
-    # counter tree: every stored node re-derives from content and parents
+    # counter tree: every stored node re-derives from content and parents;
+    # a node still zero under a parent counter of 0 is its boot value, and a
+    # boot leaf binds the zero page
     tree_err = 0
     arity = ARITY
     for level in range(len(m.counts) - 1, -1, -1):
@@ -184,7 +186,10 @@ def test_a4_metadata_equals_brute_force_recomputation():
             else:
                 parent = dram.peek(m.node_addr(level + 1, idx // arity), 64)
                 pc = child_counter(parent, idx)
-            if level == 0:
+            if pc == 0 and raw == ZERO_NODE:
+                if level == 0:
+                    tree_err += dram.peek(idx * PAGE_SIZE, PAGE_SIZE) != ZERO_PAGE
+            elif level == 0:
                 major, dmac, mac = m._leaf_fields(raw)
                 content = dram.peek(idx * PAGE_SIZE, PAGE_SIZE)
                 tree_err += dmac != m.data_mac(idx, major, content)

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enclavesim import forest as forest_mod
+from enclavesim import merkle as merkle_mod
 from enclavesim import sim
 from enclavesim.config import PRESETS, load_config
 from enclavesim.crypto import compose_page_key, ecb_decrypt_page, unwrap_key
@@ -854,21 +855,26 @@ def test_unknown_enclave_and_bad_op():
 # -------------------------------------------------------- metadata carve
 
 
-def test_paper_scale_boot_makes_no_forest_mac_and_touches_only_the_epc(monkeypatch):
-    # forest mids and tops are worked out on first read, so building the
-    # engine at 512 GiB costs only the counter tree over the EPC carve
+def test_paper_scale_boot_makes_no_mac_and_touches_no_dram(monkeypatch):
+    # forest mids and tops are worked out on first read and counter-tree
+    # nodes still zero stand for their boot values, so building the engine
+    # at 512 GiB / 128 MiB computes no MAC and materializes no DRAM page
     calls = []
-    real = forest_mod.keyed_mac8
+    for mod in (forest_mod, merkle_mod):
+        real = mod.keyed_mac8
 
-    def counted(*args):
-        calls.append(args[1])
-        return real(*args)
+        def counted(*args, real=real):
+            calls.append(args[1])
+            return real(*args)
 
-    monkeypatch.setattr(forest_mod, "keyed_mac8", counted)
+        monkeypatch.setattr(mod, "keyed_mac8", counted)
     eng = make_engine(epc_size=128 * MIB, total_size=512 << 30)
     assert calls == []
-    assert eng.dram.touched_pages() > 0
-    assert {eng.layout.classify(p * PAGE_SIZE) for p in eng.dram._pages} == {Region.EPC}
+    assert eng.dram.touched_pages() == 0
+    assert eng.dram.total_accesses() == 0
+    eng.register_enclave(EID, 4)
+    eng.access(EID, 0, "W", 1)
+    assert calls  # the counters are live: the first write MACs its path
 
 
 @pytest.mark.parametrize("epc_kib", [64, 128, 256, 512, 1024, 4096, 16384])

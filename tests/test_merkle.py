@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enclavesim.crypto import keyed_mac8
-from enclavesim.layout import EmulatedDram, MemoryLayout
+from enclavesim.layout import PAGE_SIZE, ZERO_PAGE, EmulatedDram, MemoryLayout
 from enclavesim.merkle import (
     ARITY,
     CACHE_LINES,
+    COUNTER_AREA_BYTES,
     COUNTER_BITS,
     NODE_BYTES,
+    ZERO_NODE,
     EpcMerkle,
     level_counts,
     merkle_storage_bytes,
@@ -31,6 +33,23 @@ def make_tree(n_pages=64, cache=True):
     tree = EpcMerkle(
         dram, base_addr=0, n_pages=n_pages, ssk_bytes=SSK, events=Counter(), cache=cache
     )
+    return tree, dram
+
+
+def make_eager_tree(n_pages=64, cache=True):
+    """The eager twin: a tree whose DRAM holds every boot node up front.
+    Each leaf binds major 0 over the zero page, and every node carries its
+    MAC under a parent counter of 0."""
+    tree, dram = make_tree(n_pages, cache)
+    zeros = bytes(COUNTER_AREA_BYTES)
+    for level, count in enumerate(tree.counts):
+        for idx in range(count):
+            if level == 0:
+                dmac = tree.data_mac(idx, 0, ZERO_PAGE)
+                raw = tree._leaf_bytes(0, dmac, tree._leaf_mac(idx, 0, 0, dmac))
+            else:
+                raw = zeros + tree._node_mac(level, idx, 0, zeros)
+            dram.poke(tree.node_addr(level, idx), raw)
     return tree, dram
 
 
@@ -121,7 +140,8 @@ def _slots(raw: bytes) -> list[int]:
 
 
 def _oracle_check_all_nodes(tree: EpcMerkle, dram: EmulatedDram):
-    """Recompute every node MAC from raw DRAM bytes and the on-chip root."""
+    """Recompute every node MAC from raw DRAM bytes and the on-chip root;
+    a node still zero under a parent counter of 0 is its boot value."""
 
     def parent_counter(level, idx):
         if level + 1 >= len(tree.counts):
@@ -133,6 +153,8 @@ def _oracle_check_all_nodes(tree: EpcMerkle, dram: EmulatedDram):
         for idx in range(count):
             raw = dram.peek(tree.node_addr(level, idx), NODE_BYTES)
             pc = parent_counter(level, idx)
+            if pc == 0 and raw == ZERO_NODE:
+                continue
             if level == 0:
                 expect = keyed_mac8(
                     SSK,
@@ -361,3 +383,228 @@ def test_counter_wrap_leaves_neighbour_slots_alone(level):
         assert _slots(dram.peek(tree.node_addr(2, 0), NODE_BYTES))[0] == 3
     assert tree.events["overflow_rekeys"] == 3 - level
     _oracle_check_all_nodes(tree, dram)
+
+
+# ------------------------------------------------------ boot by zero nodes
+def test_boot_writes_nothing():
+    _, dram = make_tree(THREE_LEVELS)
+    assert dram.touched_pages() == 0
+    assert dram.total_accesses() == 0
+
+
+@pytest.mark.parametrize(
+    "poke_at", [3 * PAGE_SIZE + 100, 8 * MIB + 64 * NODE_BYTES], ids=["page", "node"]
+)
+def test_a_tree_is_built_only_over_unwritten_dram(poke_at):
+    # a page already written could not stand for its boot value
+    lay = MemoryLayout.build(total_size=16 * MIB, epc_size=4 * MIB)
+    dram = EmulatedDram(lay)
+    dram.poke(poke_at, b"\x01")
+    with pytest.raises(ValueError, match="counter tree over written DRAM"):
+        EpcMerkle(dram, base_addr=8 * MIB, n_pages=64, ssk_bytes=SSK, events=Counter())
+    dram = EmulatedDram(lay)
+    dram.poke(64 * PAGE_SIZE, b"\x01")  # past the pages, short of the nodes
+    EpcMerkle(dram, base_addr=8 * MIB, n_pages=64, ssk_bytes=SSK, events=Counter())
+
+
+def _zero_node(tree, dram, level, idx):
+    dram.poke(tree.node_addr(level, idx), ZERO_NODE)
+    tree._cache.clear()  # the adversary reaches DRAM only
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_a_zeroed_written_node_is_caught(level):
+    tree, dram = make_tree(THREE_LEVELS)
+    tree.write_update(40, b"\x22" * 4096)
+    _zero_node(tree, dram, level, 40 // ARITY**level)
+    with pytest.raises(
+        CatastrophicFailure, match=f"MAC mismatch at level {level} node {40 // ARITY**level}"
+    ):
+        tree.read_verify(40)
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_a_forged_node_under_a_zero_counter_is_caught(level):
+    # page 40's path was never written: every counter on it is 0
+    tree, dram = make_tree(THREE_LEVELS)
+    forged = bytearray(ZERO_NODE)
+    forged[0] = 1  # major 1, or one child counter at 1
+    dram.poke(tree.node_addr(level, 40 // ARITY**level), bytes(forged))
+    with pytest.raises(CatastrophicFailure, match=f"MAC mismatch at level {level}"):
+        tree.read_verify(40)
+
+
+@pytest.mark.parametrize("eager", [False, True])
+def test_a_zeroed_never_written_node_verifies_as_boot(eager):
+    # page 41's leaf was never written, under a parent that was: zeros in
+    # its place are its boot value, in a lazy tree and in an eager twin alike
+    tree, dram = (make_eager_tree if eager else make_tree)(THREE_LEVELS)
+    tree.write_update(40, b"\x22" * 4096)
+    before = tree.read_verify(41)
+    _zero_node(tree, dram, 0, 41)
+    after = tree.read_verify(41)
+    assert (after.major, after.data_mac) == (before.major, before.data_mac)
+    assert after.major == 0
+    tree.check_data(41, 0, ZERO_PAGE, after.data_mac)
+
+
+@pytest.mark.parametrize("cache", [True, False])
+def test_check_data_on_a_boot_leaf_passes_only_the_zero_page(cache):
+    tree, _ = make_tree(THREE_LEVELS, cache=cache)
+    eager, _ = make_eager_tree(THREE_LEVELS, cache=cache)
+    tree.write_update(40, b"\x22" * 4096)  # a written sibling
+    for page in (0, 41, THREE_LEVELS - 1):
+        res = tree.read_verify(page)
+        assert res.data_mac == eager.read_verify(page).data_mac
+        tree.check_data(page, 0, ZERO_PAGE, res.data_mac)
+        for wrong in (b"\x01" + bytes(4095), bytes(4095) + b"\x80", b"\x22" * 4096):
+            with pytest.raises(CatastrophicFailure, match="data MAC mismatch"):
+                tree.check_data(page, 0, wrong, res.data_mac)
+        with pytest.raises(CatastrophicFailure, match="data MAC mismatch"):
+            tree.check_data(page, 1, ZERO_PAGE, res.data_mac)
+
+
+# The differential runs the same operations on a tree built lazily and on
+# its eager twin.  Tampering hits both at the same node and step: a flip of
+# a MAC-covered bit, a replay of the node's bytes from an earlier snapshot of
+# the same tree (snapshot 0 is boot: zeros in one, the eager boot node in
+# the other), or zeros over a node whose parent counter is no longer 0.
+# Bytes 16-55 of a leaf are padding no MAC covers, so a flip there goes
+# unseen in the eager twin but is caught on a lazy boot leaf, whose bytes
+# are then no longer zero; the differential leaves them out.
+def _covered_offsets(level):
+    return [*range(16), *range(56, 64)] if level == 0 else range(NODE_BYTES)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except CatastrophicFailure as exc:
+        return f"caught: {exc}"
+
+
+def _read(tree, page):
+    res = tree.read_verify(page)
+    return res.major, res.data_mac, res.dram_reads
+
+
+def _write(tree, page, pt):
+    res = tree.write_update(page, pt)
+    return res.major, res.dram_reads, res.dram_writes
+
+
+def _check(tree, page, pt):
+    res = tree.read_verify(page)
+    tree.check_data(page, res.major, pt, res.data_mac)
+    return res.major, res.dram_reads
+
+
+def _counter_of(tree, level, page):
+    """The counter that node (level, page's ancestor) is keyed by."""
+    idx = page // ARITY**level
+    if level + 1 == len(tree.counts):
+        return tree.root_counters[idx]
+    parent = tree.dram.peek(tree.node_addr(level + 1, idx // ARITY), NODE_BYTES)
+    return _slots(parent)[idx % ARITY]
+
+
+@pytest.mark.parametrize("tamper", [False, True])
+@pytest.mark.parametrize("cache", [True, False])
+@pytest.mark.parametrize("seed", range(3))
+def test_lazy_boot_behaves_like_an_eager_one(seed, cache, tamper):
+    rng = random.Random(seed)
+    trees = [make_tree(THREE_LEVELS, cache), make_eager_tree(THREE_LEVELS, cache)]
+    for _, dram in trees:
+        dram.reads.clear()  # the eager twin's boot pokes are unmetered anyway
+    snaps = [{}, {}]  # per tree: step -> {node address: bytes}
+    contents: dict[int, bytes] = {}
+    hot = rng.sample(range(THREE_LEVELS), 12)  # pages that collide often
+
+    def both(fn, *args):
+        out = [_outcome(lambda t=t: fn(t, *args)) for t, _ in trees]
+        assert out[0] == out[1], (fn.__name__, args)
+        return out[0]
+
+    for step in range(300):
+        page = rng.choice(hot) if rng.random() < 0.7 else rng.randrange(THREE_LEVELS)
+        kind = rng.random()
+        if step % 50 == 0:
+            for (tree, dram), snap in zip(trees, snaps):
+                addrs = (
+                    tree.node_addr(level, idx)
+                    for level, count in enumerate(tree.counts)
+                    for idx in range(count)
+                )
+                snap[step] = {a: dram.peek(a, NODE_BYTES) for a in addrs}
+        if tamper and kind < 0.25:
+            level = rng.randrange(len(trees[0][0].counts))
+            addr = trees[0][0].node_addr(level, page // ARITY**level)
+            how = rng.choice(("flip", "replay", "zero"))
+            saved = [dram.peek(addr, NODE_BYTES) for _, dram in trees]
+            if how == "zero" and not _counter_of(trees[0][0], level, page):
+                how = "flip"  # zeros under a counter of 0 are boot: not a tamper
+            if how == "flip":
+                off, bit = rng.choice(_covered_offsets(level)), 1 << rng.randrange(8)
+            when = rng.choice(sorted(snaps[0]))
+            for (tree, dram), snap in zip(trees, snaps):
+                raw = bytearray(dram.peek(addr, NODE_BYTES))
+                if how == "flip":
+                    raw[off] ^= bit
+                elif how == "replay":
+                    raw[:] = snap[when][addr]
+                else:
+                    raw[:] = ZERO_NODE
+                dram.poke(addr, bytes(raw))
+            if rng.random() < 0.5:
+                out = both(_read, page)
+                undo = True
+            else:
+                pt = bytes([step % 251 + 1]) * 4096
+                out = both(_write, page, pt)
+                undo = isinstance(out, str)
+                if not undo:
+                    contents[page] = pt
+            if undo:  # a write that went through has rewritten the node
+                for (_, dram), raw in zip(trees, saved):
+                    dram.poke(addr, raw)
+        elif kind < 0.55:
+            contents[page] = bytes([step % 251 + 1]) * 4096
+            both(_write, page, contents[page])
+        elif kind < 0.8:
+            both(_read, page)
+        else:
+            pt = contents.get(page, ZERO_PAGE)
+            if tamper and rng.random() < 0.3:
+                pt = pt[:100] + bytes([pt[100] ^ 4]) + pt[101:]
+            out = both(_check, page, pt)
+            assert isinstance(out, str) == (pt != contents.get(page, ZERO_PAGE))
+    (lazy, lazy_dram), (eager, eager_dram) = trees
+    assert lazy_dram.reads == eager_dram.reads
+    assert lazy_dram.writes == eager_dram.writes
+    assert lazy.events == eager.events and lazy.root_counters == eager.root_counters
+    # wherever the lazy tree holds a node, the twin holds the same bytes
+    for level, count in enumerate(lazy.counts):
+        for idx in range(count):
+            raw = lazy_dram.peek(lazy.node_addr(level, idx), NODE_BYTES)
+            if raw != ZERO_NODE:
+                assert raw == eager_dram.peek(lazy.node_addr(level, idx), NODE_BYTES)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="open: a wrap re-keys only the child, so a 14-bit parent counter "
+    "that has counted 2^14 writes holds its old value and the stale leaf "
+    "verifies again (ROADMAP item 1)",
+)
+def test_a_leaf_replayed_across_a_counter_wrap_is_caught():
+    tree, dram = make_tree(64, cache=False)
+    tree.write_update(0, b"X" * 4096)
+    addr = tree.node_addr(0, 0)
+    snapshot = dram.peek(addr, NODE_BYTES)
+    for _ in range(1 << COUNTER_BITS):
+        tree.write_update(0, b"Y" * 4096)
+    assert tree.events["overflow_rekeys"] == 1
+    dram.poke(addr, snapshot)
+    with pytest.raises(CatastrophicFailure):
+        res = tree.read_verify(0)
+        tree.check_data(0, res.major, b"X" * 4096, res.data_mac)
