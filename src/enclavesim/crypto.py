@@ -30,11 +30,17 @@ twice before the next write-back replaces it, so page MACs take the raw key.
 AES-256-ECB runs in OpenSSL's libcrypto, loaded through cffi.  A single page
 transfer touches 64 distinct block keys, so building a cipher object per key
 would dominate the run; instead the module holds one EVP context per
-direction and re-keys it before every key's slice of data.  ECB has no
+direction.  For each 64-byte block it re-keys that context
+(`EVP_EncryptInit` / `EVP_DecryptInit` with a NULL cipher, which keeps the
+context as set up) and ciphers the block (`EVP_Cipher`).  ECB has no
 chaining state, so nothing carries from one key to the next, and there is
-no cache of contexts.  Data is ciphered in place in one static page-sized
-buffer.  The two shared contexts and that buffer make this module not
-thread-safe; nothing in enclavesim uses threads.
+no cache of contexts.  A page is thus 128 calls into C, and most of its time
+is cffi's cost per call and per argument, not AES: the same calls from a C
+loop take a small fraction of it.  So the loop passes as few arguments as
+it can, checks the lengths once per page, and does no other Python work per
+key.  Data is ciphered in place in one static page-sized buffer.  The two
+shared contexts and that buffer make this module not thread-safe; nothing
+in enclavesim uses threads.
 """
 
 from __future__ import annotations
@@ -42,12 +48,11 @@ from __future__ import annotations
 import ctypes.util
 import hashlib
 import hmac
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import cffi
 
-from .layout import BLOCKS_PER_PAGE, PAGE_SIZE
+from .layout import BLOCK_SIZE, BLOCKS_PER_PAGE, PAGE_SIZE
 
 HW_KEY_BITS = 64
 ENCLAVE_ID_BITS = 31
@@ -61,6 +66,7 @@ _PAGE_SHIFT = BLOCK_ADDR_BITS
 _RANDOM_SHIFT = _PAGE_SHIFT + PAGE_ADDR_BITS
 _EID_SHIFT = _RANDOM_SHIFT + RANDOM_BITS
 _HW_SHIFT = _EID_SHIFT + ENCLAVE_ID_BITS
+_RANDOM_MASK = (1 << RANDOM_BITS) - 1
 
 MAC_BYTES = 8
 WRAPPED_KEY_BYTES = 16
@@ -75,15 +81,16 @@ _ffi.cdef(
     """
     typedef struct evp_cipher_st EVP_CIPHER;
     typedef struct evp_cipher_ctx_st EVP_CIPHER_CTX;
+    unsigned long OpenSSL_version_num(void);
     const EVP_CIPHER *EVP_aes_256_ecb(void);
     EVP_CIPHER_CTX *EVP_CIPHER_CTX_new(void);
     void EVP_CIPHER_CTX_free(EVP_CIPHER_CTX *ctx);
-    int EVP_CIPHER_CTX_set_padding(EVP_CIPHER_CTX *ctx, int pad);
-    int EVP_CipherInit_ex(EVP_CIPHER_CTX *ctx, const EVP_CIPHER *cipher,
-                          void *impl, const unsigned char *key,
-                          const unsigned char *iv, int enc);
-    int EVP_CipherUpdate(EVP_CIPHER_CTX *ctx, unsigned char *out, int *outl,
-                         const unsigned char *in, int inl);
+    int EVP_EncryptInit(EVP_CIPHER_CTX *ctx, const EVP_CIPHER *cipher,
+                        const unsigned char *key, const unsigned char *iv);
+    int EVP_DecryptInit(EVP_CIPHER_CTX *ctx, const EVP_CIPHER *cipher,
+                        const unsigned char *key, const unsigned char *iv);
+    int EVP_Cipher(EVP_CIPHER_CTX *ctx, unsigned char *out,
+                   const unsigned char *in, unsigned int inl);
     """
 )
 
@@ -112,69 +119,74 @@ _lib = _load_libcrypto()
 
 
 def _ecb_context(enc: int):
-    """An AES-256-ECB context for one direction, with no key and no padding."""
+    """An AES-256-ECB context for one direction, with no key yet."""
     ctx = _lib.EVP_CIPHER_CTX_new()
     if ctx == _ffi.NULL:
         raise MemoryError("OpenSSL EVP_CIPHER_CTX_new failed")
     ctx = _ffi.gc(ctx, _lib.EVP_CIPHER_CTX_free)
-    null = _ffi.NULL
-    if _lib.EVP_CipherInit_ex(ctx, _lib.EVP_aes_256_ecb(), null, null, null, enc) != 1:
-        raise RuntimeError("OpenSSL EVP_CipherInit_ex failed")
-    # without this, decryption would hold back the last block as padding
-    if _lib.EVP_CIPHER_CTX_set_padding(ctx, 0) != 1:
-        raise RuntimeError("OpenSSL EVP_CIPHER_CTX_set_padding failed")
+    init = _lib.EVP_EncryptInit if enc else _lib.EVP_DecryptInit
+    if init(ctx, _lib.EVP_aes_256_ecb(), _ffi.NULL, _ffi.NULL) != 1:
+        raise RuntimeError("OpenSSL EVP_EncryptInit/EVP_DecryptInit failed")
     return ctx
 
 
 _CONTEXTS = (_ecb_context(0), _ecb_context(1))  # indexed by enc
-_outl = _ffi.new("int *")
+# EVP_Cipher's success value: the byte count under OpenSSL 3, 1 under 1.1
+_CIPHER_RETURNS_COUNT = _lib.OpenSSL_version_num() >= 0x30000000
 # the one working buffer, ciphered in place (EVP allows out == in but not a
-# partial overlap), with a pointer to every cipher-block boundary built once
+# partial overlap), with a pointer to each of a page's blocks built once
 _BUF = _ffi.new("unsigned char[]", PAGE_SIZE)
-_BUF_AT = {off: _BUF + off for off in range(0, PAGE_SIZE, _AES_BLOCK_BYTES)}
+_WHOLE = (_BUF,)
+_PAGE_BLOCKS = tuple(_BUF + off for off in range(0, PAGE_SIZE, BLOCK_SIZE))
+# a page's block keys differ from its page key only in the last byte; a table
+# lookup is about twice as fast as building bytes([b]) each time
+_ONE_BYTE = tuple(bytes((i,)) for i in range(256))
 
 
-def _aes_ecb(enc: int, keys: Sequence[bytes], data: bytes) -> bytes:
-    """AES-256-ECB over ``data`` cut into ``len(keys)`` equal slices, slice i
-    under ``keys[i]``; ``enc`` is 1 to encrypt and 0 to decrypt.
+def _aes_ecb(enc: int, key: bytes, data: bytes, page: bool) -> bytes:
+    """AES-256-ECB over ``data``; ``enc`` is 1 to encrypt and 0 to decrypt.
 
-    The lengths are checked here, before C reads them: every key must be
-    exactly 32 bytes, every slice a positive multiple of 16, and the data no
-    longer than a page.
+    With ``page`` false, all of ``data`` is ciphered under ``key``.  With
+    ``page`` true, ``data`` is a page and 64-byte block b is ciphered under
+    ``derive_block_key(key, b)``.  The lengths are checked here, once, before
+    C reads them: the key must be exactly 32 bytes, a page exactly a page,
+    and other data a positive multiple of 16 bytes no longer than a page.
     """
-    n = len(data)
-    step = n // len(keys)
-    if step == 0 or step % _AES_BLOCK_BYTES or step * len(keys) != n:
-        raise ValueError(
-            f"AES data must be a positive multiple of {_AES_BLOCK_BYTES} bytes per key, "
-            f"got {n} bytes for {len(keys)} key(s)"
-        )
-    if n > PAGE_SIZE:
-        raise ValueError(f"AES data must be at most {PAGE_SIZE} bytes, got {n}")
-    if any(len(key) != _AES_KEY_BYTES for key in keys):
+    if len(key) != _AES_KEY_BYTES:
         raise ValueError(f"AES-256 keys must be {_AES_KEY_BYTES} bytes")
-    ctx, outl = _CONTEXTS[enc], _outl
-    init, update = _lib.EVP_CipherInit_ex, _lib.EVP_CipherUpdate
-    null, at = _ffi.NULL, _BUF_AT
+    n = len(data)
+    if page:
+        if n != PAGE_SIZE:
+            raise ValueError(f"page must be {PAGE_SIZE} bytes")
+        slices, low = _PAGE_BLOCKS, key[31] & 0xC0  # block 0's last key byte
+    else:
+        if n == 0 or n % _AES_BLOCK_BYTES:
+            raise ValueError(f"AES data must be a positive multiple of {_AES_BLOCK_BYTES} bytes")
+        if n > PAGE_SIZE:
+            raise ValueError(f"AES data must be at most {PAGE_SIZE} bytes, got {n}")
+        slices, low = _WHOLE, key[31]  # one slice under the key itself
+    step = n // len(slices)
+    ok = step if _CIPHER_RETURNS_COUNT else 1
+    ctx = _CONTEXTS[enc]
+    init = _lib.EVP_EncryptInit if enc else _lib.EVP_DecryptInit
+    cipher, null, head, one = _lib.EVP_Cipher, _ffi.NULL, key[:31], _ONE_BYTE
     _ffi.memmove(_BUF, data, n)
-    off = 0
-    for key in keys:
-        # re-key only: cipher, padding and direction stay as set up
-        if init(ctx, null, null, key, null, enc) != 1:
-            raise RuntimeError("OpenSSL EVP_CipherInit_ex failed")
-        p = at[off]
-        if update(ctx, p, outl, p, step) != 1 or outl[0] != step:
-            raise RuntimeError("OpenSSL EVP_CipherUpdate failed")
-        off += step
+    for p in slices:
+        # a NULL cipher re-keys only: the context is not reset
+        if init(ctx, null, head + one[low], null) != 1:
+            raise RuntimeError("OpenSSL EVP_EncryptInit/EVP_DecryptInit failed")
+        if cipher(ctx, p, p, step) != ok:
+            raise RuntimeError("OpenSSL EVP_Cipher failed")
+        low += 1
     return _ffi.buffer(_BUF, n)[:]
 
 
 def aes_encrypt(key: bytes, data: bytes) -> bytes:
-    return _aes_ecb(1, (key,), data)
+    return _aes_ecb(1, key, data, False)
 
 
 def aes_decrypt(key: bytes, data: bytes) -> bytes:
-    return _aes_ecb(0, (key,), data)
+    return _aes_ecb(0, key, data, False)
 
 
 # ---------------------------------------------------------------- page keys
@@ -197,11 +209,6 @@ def compose_page_key(hw_key: int, enclave_id: int, random128: int, page: int) ->
         | (page << _PAGE_SHIFT)
     )
     return word.to_bytes(32, "big")
-
-
-# every page transfer derives 64 block keys; a table lookup is about twice
-# as fast as building bytes([b]) each time
-_ONE_BYTE = tuple(bytes((i,)) for i in range(256))
 
 
 def derive_block_key(page_key: bytes, block: int) -> bytes:
@@ -228,7 +235,7 @@ def split_key(key: bytes) -> KeyFields:
     return KeyFields(
         hw_key=word >> _HW_SHIFT,
         enclave_id=(word >> _EID_SHIFT) & ((1 << ENCLAVE_ID_BITS) - 1),
-        random=(word >> _RANDOM_SHIFT) & ((1 << RANDOM_BITS) - 1),
+        random=(word >> _RANDOM_SHIFT) & _RANDOM_MASK,
         page=(word >> _PAGE_SHIFT) & ((1 << PAGE_ADDR_BITS) - 1),
         block=word & ((1 << BLOCK_ADDR_BITS) - 1),
     )
@@ -237,25 +244,13 @@ def split_key(key: bytes) -> KeyFields:
 # ----------------------------------------------------------------- ciphers
 
 
-def _block_keys(page_key: bytes) -> list[bytes]:
-    """derive_block_key(page_key, b) for every block b, from one prefix."""
-    if len(page_key) != _AES_KEY_BYTES:
-        raise ValueError(f"page key must be {_AES_KEY_BYTES} bytes")
-    head, hi = page_key[:31], page_key[31] & 0xC0
-    return [head + _ONE_BYTE[hi | b] for b in range(BLOCKS_PER_PAGE)]
-
-
 def ecb_encrypt_page(page_key: bytes, page: bytes) -> bytes:
     """Encrypt a page block by block, each 64-byte block under its block key."""
-    if len(page) != PAGE_SIZE:
-        raise ValueError("page must be 4096 bytes")
-    return _aes_ecb(1, _block_keys(page_key), page)
+    return _aes_ecb(1, page_key, page, True)
 
 
 def ecb_decrypt_page(page_key: bytes, page: bytes) -> bytes:
-    if len(page) != PAGE_SIZE:
-        raise ValueError("page must be 4096 bytes")
-    return _aes_ecb(0, _block_keys(page_key), page)
+    return _aes_ecb(0, page_key, page, True)
 
 
 # -------------------------------------------------------------------- MACs
@@ -328,7 +323,7 @@ class Ssk:
 
 def wrap_key(ssk: Ssk, page_key: bytes) -> bytes:
     """Wrap only the 128-bit random component into a 16-byte key slot."""
-    random128 = split_key(page_key).random
+    random128 = (int.from_bytes(page_key, "big") >> _RANDOM_SHIFT) & _RANDOM_MASK
     return aes_encrypt(ssk.key_bytes, random128.to_bytes(16, "big"))
 
 

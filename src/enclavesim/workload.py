@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 import gzip
+import math
 import random
 from dataclasses import dataclass, fields
 from typing import IO, Iterable, Iterator
@@ -101,8 +102,13 @@ class SyntheticSpec:
             raise ValueError("n_accesses must be positive")
         if not 0.0 <= self.read_frac <= 1.0:
             raise ValueError("read_frac must be in [0, 1]")
-        if self.accesses_per_instruction <= 0:
-            raise ValueError("accesses_per_instruction must be positive")
+        if not 0 < self.accesses_per_instruction < math.inf:  # NaN fails it too
+            raise ValueError(
+                "accesses_per_instruction must be positive and finite, "
+                f"got {self.accesses_per_instruction}"
+            )
+        if not math.isfinite(self.zipf_s):
+            raise ValueError(f"zipf_s must be finite, got {self.zipf_s}")
         if self.stride_bytes <= 0 or self.stride_bytes % BLOCK_SIZE:
             raise ValueError("stride must be a positive multiple of 64")
         if not 0 <= self.seed < 1 << 64:  # Random(-5) would replay seed 5

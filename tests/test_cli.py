@@ -77,6 +77,11 @@ def test_unknown_config_key_exits_one_with_path(workdir, capsys):
         ({"eshr_entries": 0}, "eshr_entries"),
         # Random(-5) seeds as Random(5): the generator seed must be in range
         ({"workload": {"seed": -5}}, "workload: seed"),
+        # JSON's NaN and Infinity parse to floats the spec must refuse
+        ({"workload": {"accesses_per_instruction": float("nan")}}, "accesses_per_instruction"),
+        ({"workload": {"accesses_per_instruction": float("inf")}}, "accesses_per_instruction"),
+        ({"workload": {"zipf_s": float("nan")}}, "zipf_s"),
+        ({"workload": {"zipf_s": float("inf")}}, "zipf_s"),
     ],
 )
 def test_bad_config_value_exits_one_with_path(workdir, capsys, config, path):
@@ -327,6 +332,24 @@ def test_gen_trace_rejects_bad_spec(workdir, capsys):
     rc = main(["gen-trace", "--read-frac", "1.5", "--out", "t.trace"])
     assert rc == EXIT_USAGE
     assert "read_frac" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value, key",
+    [
+        ("--accesses-per-instruction", "nan", "accesses_per_instruction"),
+        ("--accesses-per-instruction", "inf", "accesses_per_instruction"),
+        ("--zipf-s", "nan", "zipf_s"),
+        ("--zipf-s", "inf", "zipf_s"),
+        ("--zipf-s", "-inf", "zipf_s"),
+    ],
+)
+def test_gen_trace_rejects_non_finite_values(workdir, capsys, flag, value, key):
+    # "--flag=value": argparse would read a bare "-inf" as an option
+    assert main(["gen-trace", f"{flag}={value}", "--out", "t.trace"]) == EXIT_USAGE
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and key in line
+    assert not (workdir / "t.trace").exists()
 
 
 # --------------------------------------------------------------------- attack

@@ -1,5 +1,6 @@
 """Key composition, ciphers, MACs, wrapping and the freshness source."""
 
+import hashlib
 import random
 
 import pytest
@@ -128,6 +129,53 @@ def test_bad_data_length_is_rejected(data_len):
         ecb_decrypt_page(KAT_KEY, data)
 
 
+class _LibStub:
+    """The loaded libcrypto with some of its functions replaced."""
+
+    def __init__(self, **replaced):
+        self.__dict__.update(replaced)
+
+    def __getattr__(self, name):
+        return getattr(_REAL_LIB, name)
+
+
+_REAL_LIB = crypto._lib
+
+
+def _other_success_value(ctx, out, inp, inl):
+    # EVP_Cipher as it would succeed under the other OpenSSL major version:
+    # 1.1 returns 1 and 3.x the byte count, and each must be refused by the other
+    got = _REAL_LIB.EVP_Cipher(ctx, out, inp, inl)
+    return 1 if got == inl else inl
+
+
+C_FAILURES = {
+    "re-key-returns-0": _LibStub(
+        EVP_EncryptInit=lambda *args: 0, EVP_DecryptInit=lambda *args: 0
+    ),
+    "cipher-returns-minus-1": _LibStub(EVP_Cipher=lambda *args: -1),
+    "cipher-returns-the-other-versions-success": _LibStub(EVP_Cipher=_other_success_value),
+}
+
+
+@pytest.mark.parametrize("name", sorted(C_FAILURES))
+def test_a_failed_c_call_raises_and_returns_no_bytes(monkeypatch, name):
+    calls = (
+        lambda: ecb_encrypt_page(KAT_KEY, bytes(4096)),
+        lambda: ecb_decrypt_page(KAT_KEY, bytes(4096)),
+        lambda: crypto.aes_encrypt(KAT_KEY, KAT_PT),
+        lambda: crypto.aes_decrypt(KAT_KEY, KAT_CT),
+    )
+    monkeypatch.setattr(crypto, "_lib", C_FAILURES[name])
+    for call in calls:
+        with pytest.raises(RuntimeError, match="OpenSSL"):
+            call()
+    monkeypatch.undo()
+    # the shared contexts come out of a failure usable
+    assert crypto.aes_encrypt(KAT_KEY, KAT_PT) == KAT_CT
+    assert crypto.aes_decrypt(KAT_KEY, KAT_CT) == KAT_PT
+
+
 def test_compose_against_bitstring_oracle():
     # Independent construction: concatenate the binary field strings.
     bits = (
@@ -174,12 +222,14 @@ def test_block_keys_differ_only_in_block_bits(fields, block):
     assert kb != k
 
 
-@given(st.binary(min_size=32, max_size=32))
-@settings(max_examples=100)
-def test_page_block_keys_equal_derive_block_key(page_key):
+@given(st.binary(min_size=32, max_size=32), pages)
+@settings(max_examples=50)
+def test_page_block_keys_equal_derive_block_key(page_key, page):
     # any 32 bytes: the low 6 bits of the last byte are replaced, not assumed 0
-    keys = crypto._block_keys(page_key)
-    assert keys == [derive_block_key(page_key, b) for b in range(64)]
+    ct = ecb_encrypt_page(page_key, page)
+    for b in range(64):
+        block = slice(b * 64, (b + 1) * 64)
+        assert crypto.aes_encrypt(derive_block_key(page_key, b), page[block]) == ct[block]
 
 
 def test_field_range_validation():
@@ -282,6 +332,47 @@ def test_wrap_injective_in_random(r1, r2):
         assert wrap_key(ssk, k1) == wrap_key(ssk, k2)
     else:
         assert wrap_key(ssk, k1) != wrap_key(ssk, k2)
+
+
+ssks = st.tuples(st.binary(min_size=16, max_size=16), st.binary(min_size=16, max_size=16))
+
+
+@given(ssks, key_fields, keys32, pages)
+@settings(max_examples=50)
+def test_wrap_is_aes_of_the_random_field_under_the_ssk(ssk_parts, fields, other_key, page):
+    ssk = Ssk(*ssk_parts)
+    hw, eid, rnd, phys = fields
+    k = compose_page_key(hw, eid, rnd, phys)
+    # page-cipher calls on another key around each call: no state is shared
+    ct = ecb_encrypt_page(other_key, page)
+    slot = wrap_key(ssk, k)
+    assert slot == _oracle(ssk.key_bytes, rnd.to_bytes(16, "big"))
+    assert ecb_decrypt_page(other_key, ct) == page
+    assert unwrap_key(ssk, slot, hw, eid, phys) == k
+    assert ecb_encrypt_page(other_key, page) == ct
+
+
+@given(ssks, st.binary(min_size=16, max_size=16), key_fields, keys32, pages)
+@settings(max_examples=50)
+def test_unwrap_is_aes_decryption_under_the_ssk(ssk_parts, slot, fields, other_key, page):
+    ssk = Ssk(*ssk_parts)
+    hw, eid, _, phys = fields
+    ct = ecb_encrypt_page(other_key, page)
+    rnd = int.from_bytes(_oracle(ssk.key_bytes, slot, False), "big")
+    assert unwrap_key(ssk, slot, hw, eid, phys) == compose_page_key(hw, eid, rnd, phys)
+    assert ecb_decrypt_page(other_key, ct) == page
+
+
+@given(st.binary(min_size=16, max_size=16), st.integers(0, 2**64 - 1), keys32, pages)
+@settings(max_examples=20)
+def test_prng_draw_is_aes_of_the_draw_count_under_the_seed_key(boot_time, hw, other_key, page):
+    seed_key = hashlib.sha256(b"freshness" + boot_time + hw.to_bytes(8, "big")).digest()
+    source = FreshnessSource(boot_time, hw)
+    for count in range(1, 6):
+        ct = ecb_encrypt_page(other_key, page)
+        expect = _oracle(seed_key, count.to_bytes(16, "big"))
+        assert source.draw() == int.from_bytes(expect, "big")
+        assert ecb_decrypt_page(other_key, ct) == page
 
 
 def test_freshness_prng_deterministic_and_distinct():

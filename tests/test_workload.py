@@ -137,6 +137,10 @@ def test_spec_validation():
         dict(n_accesses=0),
         dict(read_frac=1.5),
         dict(accesses_per_instruction=0),
+        dict(accesses_per_instruction=float("nan")),
+        dict(accesses_per_instruction=float("inf")),
+        dict(zipf_s=float("nan")),
+        dict(zipf_s=float("-inf")),
         dict(stride_bytes=65),
     ):
         with pytest.raises(ValueError):
