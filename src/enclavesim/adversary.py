@@ -31,9 +31,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .epc import SCRATCH_VBASE, SecScaleEngine
+from .epc import SecScaleEngine
 from .forest import GROUP_ARITY
-from .layout import KEY_SLOT_BYTES, PAGE_SIZE
+from .layout import KEY_SLOT_BYTES, PAGE_SIZE, SCRATCH_VBASE
 from .sim import SimConfig
 from .verifier import CatastrophicFailure
 from .workload import SyntheticSpec, generate
@@ -290,7 +290,7 @@ def run_benign(n_ops: int = 100_000, seed: int = 0) -> dict:
     footprint = 2 << 20
     eng.register_enclave(EID_A, footprint // PAGE_SIZE)
     eng.register_enclave(EID_B, 64)
-    records = generate(
+    trace = generate(
         SyntheticSpec(
             pattern="zipf",
             footprint_bytes=footprint,
@@ -302,10 +302,8 @@ def run_benign(n_ops: int = 100_000, seed: int = 0) -> dict:
         )
     )
     rng = random.Random(seed)
-    ic = 0
-    for i, rec in enumerate(records):
-        ic = rec.icount
-        eng.access(EID_A, rec.vaddr, rec.op, ic)
+    for i, (vaddr, op, ic) in enumerate(zip(trace.vaddrs, trace.ops, trace.icounts)):
+        eng.access(EID_A, vaddr, op, ic)
         if i % 1024 == 1023:
             # interleave a second enclave, scratch traffic and a barrier
             eng.access(EID_B, rng.randrange(64) * PAGE_SIZE, "W", ic)
@@ -315,7 +313,7 @@ def run_benign(n_ops: int = 100_000, seed: int = 0) -> dict:
     eng.finalize()
     assert eng.failure is None
     return {
-        "ops": len(records),
+        "ops": len(trace),
         "faults": eng.stats.events["read_faults"] + eng.stats.events["write_faults"],
         "evictions": eng.stats.events["evictions"],
         "failures": eng.stats.events["catastrophic_failures"],

@@ -16,6 +16,7 @@ import gzip
 import json
 import os
 import sys
+import zlib
 
 from .adversary import ATTACK_KINDS, run_suite
 from .config import (
@@ -30,7 +31,15 @@ from .forest import REGION_PAGES, forest_storage
 from .layout import KEY_SLOT_BYTES, PAGE_SIZE, check_size
 from .merkle import merkle_storage_bytes
 from .sim import MODELS, REPORT_COLUMNS, Report, StateMismatch, compare, run
-from .workload import PATTERNS, SPEC_KEYS, SyntheticSpec, format_record, generate
+from .workload import (
+    PATTERNS,
+    SPEC_KEYS,
+    SyntheticSpec,
+    Trace,
+    TraceParseError,
+    format_record,
+    generate,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -76,6 +85,19 @@ def _report_files(reports: list[Report], paths: tuple[str, str]) -> tuple[str, s
     return jpath, cpath
 
 
+def _file_error(path: str, e: Exception) -> ConfigError:
+    """A file that cannot be read or written, as one usage-error line."""
+    return ConfigError(f"{path}: {getattr(e, 'strerror', None) or e}")
+
+
+def _records(cfg: RunConfig) -> Trace:
+    """The run's trace; a trace file that cannot be read is a usage error."""
+    try:
+        return cfg.records()
+    except (OSError, EOFError, zlib.error, UnicodeDecodeError, TraceParseError) as e:
+        raise _file_error(cfg.workload.trace, e) from e
+
+
 def _config_overrides(args) -> dict:
     overrides = {}
     for key in ("model", "seed", "out"):
@@ -90,7 +112,7 @@ def cmd_run(args) -> int:
     merged = merge_layers(args.config, args.preset, _config_overrides(args))
     cfg = RunConfig.from_dict(merged)
     paths = _report_paths(cfg.out or "report", args.config)
-    report = run(cfg, cfg.records())
+    report = run(cfg, _records(cfg))
     jpath, cpath = _report_files([report], paths)
     print(
         f"{report.model} seed={report.seed}: {report.total_cycles} cycles, "
@@ -109,7 +131,7 @@ def cmd_compare(args) -> int:
 
     if merged.get("sweep"):
         rows = expand_sweep(merged)
-        reports = [run(rc, rc.records()) for rc in rows]
+        reports = [run(rc, _records(rc)) for rc in rows]
         first = reports[0].total_cycles
         for rep in reports:
             rep.slowdown = rep.total_cycles / first if first else 0.0
@@ -118,7 +140,7 @@ def cmd_compare(args) -> int:
         if len(names) < 2:
             raise ConfigError("compare needs at least two models (or a sweep)")
         try:
-            table = compare(cfg, cfg.records(), tuple(dict.fromkeys(names)))
+            table = compare(cfg, _records(cfg), tuple(dict.fromkeys(names)))
         except StateMismatch as e:
             print(f"error: {e}", file=sys.stderr)
             return EXIT_MISMATCH
@@ -198,12 +220,14 @@ def cmd_gen_trace(args) -> int:
         spec = SyntheticSpec(**{name: getattr(args, name) for name in SPEC_KEYS.values()})
     except ValueError as e:
         raise ConfigError(str(e)) from e
-    records = generate(spec)
+    trace = generate(spec)
     opener = gzip.open if args.out.endswith(".gz") else open
-    with opener(args.out, "wt") as fh:
-        for rec in records:
-            fh.write(format_record(rec) + "\n")
-    print(f"{len(records)} records -> {args.out}")
+    try:
+        with opener(args.out, "wt") as fh:
+            fh.writelines(format_record(rec) + "\n" for rec in trace)
+    except OSError as e:
+        raise _file_error(args.out, e) from e
+    print(f"{len(trace)} records -> {args.out}")
     return EXIT_OK
 
 

@@ -27,7 +27,7 @@ from .workload import (
     PATTERNS,
     SPEC_KEYS,
     SyntheticSpec,
-    TraceRecord,
+    Trace,
     generate,
     open_trace,
     parse_trace,
@@ -131,10 +131,10 @@ class WorkloadConfig:
     def spec(self, seed: int) -> SyntheticSpec:
         return SyntheticSpec(**{"seed": seed, **self.synthetic})
 
-    def records(self, default_seed: int) -> list[TraceRecord]:
+    def records(self, default_seed: int) -> Trace:
         if self.trace is not None:
             with open_trace(self.trace) as fh:
-                return list(parse_trace(fh))
+                return Trace.from_records(parse_trace(fh))
         return generate(self.spec(default_seed))
 
 
@@ -177,7 +177,7 @@ class RunConfig(SimConfig):
             d["sweep"] = tuple(rows)
         return _build(cls, d, "")
 
-    def records(self) -> list[TraceRecord]:
+    def records(self) -> Trace:
         return self.workload.records(self.seed)
 
 

@@ -68,6 +68,7 @@ from .layout import (
     BLOCKS_PER_PAGE,
     KEY_SLOT_BYTES,
     PAGE_SIZE,
+    SCRATCH_VBASE,
     ZERO_PAGE,
     ConfigError,
     EmulatedDram,
@@ -81,8 +82,6 @@ from .verifier import CatastrophicFailure, VerificationJob
 
 if TYPE_CHECKING:
     from .sim import SimConfig
-
-SCRATCH_VBASE = 0xFFFF0  # virtual pages at/above this index address scratch
 
 
 def make_layout(total_size: int, epc_size: int) -> MemoryLayout:

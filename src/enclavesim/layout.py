@@ -35,6 +35,9 @@ ZERO_PAGE = bytes(PAGE_SIZE)  # the plaintext of a page never written
 KEY_SLOT_BYTES = 16
 PHYS_ADDR_BITS = 39
 MAX_TOTAL_SIZE = 1 << PHYS_ADDR_BITS  # 512 GiB
+# virtual pages at/above this index address scratch: the first page past the
+# physical space, so no enclave page, which needs a home page, reaches it
+SCRATCH_VBASE = MAX_TOTAL_SIZE >> PAGE_SHIFT
 DRAM_CAUSES = ("data", "merkle", "forest", "key_table")
 
 

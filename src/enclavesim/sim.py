@@ -41,12 +41,19 @@ from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 
 from .crypto import FRESHNESS_MODES
-from .epc import SCRATCH_VBASE, Model, SecScaleEngine, write_value
-from .layout import BLOCK_SIZE, BLOCKS_PER_PAGE, DRAM_CAUSES, PAGE_SIZE, check_size
+from .epc import Model, SecScaleEngine, write_value
+from .layout import (
+    BLOCK_SIZE,
+    BLOCKS_PER_PAGE,
+    DRAM_CAUSES,
+    PAGE_SIZE,
+    SCRATCH_VBASE,
+    check_size,
+)
 from .merkle import EpcMerkle, carve_slots
 from .timing import LatencyConfig
 from .verifier import CatastrophicFailure
-from .workload import TraceRecord
+from .workload import Trace, TraceRecord
 
 MODELS = ("secscale", "sgx-client", "dfp", "penglai", "baseline")
 
@@ -254,14 +261,14 @@ class DfpModel(SgxClientModel):
     def __init__(self, cfg: SimConfig):
         super().__init__(cfg)
         self.rng = random.Random(0xDF9 ^ cfg.seed)
-        self._future: list[tuple[int, int]] = []  # (eid, vpage) per access
-        self._pos = 0
+        self._trace = Trace.from_records(())
+        self._pos = 0  # the trace index of the access in progress
         # slots prefetched and not yet touched, lowest index first: they go
         # before every touched slot
         self._prefetched: OrderedDict[int, None] = OrderedDict()
 
-    def set_trace(self, records: list[TraceRecord]):
-        self._future = [(r.enclave_id, r.vaddr // PAGE_SIZE) for r in records]
+    def set_trace(self, trace: Trace):
+        self._trace = trace
         self._pos = 0
 
     def access(self, eid: int, vaddr: int, op: str, icount: int) -> bytes:
@@ -277,9 +284,12 @@ class DfpModel(SgxClientModel):
         return super()._secure_access(eid, vaddr, op, icount)
 
     def _predict(self, faulting: tuple[int, int]) -> tuple[int, int] | None:
-        horizon = self._future[self._pos : self._pos + self.cfg.dfp_lookahead]
         if self.rng.random() < self.cfg.dfp_accuracy:
-            for cand in horizon:
+            trace, pos = self._trace, self._pos
+            end = pos + self.cfg.dfp_lookahead
+            horizon = zip(trace.enclave_ids[pos:end], trace.vaddrs[pos:end])
+            for eid, vaddr in horizon:
+                cand = (eid, vaddr // PAGE_SIZE)
                 if (
                     cand != faulting
                     and cand[1] < SCRATCH_VBASE
@@ -413,34 +423,29 @@ def state_digest(
     return h.hexdigest()
 
 
-def enclave_footprints(records: list[TraceRecord]) -> dict[int, int]:
-    """Pages each enclave needs: one past its highest non-scratch page."""
-    needs: dict[int, int] = {}
-    for r in records:
-        vpage = r.vaddr // PAGE_SIZE
-        if vpage >= SCRATCH_VBASE:
-            needs.setdefault(r.enclave_id, 0)
-            continue
-        needs[r.enclave_id] = max(needs.get(r.enclave_id, 0), vpage + 1)
-    return needs
+def run(cfg: SimConfig, trace: Trace | Iterable[TraceRecord]) -> Report:
+    """Execute one trace on one model and summarize it.
 
-
-def run(cfg: SimConfig, records: list[TraceRecord]) -> Report:
-    """Execute one trace on one model and summarize it."""
+    Rows that are not a Trace become one here, so nothing below sees them.
+    """
+    if not isinstance(trace, Trace):
+        trace = Trace.from_records(trace)
     model = MODEL_CLASSES[cfg.model](cfg)
-    footprints = enclave_footprints(records)
+    footprints = trace.footprints
     for eid, n_pages in sorted(footprints.items()):
         model.register_enclave(eid, max(n_pages, 1))
     if isinstance(model, DfpModel):
-        model.set_trace(records)
+        model.set_trace(trace)
 
     # the failure's fields, not the exception: its traceback holds this
     # frame, and so the model, until a garbage collection
     failure = speculative = None
     done = 0
+    access = model.access
+    columns = zip(trace.enclave_ids, trace.vaddrs, trace.ops, trace.icounts)
     try:
-        for rec in records:
-            model.access(rec.enclave_id, rec.vaddr, rec.op, rec.icount)
+        for eid, vaddr, op, icount in columns:
+            access(eid, vaddr, op, icount)
             done += 1
         model.finalize()
     except CatastrophicFailure as cf:
@@ -495,16 +500,20 @@ class StateMismatch(RuntimeError):
 
 
 def compare(
-    cfg: SimConfig, records: list[TraceRecord], models: tuple[str, ...] = MODELS
+    cfg: SimConfig,
+    trace: Trace | Iterable[TraceRecord],
+    models: tuple[str, ...] = MODELS,
 ) -> dict[str, Report]:
     """Run the same trace through several models; slowdowns vs baseline.
 
     Every model that completes must end in the same memory state, or
     StateMismatch is raised.
     """
+    if not isinstance(trace, Trace):
+        trace = Trace.from_records(trace)
     reports = {}
     for name in models:
-        reports[name] = run(dataclasses.replace(cfg, model=name), records)
+        reports[name] = run(dataclasses.replace(cfg, model=name), trace)
     digests = {
         name: r.final_state_digest for name, r in reports.items() if r.final_state_digest
     }

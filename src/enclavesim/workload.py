@@ -4,6 +4,10 @@ Protection models consume a stream of memory accesses, each taken to miss
 the last-level cache: a text trace format (`R|W <hex vaddr> <enclave id>
 <icount>`) and deterministic synthetic generators for the usual suspects
 (sequential, uniform-random, zipf, strided, pointer-chase).
+
+A `Trace` holds its accesses as four columns, about 21 bytes per access,
+and each enclave's footprint; `TraceRecord` is one row of it, as a trace
+file's line parses and formats.
 """
 
 from __future__ import annotations
@@ -12,12 +16,21 @@ import bisect
 import gzip
 import math
 import random
+from array import array
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, fields
-from typing import IO, Iterable, Iterator
+from functools import partial
+from itertools import islice, repeat, starmap
+from operator import gt, mul
+from typing import IO
 
-from .layout import BLOCK_SIZE, PAGE_SIZE
+from .layout import BLOCK_SIZE, PAGE_SIZE, SCRATCH_VBASE
 
 PATTERNS = ("sequential", "uniform", "zipf", "strided", "pointer-chase")
+
+# what a Trace's columns hold: vaddrs and icounts in 64 bits, ids in 32
+ADDR_LIMIT = 1 << 64
+ENCLAVE_ID_LIMIT = 1 << 32
 
 
 @dataclass(frozen=True)
@@ -32,6 +45,84 @@ class TraceRecord:
             raise ValueError(f"op must be R or W, got {self.op!r}")
         if self.vaddr < 0 or self.enclave_id < 0 or self.icount < 0:
             raise ValueError("vaddr, enclave_id and icount must be non-negative")
+        if self.vaddr >= ADDR_LIMIT or self.icount >= ADDR_LIMIT:
+            raise ValueError("vaddr and icount must fit in 64 bits")
+        if self.enclave_id >= ENCLAVE_ID_LIMIT:
+            raise ValueError(f"enclave id {self.enclave_id} does not fit in 32 bits")
+
+
+def _footprints(enclave_ids: Sequence[int], vaddrs: Sequence[int]) -> dict[int, int]:
+    """Pages each enclave needs: one past its highest non-scratch page."""
+    limit = SCRATCH_VBASE * PAGE_SIZE
+    needs = dict.fromkeys(enclave_ids, 0)
+    if len(needs) == 1:
+        [eid] = needs
+        top = max(vaddrs)
+        if top >= limit:
+            top = max(filter(partial(gt, limit), vaddrs), default=-PAGE_SIZE)
+        needs[eid] = top // PAGE_SIZE + 1
+        return needs
+    for eid, vaddr in zip(enclave_ids, vaddrs):
+        if vaddr < limit and vaddr // PAGE_SIZE >= needs[eid]:
+            needs[eid] = vaddr // PAGE_SIZE + 1
+    return needs
+
+
+class Trace(Sequence):
+    """A trace as columns, with no Python object per access.
+
+    ``ops`` is a str of ``R``/``W``; ``vaddrs`` and ``icounts`` are
+    ``array('Q')`` and ``enclave_ids`` is ``array('I')``, one entry per
+    access in trace order.  ``footprints`` maps each enclave to the pages
+    it needs, worked out once here.  The columns are not to be changed
+    afterwards.  As a sequence a Trace is its rows: indexing and iteration
+    build a `TraceRecord` each.
+    """
+
+    __slots__ = ("ops", "vaddrs", "enclave_ids", "icounts", "footprints")
+
+    def __init__(self, ops: str, vaddrs: array, enclave_ids: array, icounts: array):
+        if not len(ops) == len(vaddrs) == len(enclave_ids) == len(icounts):
+            raise ValueError("trace columns differ in length")
+        if ops.strip("RW"):
+            raise ValueError("ops must be R or W")
+        self.ops = ops
+        self.vaddrs = vaddrs
+        self.enclave_ids = enclave_ids
+        self.icounts = icounts
+        self.footprints = _footprints(enclave_ids, vaddrs)
+
+    @classmethod
+    def from_records(cls, records: Iterable[TraceRecord]) -> "Trace":
+        """The trace of rows in order; they are consumed as they come."""
+        ops, vaddrs, enclave_ids, icounts = [], array("Q"), array("I"), array("Q")
+        for r in records:
+            ops.append(r.op)
+            vaddrs.append(r.vaddr)
+            enclave_ids.append(r.enclave_id)
+            icounts.append(r.icount)
+        return cls("".join(ops), vaddrs, enclave_ids, icounts)
+
+    def __len__(self) -> int:
+        return len(self.ops)
+
+    def __getitem__(self, i: int) -> TraceRecord:
+        return TraceRecord(self.ops[i], self.vaddrs[i], self.enclave_ids[i], self.icounts[i])
+
+    def __iter__(self) -> Iterator[TraceRecord]:
+        return map(TraceRecord, self.ops, self.vaddrs, self.enclave_ids, self.icounts)
+
+    def __eq__(self, other):
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return (
+            self.ops == other.ops
+            and self.vaddrs == other.vaddrs
+            and self.enclave_ids == other.enclave_ids
+            and self.icounts == other.icounts
+        )
+
+    __hash__ = None
 
 
 class TraceParseError(ValueError):
@@ -107,6 +198,20 @@ class SyntheticSpec:
                 "accesses_per_instruction must be positive and finite, "
                 f"got {self.accesses_per_instruction}"
             )
+        if (
+            not 1.0 / self.accesses_per_instruction < ADDR_LIMIT
+            or self.icount_gap * self.n_accesses >= ADDR_LIMIT
+        ):
+            raise ValueError(
+                f"{self.n_accesses} accesses at accesses_per_instruction "
+                f"{self.accesses_per_instruction} run icounts past 64 bits"
+            )
+        if self.footprint_bytes > ADDR_LIMIT:
+            raise ValueError("footprint must fit in 64 bits of address")
+        if not 0 <= self.enclave_id < ENCLAVE_ID_LIMIT:
+            raise ValueError(
+                f"enclave_id must be within [0, 2**32), got {self.enclave_id}"
+            )
         if not math.isfinite(self.zipf_s):
             raise ValueError(f"zipf_s must be finite, got {self.zipf_s}")
         if self.stride_bytes <= 0 or self.stride_bytes % BLOCK_SIZE:
@@ -137,47 +242,63 @@ def _zipf_cdf(n: int, s: float) -> list[float]:
     return [c / total for c in cdf]
 
 
-def generate(spec: SyntheticSpec) -> list[TraceRecord]:
-    """Deterministic synthetic trace for the given spec."""
+def _below(rng: random.Random, n: int, count: int) -> Iterator[int]:
+    """``count`` values of ``rng.randrange(n)``, drawing exactly as it does.
+
+    randrange(n) draws ``n.bit_length()`` random bits until they fall below
+    n, so its values are the draws that pass that filter, in order; islice
+    stops pulling at the last one.
+    """
+    draws = map(rng.getrandbits, repeat(n.bit_length()))
+    return islice(filter(partial(gt, n), draws), count)
+
+
+def _zipf_addrs(rng: random.Random, pages: int, s: float, n: int) -> Iterator[int]:
+    cdf = _zipf_cdf(pages, s)
+    page_order = list(range(pages))
+    rng.shuffle(page_order)  # decouple popularity rank from locality
+    for _ in range(n):
+        rank = bisect.bisect_left(cdf, rng.random())
+        page = page_order[min(rank, pages - 1)]
+        yield page * PAGE_SIZE + rng.randrange(PAGE_SIZE // BLOCK_SIZE) * BLOCK_SIZE
+
+
+def _chase_addrs(rng: random.Random, pages: int, n: int) -> Iterator[int]:
+    order = list(range(pages))
+    rng.shuffle(order)
+    succ = {order[i]: order[(i + 1) % pages] for i in range(pages)}
+    page = order[0]
+    for _ in range(n):
+        yield page * PAGE_SIZE + rng.randrange(64) * BLOCK_SIZE
+        page = succ[page]
+
+
+_OP_CHARS = bytes.maketrans(b"\x00\x01", b"WR")  # a read draw is True
+
+
+def generate(spec: SyntheticSpec) -> Trace:
+    """Deterministic synthetic trace for the given spec.
+
+    The generator draws every address first, then one ``random()`` per
+    access for its op, and builds each column without a Python object per
+    access.
+    """
     rng = random.Random(spec.seed)
-    pages = spec.footprint_pages
-    gap = spec.icount_gap
-    addrs: list[int] = []
-
+    n = spec.n_accesses
+    size = spec.footprint_bytes
     if spec.pattern == "sequential":
-        for i in range(spec.n_accesses):
-            addrs.append((i * BLOCK_SIZE) % spec.footprint_bytes)
+        addrs = map(size.__rmod__, range(0, n * BLOCK_SIZE, BLOCK_SIZE))
     elif spec.pattern == "uniform":
-        blocks = spec.footprint_bytes // BLOCK_SIZE
-        for _ in range(spec.n_accesses):
-            addrs.append(rng.randrange(blocks) * BLOCK_SIZE)
+        addrs = map(mul, repeat(BLOCK_SIZE), _below(rng, size // BLOCK_SIZE, n))
     elif spec.pattern == "strided":
-        addr = 0
-        for _ in range(spec.n_accesses):
-            addrs.append(addr)
-            addr = (addr + spec.stride_bytes) % spec.footprint_bytes
+        addrs = map(size.__rmod__, range(0, n * spec.stride_bytes, spec.stride_bytes))
     elif spec.pattern == "zipf":
-        cdf = _zipf_cdf(pages, spec.zipf_s)
-        page_order = list(range(pages))
-        rng.shuffle(page_order)  # decouple popularity rank from locality
-        for _ in range(spec.n_accesses):
-            rank = bisect.bisect_left(cdf, rng.random())
-            page = page_order[min(rank, pages - 1)]
-            block = rng.randrange(PAGE_SIZE // BLOCK_SIZE)
-            addrs.append(page * PAGE_SIZE + block * BLOCK_SIZE)
-    elif spec.pattern == "pointer-chase":
-        order = list(range(pages))
-        rng.shuffle(order)
-        succ = {order[i]: order[(i + 1) % pages] for i in range(pages)}
-        page = order[0]
-        for _ in range(spec.n_accesses):
-            addrs.append(page * PAGE_SIZE + rng.randrange(64) * BLOCK_SIZE)
-            page = succ[page]
-
-    out = []
-    icount = 0
-    for addr in addrs:
-        icount += gap
-        op = "R" if rng.random() < spec.read_frac else "W"
-        out.append(TraceRecord(op, addr, spec.enclave_id, icount))
-    return out
+        addrs = _zipf_addrs(rng, spec.footprint_pages, spec.zipf_s, n)
+    else:
+        addrs = _chase_addrs(rng, spec.footprint_pages, n)
+    vaddrs = array("Q", addrs)
+    reads = map(gt, repeat(float(spec.read_frac)), starmap(rng.random, repeat((), n)))
+    ops = bytes(reads).translate(_OP_CHARS).decode()
+    gap = spec.icount_gap
+    icounts = array("Q", range(gap, gap * n + 1, gap))
+    return Trace(ops, vaddrs, array("I", repeat(spec.enclave_id, n)), icounts)

@@ -372,3 +372,63 @@ def test_attack_rejects_non_positive_seeds(workdir, capsys, seeds):
 def test_attack_rejects_unknown_kind(capsys):
     assert main(["attack", "--kinds", "tamper-nothing"]) == EXIT_USAGE
     assert "tamper-nothing" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------- bad trace files
+def _gz(data: bytes) -> bytes:
+    import gzip
+
+    return gzip.compress(data)
+
+
+# trace files a run cannot read: (file name, its bytes or None for no file,
+# command, what the one error line must say after "error: <file name>: ")
+BAD_TRACES = {
+    "missing-run": ("t.trace", None, "run", "No such file"),
+    "missing-compare": ("t.trace", None, "compare", "No such file"),
+    "corrupt-gz": ("t.gz", b"not gzip at all\n", "run", "Not a gzipped file"),
+    "truncated-gz": ("t.gz", _gz(b"R 0x0 1 1\n" * 50)[:-12], "run", "ended"),
+    "malformed-line": ("t.trace", b"R 0x0 1 1\nR 0x40 1\n", "run", "line 2: expected 4"),
+    "icount-decreases": ("t.trace", b"R 0x0 1 10\nW 0x40 1 5\n", "run", "line 2: icount"),
+    "vaddr-past-64-bits": (
+        "t.trace", b"R 0x10000000000000000 1 1\n", "run", "line 1: vaddr",
+    ),
+    "icount-past-64-bits": (
+        "t.trace", b"R 0x0 1 %d\n" % (1 << 64), "compare", "line 1: vaddr and icount",
+    ),
+    "enclave-id-past-32-bits": (
+        "t.trace", b"R 0x0 1 1\nR 0x0 %d 2\n" % (1 << 32), "run", "line 2: enclave id",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TRACES))
+def test_bad_trace_file_exits_one_with_one_error_line(workdir, capsys, case):
+    name, data, command, problem = BAD_TRACES[case]
+    if data is not None:
+        (workdir / name).write_bytes(data)
+    cfg = write_config(workdir, models=["baseline", "secscale"], workload={"trace": name})
+    assert main([command, cfg, "--out", "out"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    [line] = err.splitlines()
+    assert line.startswith(f"error: {name}: ") and problem in line, line
+    assert "Traceback" not in err
+    assert not (workdir / "out.json").exists()
+
+
+def test_gen_trace_into_a_missing_directory_exits_one(workdir, capsys):
+    assert main(["gen-trace", "--n-accesses", "10", "--out", "no/t.trace"]) == EXIT_USAGE
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == "error: no/t.trace: No such file or directory"
+
+
+def test_gzip_trace_replays_as_its_synthetic_run(workdir):
+    spec = {"pattern": "strided", "footprint": "256K", "n_accesses": 200, "seed": 0}
+    argv = ["gen-trace", "--out", "t.gz"]
+    for key, value in spec.items():
+        argv += ["--" + key.replace("_", "-"), str(value)]
+    assert main(argv) == EXIT_OK
+    for name, workload in (("synthetic", spec), ("replay", {"trace": "t.gz"})):
+        cfg = write_config(workdir, name=f"{name}-cfg.json", workload=workload)
+        assert main(["run", cfg, "--out", name]) == EXIT_OK
+    assert (workdir / "replay.json").read_bytes() == (workdir / "synthetic.json").read_bytes()

@@ -26,12 +26,11 @@ from enclavesim.sim import (
     SimConfig,
     StateMismatch,
     compare,
-    enclave_footprints,
     run,
     state_digest,
 )
 from enclavesim.verifier import CatastrophicFailure
-from enclavesim.workload import SyntheticSpec, TraceRecord, generate
+from enclavesim.workload import SyntheticSpec, Trace, TraceRecord, generate
 
 
 def trace(pattern="uniform", footprint=2 << 20, n=1500, seed=0, **kw):
@@ -78,12 +77,78 @@ def test_multi_enclave_footprints_and_state():
         TraceRecord("W", 5 * PAGE_SIZE, 2, 20),
         TraceRecord("R", 0, 1, 30),
     ]
-    assert enclave_footprints(records) == {1: 1, 2: 6}
+    assert Trace.from_records(records).footprints == {1: 1, 2: 6}
     reports = compare(cfg(), records, models=("secscale", "baseline"))
     assert (
         reports["secscale"].final_state_digest
         == reports["baseline"].final_state_digest
     )
+
+
+def _two_enclaves_and_scratch(seed: int, n: int = 600) -> list[TraceRecord]:
+    """Rows over more pages than a 256 KiB EPC holds, in two enclaves that
+    both reach the shared scratch pages."""
+    rng = random.Random(seed)
+    rows, ic = [], 0
+    for _ in range(n):
+        ic += rng.randrange(1, 3000)
+        eid = rng.choice((1, 2))
+        if rng.random() < 0.05:
+            vaddr = (SCRATCH_VBASE + rng.randrange(4)) * PAGE_SIZE
+        else:
+            vaddr = rng.randrange(100 if eid == 1 else 30) * PAGE_SIZE
+        rows.append(TraceRecord("RW"[rng.random() < 0.4], vaddr + 8 * rng.randrange(512), eid, ic))
+    return rows
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_a_trace_and_its_rows_give_one_report(model):
+    config = SimConfig(model=model, total_size=16 << 20, epc_size=256 << 10, seed=3)
+    rows = _two_enclaves_and_scratch(3)
+    as_trace = run(config, Trace.from_records(rows)).to_json()
+    assert run(config, rows).to_json() == as_trace
+    assert run(config, iter(rows)).to_json() == as_trace  # rows read once
+    generated = trace(n=500, seed=5)
+    assert (
+        run(cfg(model=model, seed=5), list(generated)).to_json()
+        == run(cfg(model=model, seed=5), generated).to_json()
+    )
+
+
+class _TupleLookaheadDfp(DfpModel):
+    """dfp reading its lookahead from one (eid, vpage) tuple per access, as
+    it did before traces were columns: the oracle for the column reads."""
+
+    def set_trace(self, trace):
+        super().set_trace(trace)
+        self._future = [(r.enclave_id, r.vaddr // PAGE_SIZE) for r in trace]
+
+    def _predict(self, faulting):
+        horizon = self._future[self._pos : self._pos + self.cfg.dfp_lookahead]
+        if self.rng.random() < self.cfg.dfp_accuracy:
+            for cand in horizon:
+                if (
+                    cand != faulting
+                    and cand[1] < SCRATCH_VBASE
+                    and cand not in self.resident
+                ):
+                    return cand
+            return None
+        n_pages = self.enclaves[faulting[0]].n_pages
+        return faulting[0], self.rng.randrange(n_pages)
+
+
+@pytest.mark.parametrize("lookahead", [1, 7, 256])
+def test_dfp_lookahead_from_columns_matches_tuples(monkeypatch, lookahead):
+    config = SimConfig(
+        model="dfp", total_size=16 << 20, epc_size=256 << 10, seed=4,
+        dfp_accuracy=0.8, dfp_lookahead=lookahead,
+    )
+    rows = _two_enclaves_and_scratch(4)
+    want = run(config, rows)
+    assert want.events["prefetches"] > 0 and want.events["prefetch_hits"] > 0
+    monkeypatch.setitem(MODEL_CLASSES, "dfp", _TupleLookaheadDfp)
+    assert run(config, rows).to_json() == want.to_json()
 
 
 @pytest.mark.parametrize("models", [("secscale", "penglai"), MODELS])
@@ -174,11 +239,12 @@ def test_every_model_rejects_the_same_accesses(model):
 def _drive(sim_cfg, records):
     """Run a trace through `sim_cfg.model` as `run` does; return the
     finalized model and the value of every access."""
+    trace = Trace.from_records(records)
     model = MODEL_CLASSES[sim_cfg.model](sim_cfg)
-    for eid, n_pages in sorted(enclave_footprints(records).items()):
+    for eid, n_pages in sorted(trace.footprints.items()):
         model.register_enclave(eid, max(n_pages, 1))
     if isinstance(model, DfpModel):
-        model.set_trace(records)
+        model.set_trace(trace)
     values = [model.access(r.enclave_id, r.vaddr, r.op, r.icount) for r in records]
     model.finalize()
     return model, values
@@ -247,7 +313,7 @@ def test_state_digest_is_order_independent():
 def test_final_pages_stream_is_final_state_and_digests_the_same():
     cfg = load_config(preset="trend")
     records = cfg.records()
-    [eid] = enclave_footprints(records)
+    [eid] = records.footprints
     reference = None
     for name in MODELS:
         model, _ = _drive(dataclasses.replace(cfg, model=name), records)
