@@ -45,7 +45,6 @@ in enclavesim uses threads.
 
 from __future__ import annotations
 
-import ctypes.util
 import hashlib
 import hmac
 from dataclasses import dataclass
@@ -99,13 +98,16 @@ def _load_libcrypto():
     """OpenSSL 3 or 1.1 by soname, else whatever the platform search finds.
 
     The sonames come first because ``find_library`` may start a process
-    (``ldconfig``) to search.
+    (``ldconfig``) to search; ``ctypes`` is imported only for that search,
+    so a process that finds a soname never loads it.
     """
     for name in ("libcrypto.so.3", "libcrypto.so.1.1"):
         try:
             return _ffi.dlopen(name)
         except OSError:
             pass
+    import ctypes.util
+
     path = ctypes.util.find_library("crypto")
     if path is None:
         raise ImportError("enclavesim.crypto needs OpenSSL's libcrypto; none was found")

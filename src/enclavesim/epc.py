@@ -160,8 +160,9 @@ class Model:
 
     def home_page(self, eid: int, vpage: int) -> int:
         """The eEPC physical page an enclave's virtual page belongs to."""
-        enc = self._enclave(eid)
-        if not 0 <= vpage < enc.n_pages:
+        enc = self.enclaves.get(eid)
+        if enc is None or not 0 <= vpage < enc.n_pages:
+            self._enclave(eid)  # an unknown enclave raises here
             raise ValueError(f"vpage {vpage} outside enclave {eid} range")
         return enc.base_page + vpage
 
@@ -264,17 +265,14 @@ class TopTable:
         addr, tpage = self._slot_addr(region)
         data = self.dram.read(addr, 8, "forest")
         self.events["top_table_accesses"] += 1
-        res = self.merkle.read_verify(tpage)
-        self.merkle.check_data(
-            tpage, res.major, self.dram.peek(tpage * PAGE_SIZE, PAGE_SIZE), res.data_mac
-        )
+        self.merkle.check(tpage)
         return data
 
     def write(self, region: int, mac: bytes):
         addr, tpage = self._slot_addr(region)
         self.dram.write(addr, mac, "forest")
         self.events["top_table_accesses"] += 1
-        self.merkle.write_update(tpage, self.dram.peek(tpage * PAGE_SIZE, PAGE_SIZE))
+        self.merkle.write_update(tpage)
 
 
 @dataclass
@@ -399,22 +397,16 @@ class SecScaleEngine(Model):
         return None
 
     # ----------------------------------------------------- slot byte store
-    def _slot_base(self, slot: EpcSlot) -> int:
-        return slot.index * PAGE_SIZE
-
-    def _slot_bytes(self, slot: EpcSlot) -> bytes:
-        return self.dram.peek(self._slot_base(slot), PAGE_SIZE)
-
-    def _check_slot(self, slot: EpcSlot, plaintext: bytes, *, lane_at: int | None):
+    # slot i's plaintext is EPC page i, the 4 KiB at i * PAGE_SIZE, where the
+    # counter tree checks and binds it
+    def _check_slot(self, index: int, *, lane_at: int | None):
         """Re-check an EPC page's bytes against the counter tree."""
-        res = self.merkle.read_verify(slot.index)
-        self.merkle.check_data(slot.index, res.major, plaintext, res.data_mac)
-        self.stats.charge(dram=res.dram_reads, lane_at=lane_at)
+        self.stats.charge(dram=self.merkle.check(index), lane_at=lane_at)
 
-    def _rebind_slot(self, slot: EpcSlot, plaintext: bytes, *, lane_at: int | None):
+    def _rebind_slot(self, index: int, *, lane_at: int | None):
         """Bind an EPC page's new bytes into the counter tree."""
-        res = self.merkle.write_update(slot.index, plaintext)
-        self.stats.charge(dram=res.dram_reads + res.dram_writes, lane_at=lane_at)
+        _, reads, writes = self.merkle.write_update(index)
+        self.stats.charge(dram=reads + writes, lane_at=lane_at)
 
     # ------------------------------------------------------ lane scheduling
     def fault_step(self, entry: EshrEntry, until: int | None = None):
@@ -534,8 +526,9 @@ class SecScaleEngine(Model):
 
     def _advance(self, icount: int):
         """Advance the clock, then let the lane catch up with it."""
-        super()._advance(icount)
         stats = self.stats
+        stats.advance_instructions(icount - self.last_icount)  # Model._advance
+        self.last_icount = icount
         # the lane has work only while an entry is live or a job is queued
         while (self.eshr or self.queue) and stats.lane_free < stats.critical_cycles:
             self._lane_pull(stats.critical_cycles)
@@ -589,22 +582,23 @@ class SecScaleEngine(Model):
             self._stall_complete_oldest()
         return self.slots[victim]
 
-    def _critical_restart(self, phys: int, block: int) -> bytes:
+    def _critical_restart(self, phys: int, block: int) -> tuple[bytes, bytes]:
         """Restart a read that misses: the wrapped key and the demanded block
-        are the two critical DRAM reads, plus one block decrypt."""
+        are the two critical DRAM reads, plus one block decrypt.  Returns
+        what they read."""
         wrapped = self.dram.read(
             self.layout.key_table_slot(phys), KEY_SLOT_BYTES, "key_table"
         )
-        self.dram.read(phys * PAGE_SIZE + block * BLOCK_SIZE, BLOCK_SIZE, "data")
+        data = self.dram.read(phys * PAGE_SIZE + block * BLOCK_SIZE, BLOCK_SIZE, "data")
         self.stats.charge(dram=2, crypto=1)
         self.stats.events["fault_critical_reads"] += 2
-        return wrapped
+        return wrapped, data
 
     def _evict_slot(self, slot: EpcSlot):
         """Eagerly re-key, re-encrypt and write back a victim page."""
         # integrity gate before the page leaves hardware protection
-        plaintext = self.dram.read_span(self._slot_base(slot), PAGE_SIZE, "data")
-        self._check_slot(slot, plaintext, lane_at=0)
+        plaintext = self.dram.read_span(slot.index * PAGE_SIZE, PAGE_SIZE, "data")
+        self._check_slot(slot.index, lane_at=0)
 
         key = compose_page_key(self.hw_key, slot.eid, self.freshness.draw(), slot.home)
         self.dram.write(
@@ -638,41 +632,40 @@ class SecScaleEngine(Model):
         is_read = demand_block is not None
         base = phys * PAGE_SIZE
         if is_read:
-            wrapped = self._critical_restart(phys, demand_block)
+            wrapped, ciphertext = self._critical_restart(phys, demand_block)
             # the other 63 blocks stream in the background
             if demand_block > 0:
-                self.dram.read_span(base, demand_block * BLOCK_SIZE, "data")
+                head = self.dram.read_span(base, demand_block * BLOCK_SIZE, "data")
+                ciphertext = head + ciphertext
             if demand_block < BLOCKS_PER_PAGE - 1:
                 after = (demand_block + 1) * BLOCK_SIZE
-                self.dram.read_span(base + after, PAGE_SIZE - after, "data")
+                ciphertext += self.dram.read_span(base + after, PAGE_SIZE - after, "data")
         else:
             wrapped = self.dram.read(
                 self.layout.key_table_slot(phys), KEY_SLOT_BYTES, "key_table"
             )
-            self.dram.read_span(base, PAGE_SIZE, "data")
-        ciphertext = self.dram.peek(base, PAGE_SIZE)
+            ciphertext = self.dram.read_span(base, PAGE_SIZE, "data")
 
-        initialized = phys in self.eepc_initialized
-        if initialized:
+        if phys in self.eepc_initialized:
             key = unwrap_key(self.ssk, wrapped, self.hw_key, eid, phys)
-            plaintext = bytearray(ecb_decrypt_page(key, ciphertext))
-            payload = (phys, key, bytes(plaintext))
+            plaintext = ecb_decrypt_page(key, ciphertext)
+            payload = (phys, key, plaintext)
         else:
-            plaintext = bytearray(PAGE_SIZE)  # first touch: fresh zero page
+            plaintext = ZERO_PAGE  # first touch: fresh zero page
             payload = None
             self.stats.events["first_touch_loads"] += 1
 
         if pending_write is not None:
             offset, value = pending_write
+            plaintext = bytearray(plaintext)
             plaintext[offset : offset + len(value)] = value
 
         slot.eid, slot.vpage, slot.home = eid, vpage, phys
         self._touch(slot)
         self.resident[(eid, vpage)] = slot.index
         self.inverted[phys] = slot.index
-        page = bytes(plaintext)
-        self.dram.write_span(self._slot_base(slot), page, "data")
-        self._rebind_slot(slot, page, lane_at=0)
+        self.dram.write_span(slot.index * PAGE_SIZE, plaintext, "data")
+        self._rebind_slot(slot.index, lane_at=0)
 
         entry = EshrEntry(
             slot=slot.index,
@@ -693,7 +686,7 @@ class SecScaleEngine(Model):
         if self.failure is not None:
             raise RuntimeError("engine halted by catastrophic failure")
         try:
-            return super().access(eid, vaddr, op, icount)
+            return Model.access(self, eid, vaddr, op, icount)
         except CatastrophicFailure as cf:
             self.failure = cf.detail
             self.stats.events["catastrophic_failures"] += 1
@@ -701,8 +694,8 @@ class SecScaleEngine(Model):
 
     def _secure_access(self, eid, vaddr, op, icount):
         vpage = vaddr // PAGE_SIZE
-        block = (vaddr % PAGE_SIZE) // BLOCK_SIZE
-        offset = (vaddr % PAGE_SIZE) & ~7
+        offset = vaddr % PAGE_SIZE & ~7
+        block = offset // BLOCK_SIZE
         value = write_value(eid, vaddr, icount) if op == "W" else None
         slot_idx = self.resident.get((eid, vpage))
 
@@ -715,41 +708,39 @@ class SecScaleEngine(Model):
             )
             if op == "R":
                 self.stats.events["read_faults"] += 1
-                value = self._slot_bytes(slot)[offset : offset + 8]
+                value = self.dram.peek(slot.index * PAGE_SIZE + offset, 8)
             else:
                 self.stats.events["write_faults"] += 1
         else:
-            slot = self.slots[slot_idx]
             entry = self.eshr.get(slot_idx)
-            self._touch(slot)
-            if entry is not None and op == "R" and not (entry.ls_vector >> block) & 1:
+            self.slots.move_to_end(slot_idx)  # _touch
+            addr = slot_idx * PAGE_SIZE + offset
+            if op == "W":
+                # resident write: store the value, then bind the page as it
+                # now lies into the counter tree
+                stats = self.stats
+                stats.events["epc_hits" if entry is None else "queued_writes"] += 1
+                self.dram.write(addr, value, "data")
+                _, reads, writes = self.merkle.write_update(slot_idx)
+                if entry is None:  # resident, the tree work waits with the write
+                    stats.charge(dram=1 + reads + writes, crypto=1)
+                else:  # in flight, it rides the lane
+                    stats.charge(dram=reads + writes, lane_at=0)
+            elif entry is not None and not (entry.ls_vector >> block) & 1:
                 # page in flight, demanded block not yet landed: restart costs
                 # the same two reads as a fresh miss
-                self._critical_restart(slot.home, block)
+                self._critical_restart(self.slots[slot_idx].home, block)
                 entry.ls_vector |= 1 << block
                 entry.demand = True
                 self.stats.events["refaults"] += 1
-                value = self._slot_bytes(slot)[offset : offset + 8]
-            elif op == "R":
-                self.stats.events["epc_hits"] += 1
-                self.dram.read(
-                    self._slot_base(slot) + block * BLOCK_SIZE, BLOCK_SIZE, "data"
-                )
-                self.stats.charge(dram=1, crypto=1)
-                pt = self._slot_bytes(slot)
-                self._check_slot(slot, pt, lane_at=None)
-                value = pt[offset : offset + 8]
+                value = self.dram.peek(addr, 8)
             else:
-                # resident write: update the page and rebind the counter tree
-                in_flight = entry is not None
-                self.stats.events["queued_writes" if in_flight else "epc_hits"] += 1
-                pt = bytearray(self._slot_bytes(slot))
-                pt[offset : offset + 8] = value
-                self.dram.write(self._slot_base(slot) + offset, value, "data")
-                # in flight, the tree work rides the lane; resident, it waits
-                self._rebind_slot(slot, bytes(pt), lane_at=0 if in_flight else None)
-                if not in_flight:
-                    self.stats.charge(dram=1, crypto=1)
+                self.stats.events["epc_hits"] += 1
+                data = self.dram.read(addr & ~(BLOCK_SIZE - 1), BLOCK_SIZE, "data")
+                self.stats.charge(dram=1, crypto=1)
+                self._check_slot(slot_idx, lane_at=None)
+                word = offset % BLOCK_SIZE
+                value = data[word : word + 8]
 
         if not self.cfg.deferred:
             self._drain_all()
@@ -791,7 +782,7 @@ class SecScaleEngine(Model):
         for vpage in range(enc.n_pages):
             slot_idx = self.resident.get((eid, vpage))
             if slot_idx is not None:
-                yield vpage, self._slot_bytes(self.slots[slot_idx])
+                yield vpage, self.dram.peek(slot_idx * PAGE_SIZE, PAGE_SIZE)
                 continue
             phys = self.mapping_overrides.get((eid, vpage), enc.base_page + vpage)
             if phys not in self.eepc_initialized:

@@ -24,7 +24,6 @@ zeros).  It is the one DRAM ledger: every metered access names its cause
 from __future__ import annotations
 
 import enum
-from collections import Counter
 from dataclasses import dataclass, field
 
 PAGE_SIZE = 4096
@@ -32,6 +31,7 @@ PAGE_SHIFT = 12
 BLOCK_SIZE = 64
 BLOCKS_PER_PAGE = PAGE_SIZE // BLOCK_SIZE  # 64
 ZERO_PAGE = bytes(PAGE_SIZE)  # the plaintext of a page never written
+_ZERO_VIEW = memoryview(ZERO_PAGE)  # a never-written page, as page_view gives it
 KEY_SLOT_BYTES = 16
 PHYS_ADDR_BITS = 39
 MAX_TOTAL_SIZE = 1 << PHYS_ADDR_BITS  # 512 GiB
@@ -175,6 +175,10 @@ class MemoryLayout:
         }
 
 
+def _unknown_cause(cause) -> ValueError:
+    return ValueError(f"unknown DRAM cause {cause!r}")
+
+
 class EmulatedDram:
     """Sparse byte-exact DRAM that counts its traffic by cause.
 
@@ -182,14 +186,22 @@ class EmulatedDram:
     zeros without allocating.  read()/write() and the block-granular spans
     count every access under the cause the caller names; peek()/poke() are
     unmetered side doors for boot passes, adversaries and test oracles.
+    page_view() is the counter tree's alone: an unmetered, read-only view of
+    one whole page as it lies, so the tree MACs a protected page where it is
+    instead of a copy that a caller hands it.  It moves no bytes, so it is
+    no DRAM access; the tree's callers meter the accesses the modelled
+    hardware makes.
     """
 
     def __init__(self, layout: MemoryLayout):
         self.layout = layout
         self._size = layout.total_size
+        self._n_pages = layout.total_size >> PAGE_SHIFT
         self._pages: dict[int, bytearray] = {}
-        self.reads: Counter[str] = Counter()
-        self.writes: Counter[str] = Counter()
+        # accesses by cause, every cause present from the start: counting
+        # is then the cause check too, as an unknown cause has no entry
+        self.reads: dict[str, int] = dict.fromkeys(DRAM_CAUSES, 0)
+        self.writes: dict[str, int] = dict.fromkeys(DRAM_CAUSES, 0)
 
     def _span_ok(self, addr: int, length: int):
         if length <= 0:
@@ -238,29 +250,51 @@ class EmulatedDram:
             pos += n
 
     def read(self, addr: int, length: int, cause: str) -> bytes:
-        if cause not in DRAM_CAUSES:
-            raise ValueError(f"unknown DRAM cause {cause!r}")
-        self.reads[cause] += 1
+        try:
+            self.reads[cause] += 1
+        except KeyError:
+            raise _unknown_cause(cause) from None
         return self.peek(addr, length)
 
     def write(self, addr: int, data: bytes, cause: str):
-        if cause not in DRAM_CAUSES:
-            raise ValueError(f"unknown DRAM cause {cause!r}")
-        self.writes[cause] += 1
-        self.poke(addr, data)
+        try:
+            self.writes[cause] += 1
+        except KeyError:
+            raise _unknown_cause(cause) from None
+        # inside one page, the hot case, it writes inline; poke does the rest
+        # and raises for a span that is empty or outside the physical space
+        n = len(data)
+        off = addr & (PAGE_SIZE - 1)
+        if 0 < n <= PAGE_SIZE - off and 0 <= addr < self._size:
+            buf = self._pages.get(addr >> PAGE_SHIFT)
+            if buf is None:
+                buf = self._pages[addr >> PAGE_SHIFT] = bytearray(PAGE_SIZE)
+            buf[off : off + n] = data
+        else:
+            self.poke(addr, data)
 
     def read_span(self, addr: int, length: int, cause: str) -> bytes:
         """Read a span as one call counted as ceil(length/64) block accesses."""
-        if cause not in DRAM_CAUSES:
-            raise ValueError(f"unknown DRAM cause {cause!r}")
-        self.reads[cause] += -(-length // BLOCK_SIZE)
+        try:
+            self.reads[cause] += -(-length // BLOCK_SIZE)
+        except KeyError:
+            raise _unknown_cause(cause) from None
         return self.peek(addr, length)
 
     def write_span(self, addr: int, data: bytes, cause: str):
-        if cause not in DRAM_CAUSES:
-            raise ValueError(f"unknown DRAM cause {cause!r}")
-        self.writes[cause] += -(-len(data) // BLOCK_SIZE)
+        try:
+            self.writes[cause] += -(-len(data) // BLOCK_SIZE)
+        except KeyError:
+            raise _unknown_cause(cause) from None
         self.poke(addr, data)
+
+    def page_view(self, page: int) -> memoryview:
+        """Physical page `page` as it lies, read-only and unmetered; zeros
+        for a page never written.  For the counter tree only (see above)."""
+        if not 0 <= page < self._n_pages:
+            raise ValueError(f"page {page} outside physical space")
+        buf = self._pages.get(page)
+        return _ZERO_VIEW if buf is None else memoryview(buf).toreadonly()
 
     def total_accesses(self) -> int:
         return sum(self.reads.values()) + sum(self.writes.values())

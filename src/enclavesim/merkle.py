@@ -9,6 +9,13 @@ node MAC.  A node's MAC is keyed by the counter its parent holds for it, so
 a replayed stale (node, MAC) pair fails against the incremented parent, and
 the chain terminates in root counters kept on-chip.
 
+The tree binds each protected page as it lies in DRAM: page i of the
+range is the 4 KiB at i * PAGE_SIZE, and `write_update` and `check_data` MAC
+it there, through `EmulatedDram.page_view`, so no caller hands the tree
+bytes and no copy of a page stands between DRAM and its MAC.  The tree
+meters its own node reads and writes; a page's data traffic is its
+callers' to make and meter.
+
 Narrow internal counters can wrap: a wrap resets the slot to 0 and re-keys
 the affected child MAC in the same update (the re-encryption such designs
 charge), counted as the run event `overflow_rekeys`.  A wrap re-keys only
@@ -46,7 +53,6 @@ the MAC forest exists to avoid.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .crypto import MacKey, keyed_mac8
 from .layout import PAGE_SIZE, ZERO_PAGE, ConfigError, EmulatedDram
@@ -62,6 +68,7 @@ COUNTER_BITS = COUNTER_AREA_BITS // ARITY  # 14: per-child counter width
 COUNTER_MAX = (1 << COUNTER_BITS) - 1
 CACHE_LINES = 32768 // NODE_BYTES  # a 32 KiB counter cache
 ZERO_NODE = bytes(NODE_BYTES)  # under a parent counter of 0: a boot node
+_LEAF_PAD = bytes(NODE_BYTES - 24)  # a leaf's bytes 16-55, which no MAC covers
 
 
 def level_counts(n_leaves: int, arity: int) -> list[int]:
@@ -112,26 +119,12 @@ def carve_slots(epc_pages: int, reserved: int) -> int:
     return n
 
 
-@dataclass
-class ReadResult:
-    major: int
-    data_mac: bytes
-    dram_reads: int
-
-
-@dataclass
-class WriteResult:
-    major: int
-    dram_reads: int
-    dram_writes: int
-
-
 class EpcMerkle:
     """Byte-exact counter tree over the first `n_pages` physical pages.
 
-    Its nodes are stored from `base_addr`.  Both spans must be unwritten
-    when the tree is built: a node still zero stands for its boot value, and
-    a boot leaf for the zero page.
+    Its nodes are stored from `base_addr`, past those pages.  Both spans
+    must be unwritten when the tree is built: a node still zero stands for
+    its boot value, and a boot leaf for the zero page.
     """
 
     def __init__(
@@ -156,6 +149,11 @@ class EpcMerkle:
             self.offsets.append(off)
             off += c * NODE_BYTES
         self.storage_bytes = off
+        if base_addr < n_pages * PAGE_SIZE:
+            raise ValueError(
+                f"counter-tree nodes at {base_addr:#x} overlap the "
+                f"{n_pages} pages the tree protects"
+            )
         self.root_counters = [0] * self.counts[-1]
         self.events = events
         self._paths: dict[int, tuple[tuple[int, int], ...]] = {}  # see _path
@@ -189,8 +187,9 @@ class EpcMerkle:
         return path
 
     # ------------------------------------------------------- node codecs
-    def _leaf_bytes(self, major: int, data_mac: bytes, mac: bytes) -> bytes:
-        return major.to_bytes(8, "little") + data_mac + bytes(NODE_BYTES - 24) + mac
+    @staticmethod
+    def _leaf_bytes(major: int, data_mac: bytes, mac: bytes) -> bytes:
+        return major.to_bytes(8, "little") + data_mac + _LEAF_PAD + mac
 
     @staticmethod
     def _leaf_fields(raw: bytes) -> tuple[int, bytes, bytes]:
@@ -241,18 +240,19 @@ class EpcMerkle:
 
     # -------------------------------------------------------- trusted walk
     def _fetch_verified_path(
-        self, page: int, full: bool = False
-    ) -> tuple[tuple[tuple[int, int], ...], dict[int, bytes], int]:
-        """Return page's path and trusted node bytes for levels on it.
+        self, page: int, path: tuple[tuple[int, int], ...], full: bool
+    ) -> tuple[list, int]:
+        """The trusted walk past a cache miss: node bytes by level, leaf
+        first, and the DRAM reads it made.
 
-        A read walk stops at the first cache-resident ancestor; an update
-        (full=True) needs every stored level because all ancestor counters
-        increment.  Fetched nodes are verified top-down against their
-        trusted parent.  Returns (path, {level: node bytes}, dram_reads),
-        with path as `_path` gives it.
+        A read walk (full=False) needs the leaf and stops at the first cached
+        ancestor, leaving None above it; an update (full=True) needs every
+        stored level because all ancestor counters increment.  Fetched nodes
+        are verified top-down against their trusted parent.  `read_verify`
+        and `write_update` come here only when a level they need is not
+        cached; a disabled cache stays empty, so it never hits.
         """
-        path = self._path(page)
-        trusted: dict[int, bytes] = {}
+        trusted: list = [None] * len(path)
         fetched: list[tuple[int, bytes]] = []  # (level, raw), leaf first
         for level, (_, addr) in enumerate(path):
             cached = self._cache_get(addr)
@@ -288,14 +288,22 @@ class EpcMerkle:
                     )
             trusted[level] = raw
             self._cache_put(addr, raw)
-        return path, trusted, len(fetched)
+        return trusted, len(fetched)
 
     # ---------------------------------------------------------------- ops
-    def read_verify(self, page: int) -> ReadResult:
-        """Authenticate the counter path of a page; returns its major counter."""
-        _, trusted, reads = self._fetch_verified_path(page)
-        major, dmac = self._bound_data(page, trusted[0])
-        return ReadResult(major=major, data_mac=dmac, dram_reads=reads)
+    def read_verify(self, page: int) -> tuple[int, bytes, int]:
+        """Authenticate the counter path of a page: (major counter, data MAC
+        its leaf binds, DRAM reads)."""
+        path = self._paths.get(page) or self._path(page)
+        addr = path[0][1]
+        hit = self._cache.get(addr // NODE_BYTES % CACHE_LINES)
+        if hit is not None and hit[0] == addr:  # a cached leaf is trusted
+            leaf, reads = hit[1], 0
+        else:
+            nodes, reads = self._fetch_verified_path(page, path, False)
+            leaf = nodes[0]
+        major, dmac = self._bound_data(page, leaf)
+        return major, dmac, reads
 
     def _bound_data(self, page: int, leaf: bytes) -> tuple[int, bytes]:
         """The (major, data MAC) a trusted leaf binds its page to; a boot
@@ -304,31 +312,52 @@ class EpcMerkle:
             return 0, self.data_mac(page, 0, ZERO_PAGE)
         return int.from_bytes(leaf[:8], "little"), leaf[8:16]
 
-    def check_data(self, page: int, major: int, plaintext: bytes, stored_mac: bytes):
-        if self.data_mac(page, major, plaintext) != stored_mac:
+    def check_data(self, page: int, major: int, stored_mac: bytes):
+        """Check the page as it lies in DRAM against its bound data MAC."""
+        if self.data_mac(page, major, self.dram.page_view(page)) != stored_mac:
             raise CatastrophicFailure(
                 f"page-cache data MAC mismatch for slot {page}", page=page
             )
 
-    def write_update(self, page: int, plaintext: bytes) -> WriteResult:
-        """Bump the page's major counter and refresh the MAC path."""
-        path, trusted, reads = self._fetch_verified_path(page, full=True)
-        major = int.from_bytes(trusted[0][:8], "little") + 1
+    def check(self, page: int) -> int:
+        """Check a protected page against the tree; returns the DRAM reads."""
+        major, dmac, reads = self.read_verify(page)
+        self.check_data(page, major, dmac)
+        return reads
+
+    def write_update(self, page: int) -> tuple[int, int, int]:
+        """Bump the page's major counter, bind the page as it lies in DRAM
+        and refresh the MAC path; returns (major, DRAM reads, DRAM writes)."""
+        path = self._paths.get(page) or self._path(page)
+        cache = self._cache
+        nodes = ()  # every level from the cache, else from the full walk
+        for _, addr in path:
+            hit = cache.get(addr // NODE_BYTES % CACHE_LINES)
+            if hit is None or hit[0] != addr:
+                nodes, reads = self._fetch_verified_path(page, path, True)
+                break
+            nodes += (hit[1],)
+        else:
+            reads = 0
+        major = int.from_bytes(nodes[0][:8], "little") + 1
         if major >= 1 << LEAF_MAJOR_BITS:
             raise CatastrophicFailure("page major counter exhausted", page=page)
 
         # Bottom-up: bump the counter each parent holds for the path child,
         # then re-MAC the child under it.  `word` is this level's counter
         # area, already bumped by the level below.
-        dmac = self.data_mac(page, major, plaintext)
+        dmac = self.data_mac(page, major, self.dram.page_view(page))
         top = len(path) - 1
-        word = 0
-        for level, (idx, addr) in enumerate(path):
+        write = self.dram.write
+        if not self.cache_enabled:
+            cache = None
+        word = level = 0
+        for idx, addr in path:
             if level == top:
                 self.root_counters[idx] += 1
                 parent_counter = self.root_counters[idx]
             else:
-                parent_word = int.from_bytes(trusted[level + 1][:COUNTER_AREA_BYTES], "little")
+                parent_word = int.from_bytes(nodes[level + 1][:COUNTER_AREA_BYTES], "little")
                 shift = idx % ARITY * COUNTER_BITS
                 parent_counter = (parent_word >> shift) & COUNTER_MAX
                 if parent_counter == COUNTER_MAX:
@@ -339,15 +368,17 @@ class EpcMerkle:
                 else:
                     parent_word += 1 << shift
                     parent_counter += 1
-            if level == 0:
+            if level:
+                blob = word.to_bytes(COUNTER_AREA_BYTES, "little")
+                raw = blob + self._node_mac(level, idx, parent_counter, blob)
+            else:
                 raw = self._leaf_bytes(
                     major, dmac, self._leaf_mac(idx, parent_counter, major, dmac)
                 )
-            else:
-                blob = word.to_bytes(COUNTER_AREA_BYTES, "little")
-                raw = blob + self._node_mac(level, idx, parent_counter, blob)
             if level != top:
                 word = parent_word
-            self.dram.write(addr, raw, "merkle")
-            self._cache_put(addr, raw)
-        return WriteResult(major=major, dram_reads=reads, dram_writes=len(path))
+            write(addr, raw, "merkle")
+            if cache is not None:  # _cache_put, inline
+                cache[addr // NODE_BYTES % CACHE_LINES] = (addr, raw)
+            level += 1
+        return major, reads, level

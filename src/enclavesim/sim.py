@@ -187,8 +187,8 @@ class SgxClientModel(Model):
         eid, vpage = self.slot_owner[slot]
         home = self.home_page(eid, vpage)
         self._copy_page(slot * PAGE_SIZE, home * PAGE_SIZE, lane_at=None)
-        res = self.merkle.read_verify(slot)
-        self.stats.charge(dram=res.dram_reads)
+        _, _, reads = self.merkle.read_verify(slot)
+        self.stats.charge(dram=reads)
         del self.resident[(eid, vpage)]
         self.slot_owner[slot] = None
         self._lru.pop(slot, None)
@@ -203,10 +203,8 @@ class SgxClientModel(Model):
             self._evict(slot)
         lane_at = 0 if cold else None  # a prefetch loads in the background
         self._copy_page(home * PAGE_SIZE, slot * PAGE_SIZE, lane_at=lane_at)
-        res = self.merkle.write_update(
-            slot, self.dram.peek(slot * PAGE_SIZE, PAGE_SIZE)
-        )
-        self.stats.charge(dram=res.dram_reads + res.dram_writes, lane_at=lane_at)
+        _, reads, writes = self.merkle.write_update(slot)
+        self.stats.charge(dram=reads + writes, lane_at=lane_at)
         self.resident[(eid, vpage)] = slot
         self.slot_owner[slot] = (eid, vpage)
         if not cold:
@@ -228,15 +226,15 @@ class SgxClientModel(Model):
         self._touch(slot)
         base = slot * PAGE_SIZE
         if op == "R":
-            block = base + (off & ~(BLOCK_SIZE - 1))
-            self.dram.read(block, BLOCK_SIZE, "data")
-            res = self.merkle.read_verify(slot)
-            self.stats.charge(dram=1 + res.dram_reads, crypto=1)
-            return self.dram.peek(base + (off & ~7), 8)
+            data = self.dram.read(base + (off & ~(BLOCK_SIZE - 1)), BLOCK_SIZE, "data")
+            _, _, reads = self.merkle.read_verify(slot)
+            self.stats.charge(dram=1 + reads, crypto=1)
+            word = off % BLOCK_SIZE & ~7
+            return data[word : word + 8]
         value = write_value(eid, vaddr, icount)
         self.dram.write(base + (off & ~7), value, "data")
-        res = self.merkle.write_update(slot, self.dram.peek(base, PAGE_SIZE))
-        self.stats.charge(dram=1 + res.dram_reads + res.dram_writes, crypto=1)
+        _, reads, writes = self.merkle.write_update(slot)
+        self.stats.charge(dram=1 + reads + writes, crypto=1)
         return value
 
     def final_pages(self, eid: int) -> Iterator[tuple[int, bytes]]:

@@ -1,7 +1,11 @@
 """Key composition, ciphers, MACs, wrapping and the freshness source."""
 
+import ctypes.util
 import hashlib
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from cryptography.hazmat.primitives import hashes
@@ -399,9 +403,24 @@ def test_missing_libcrypto_is_an_import_error_that_names_it(monkeypatch):
         raise OSError(f"cannot load library {name!r}")
 
     monkeypatch.setattr(crypto._ffi, "dlopen", no_library)
-    monkeypatch.setattr(crypto.ctypes.util, "find_library", lambda name: None)
+    monkeypatch.setattr(ctypes.util, "find_library", lambda name: None)
     with pytest.raises(ImportError, match="libcrypto"):
         crypto._load_libcrypto()
-    monkeypatch.setattr(crypto.ctypes.util, "find_library", lambda name: "libcrypto.so.0")
+    monkeypatch.setattr(ctypes.util, "find_library", lambda name: "libcrypto.so.0")
     with pytest.raises(ImportError, match="libcrypto"):
         crypto._load_libcrypto()
+
+
+def test_a_found_soname_leaves_ctypes_unloaded():
+    # ctypes is the platform search's alone; a fresh process that imports
+    # the simulator and the adversary finds a soname and never loads it
+    code = (
+        "import sys, enclavesim.sim, enclavesim.adversary; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'ctypes'))"
+    )
+    src = os.path.dirname(os.path.dirname(crypto.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

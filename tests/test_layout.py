@@ -116,8 +116,9 @@ def test_write_then_read_roundtrip_and_counters():
     assert dram.read(addr, 64, "key_table") == b"\xAB" * 64
     dram.write_span(addr, bytes(65), "merkle")  # spans count 64-byte blocks
     assert dram.read_span(addr, 65, "merkle") == bytes(65)
-    assert dram.writes == {"data": 1, "merkle": 2}
-    assert dram.reads == {"key_table": 1, "merkle": 2}
+    # every cause is in the ledger from the start
+    assert dram.writes == {"data": 1, "merkle": 2, "forest": 0, "key_table": 0}
+    assert dram.reads == {"data": 0, "merkle": 2, "forest": 0, "key_table": 1}
     # peek/poke are unmetered
     before = dram.total_accesses()
     dram.poke(addr, b"\xCD" * 8)
@@ -153,6 +154,25 @@ def test_metered_methods_reject_an_unknown_cause(method, arg):
         getattr(dram, method)(0, arg, "bogus")
     assert dram.total_accesses() == 0
     assert dram.touched_pages() == 0
+
+
+def test_page_view_is_the_page_as_it_lies_read_only_and_unmetered():
+    lay = small_layout()
+    dram = EmulatedDram(lay)
+    page = lay.eepc_base // PAGE_SIZE
+    assert dram.page_view(page) == bytes(PAGE_SIZE)  # never written
+    assert dram.touched_pages() == 0
+    dram.write(page * PAGE_SIZE + 8, b"\x5a" * 8, "data")
+    view = dram.page_view(page)
+    assert view == dram.peek(page * PAGE_SIZE, PAGE_SIZE)
+    dram.poke(page * PAGE_SIZE, b"\x01")
+    assert view[0] == 1  # a view of the page, not a copy
+    with pytest.raises(TypeError):
+        view[0] = 2
+    assert dram.total_accesses() == 1  # the one metered write
+    for bad in (-1, lay.total_size // PAGE_SIZE):
+        with pytest.raises(ValueError, match="outside physical space"):
+            dram.page_view(bad)
 
 
 def test_cross_page_peek_poke():

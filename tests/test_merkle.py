@@ -1,5 +1,6 @@
 """Counter-tree storage arithmetic, verified walks, caching and tampering."""
 
+import functools
 import random
 from collections import Counter
 
@@ -14,6 +15,8 @@ from enclavesim.merkle import (
     CACHE_LINES,
     COUNTER_AREA_BYTES,
     COUNTER_BITS,
+    COUNTER_MAX,
+    LEAF_MAJOR_BITS,
     NODE_BYTES,
     ZERO_NODE,
     EpcMerkle,
@@ -27,13 +30,30 @@ GIB = 1 << 30
 SSK = bytes(range(32))
 
 
-def make_tree(n_pages=64, cache=True):
+NODE_BASE = 8 * MIB  # past every tree's pages; a multiple of the cache size
+
+
+def make_tree(n_pages=64, cache=True, cls=EpcMerkle):
     lay = MemoryLayout.build(total_size=16 * MIB, epc_size=4 * MIB)
     dram = EmulatedDram(lay)
-    tree = EpcMerkle(
-        dram, base_addr=0, n_pages=n_pages, ssk_bytes=SSK, events=Counter(), cache=cache
+    tree = cls(
+        dram, base_addr=NODE_BASE, n_pages=n_pages, ssk_bytes=SSK, events=Counter(),
+        cache=cache,
     )
     return tree, dram
+
+
+def bind(tree, page, pt):
+    """Put `pt` in the page where the tree protects it, then bind it:
+    (major, DRAM reads, DRAM writes)."""
+    tree.dram.poke(page * PAGE_SIZE, pt)
+    return tree.write_update(page)
+
+
+def check_as(tree, page, major, pt, data_mac):
+    """Put `pt` in the page, then check it against `data_mac`."""
+    tree.dram.poke(page * PAGE_SIZE, pt)
+    tree.check_data(page, major, data_mac)
 
 
 def make_eager_tree(n_pages=64, cache=True):
@@ -69,8 +89,8 @@ def test_storage_bytes_full_memory_does_not_scale():
 def test_fresh_tree_verifies_everywhere():
     tree, _ = make_tree(64)
     for page in (0, 31, 32, 63):
-        res = tree.read_verify(page)
-        assert res.major == 0
+        major, _, _ = tree.read_verify(page)
+        assert major == 0
 
 
 def test_write_bumps_major_and_read_returns_it():
@@ -78,29 +98,29 @@ def test_write_bumps_major_and_read_returns_it():
     page = 5
     pt = bytes(4096)
     for expect in (1, 2, 3):
-        w = tree.write_update(page, pt)
-        assert w.major == expect
-    assert tree.read_verify(page).major == 3
-    tree.check_data(page, 3, pt, tree.read_verify(page).data_mac)
+        major, _, _ = bind(tree, page, pt)
+        assert major == expect
+    assert tree.read_verify(page)[0] == 3
+    check_as(tree, page, 3, pt, tree.read_verify(page)[1])
 
 
 def test_counter_cache_stops_walk():
     tree, _ = make_tree(64)
-    first = tree.read_verify(7)
-    assert first.dram_reads == len(tree.counts)  # cold: every stored level
-    again = tree.read_verify(7)
-    assert again.dram_reads == 0  # leaf line now cached
+    *_, first = tree.read_verify(7)
+    assert first == len(tree.counts)  # cold: every stored level
+    *_, again = tree.read_verify(7)
+    assert again == 0  # leaf line now cached
 
 
 def test_cache_disabled_always_walks():
     tree, _ = make_tree(64, cache=False)
     tree.read_verify(7)
-    assert tree.read_verify(7).dram_reads == len(tree.counts)
+    assert tree.read_verify(7)[2] == len(tree.counts)
 
 
 def test_write_through_keeps_dram_current():
     tree, dram = make_tree(64)
-    tree.write_update(9, bytes(4096))
+    bind(tree, 9, bytes(4096))
     for level, (idx, addr) in enumerate(tree._path(9)):
         assert addr == tree.node_addr(level, idx)
         cached = tree._cache_get(addr)
@@ -186,19 +206,19 @@ def test_brute_force_oracle_after_random_ops():
         if rng.random() < 0.5:
             pt = bytes([rng.randrange(256)]) * 4096
             pages_pt[page] = pt
-            tree.write_update(page, pt)
+            bind(tree, page, pt)
             majors[page] += 1
         else:
-            res = tree.read_verify(page)
-            assert res.major == majors[page]
-            tree.check_data(page, res.major, pages_pt[page], res.data_mac)
+            major, dmac, _ = tree.read_verify(page)
+            assert major == majors[page]
+            check_as(tree, page, major, pages_pt[page], dmac)
     _oracle_check_all_nodes(tree, dram)
 
 
 @pytest.mark.parametrize("byte_slice", [(0, 16), (56, 64)])
 def test_leaf_tamper_detected(byte_slice):
     tree, dram = make_tree(64)
-    tree.write_update(3, b"\x11" * 4096)
+    bind(tree, 3, b"\x11" * 4096)
     addr = tree.node_addr(0, 3)
     raw = bytearray(dram.peek(addr, NODE_BYTES))
     off = random.Random(7).randrange(*byte_slice)
@@ -211,7 +231,7 @@ def test_leaf_tamper_detected(byte_slice):
 
 def test_internal_node_tamper_detected():
     tree, dram = make_tree(64)
-    tree.write_update(40, b"\x22" * 4096)
+    bind(tree, 40, b"\x22" * 4096)
     addr = tree.node_addr(1, 1)  # parent of pages 32..63
     raw = bytearray(dram.peek(addr, NODE_BYTES))
     raw[5] ^= 1
@@ -224,10 +244,10 @@ def test_internal_node_tamper_detected():
 def test_counter_replay_detected():
     tree, dram = make_tree(64)
     page = 12
-    tree.write_update(page, b"\x33" * 4096)
+    bind(tree, page, b"\x33" * 4096)
     addr = tree.node_addr(0, page)
     snapshot = dram.peek(addr, NODE_BYTES)
-    tree.write_update(page, b"\x44" * 4096)  # parent counter moves on
+    bind(tree, page, b"\x44" * 4096)  # parent counter moves on
     dram.poke(addr, snapshot)  # replay the stale (node, MAC) pair
     tree._cache.clear()
     with pytest.raises(CatastrophicFailure):
@@ -236,10 +256,10 @@ def test_counter_replay_detected():
 
 def test_data_mac_mismatch_detected():
     tree, _ = make_tree(64)
-    tree.write_update(2, b"\x55" * 4096)
-    res = tree.read_verify(2)
+    bind(tree, 2, b"\x55" * 4096)
+    major, dmac, _ = tree.read_verify(2)
     with pytest.raises(CatastrophicFailure):
-        tree.check_data(2, res.major, b"\x56" + b"\x55" * 4095, res.data_mac)
+        check_as(tree, 2, major, b"\x56" + b"\x55" * 4095, dmac)
 
 
 def test_internal_counter_wrap_rekeys_and_survives():
@@ -247,18 +267,39 @@ def test_internal_counter_wrap_rekeys_and_survives():
     tree, dram = make_tree(64)
     pt = bytes(4096)
     for _ in range(16385):
-        tree.write_update(0, pt)
+        bind(tree, 0, pt)
     assert tree.events["overflow_rekeys"] >= 1
-    assert tree.read_verify(0).major == 16385
+    assert tree.read_verify(0)[0] == 16385
     _oracle_check_all_nodes(tree, dram)
+
+
+def test_an_exhausted_major_counter_is_caught_and_changes_nothing():
+    # a MAC-valid leaf at the last major its 56 bits hold, keyed by the
+    # counter its parent holds for it: the next write has no major left
+    tree, dram = make_tree(64, cache=False)
+    bind(tree, 5, b"\x5a" * 4096)
+    parent = dram.peek(tree.node_addr(1, 0), NODE_BYTES)
+    major = (1 << LEAF_MAJOR_BITS) - 1
+    dmac = tree.data_mac(5, major, dram.peek(5 * PAGE_SIZE, PAGE_SIZE))
+    leaf = tree._leaf_bytes(major, dmac, tree._leaf_mac(5, _slots(parent)[5], major, dmac))
+    dram.poke(tree.node_addr(0, 5), leaf)
+    assert tree.check(5) == len(tree.counts)  # the poked leaf verifies
+
+    def nodes():
+        return dram.peek(NODE_BASE, tree.storage_bytes)
+
+    before = nodes(), list(tree.root_counters), dict(dram.writes)
+    with pytest.raises(CatastrophicFailure, match="page major counter exhausted"):
+        tree.write_update(5)
+    assert (nodes(), list(tree.root_counters), dict(dram.writes)) == before
 
 
 def test_fresh_tree_binds_zero_pages():
     tree, _ = make_tree(64)
-    res = tree.read_verify(11)
-    tree.check_data(11, 0, bytes(4096), res.data_mac)  # boot state = zero page
+    _, dmac, _ = tree.read_verify(11)
+    check_as(tree, 11, 0, bytes(4096), dmac)  # boot state = zero page
     with pytest.raises(CatastrophicFailure):
-        tree.check_data(11, 0, b"\x01" + bytes(4095), res.data_mac)
+        check_as(tree, 11, 0, b"\x01" + bytes(4095), dmac)
 
 
 # ------------------------------------------- three stored levels, end to end
@@ -281,7 +322,7 @@ class _CacheModel:
     def path(self, page: int) -> list[int]:
         addrs, idx = [], page
         for level in range(len(self.counts)):
-            addrs.append((sum(self.counts[:level]) + idx) * NODE_BYTES)
+            addrs.append(NODE_BASE + (sum(self.counts[:level]) + idx) * NODE_BYTES)
             idx //= ARITY
         return addrs
 
@@ -313,18 +354,18 @@ class _CacheModel:
 def test_three_level_update_costs():
     tree, _ = make_tree(THREE_LEVELS)
     assert tree.counts == [1100, 35, 2]
-    cold = tree.write_update(7, b"\x01" * 4096)
-    assert (cold.dram_reads, cold.dram_writes) == (3, 3)
-    again = tree.write_update(7, b"\x02" * 4096)
-    assert (again.dram_reads, again.dram_writes) == (0, 3)
-    assert tree.read_verify(7).dram_reads == 0
+    _, *cold = bind(tree, 7, b"\x01" * 4096)
+    assert cold == [3, 3]
+    _, *again = bind(tree, 7, b"\x02" * 4096)
+    assert again == [0, 3]
+    assert tree.read_verify(7)[2] == 0
     # page 78's leaf and its parent share a line, and the leaf is filled
     # last: a read walk stops at the leaf although the parent is gone, and
     # an update fetches the parent again
-    assert tree.read_verify(78).dram_reads == 2  # the top node is cached
-    assert tree.read_verify(78).dram_reads == 0
-    assert tree.write_update(78, bytes(4096)).dram_reads == 1
-    assert tree.read_verify(78).dram_reads == 1
+    assert tree.read_verify(78)[2] == 2  # the top node is cached
+    assert tree.read_verify(78)[2] == 0
+    assert bind(tree, 78, bytes(4096))[1] == 1
+    assert tree.read_verify(78)[2] == 1
 
 
 _pages = st.one_of(
@@ -347,15 +388,15 @@ def test_random_ops_match_reference_model(cache, ops):
         if is_write:
             writes[page] = writes.get(page, 0) + 1
             contents[page] = bytes([writes[page] % 256]) * 4096
-            res = tree.write_update(page, contents[page])
-            assert res.major == writes[page]
-            assert (res.dram_reads, res.dram_writes) == model.write(page)
+            major, *traffic = bind(tree, page, contents[page])
+            assert major == writes[page]
+            assert tuple(traffic) == model.write(page)
         else:
-            res = tree.read_verify(page)
-            assert res.major == writes.get(page, 0)
-            assert res.dram_reads == model.read(page)
+            major, dmac, reads = tree.read_verify(page)
+            assert major == writes.get(page, 0)
+            assert reads == model.read(page)
             if page in contents:
-                tree.check_data(page, res.major, contents[page], res.data_mac)
+                check_as(tree, page, major, contents[page], dmac)
     _oracle_check_all_nodes(tree, dram)
     for page in range(THREE_LEVELS):
         raw = dram.peek(tree.node_addr(0, page), NODE_BYTES)
@@ -371,7 +412,7 @@ def test_counter_wrap_leaves_neighbour_slots_alone(level):
 
     def write(slot: int, n: int):
         for i in range(n):
-            tree.write_update(slot * span + i % span, bytes(4096))
+            bind(tree, slot * span + i % span, bytes(4096))
 
     write(j - 1, 1)
     write(j + 1, 2)
@@ -407,6 +448,20 @@ def test_a_tree_is_built_only_over_unwritten_dram(poke_at):
     EpcMerkle(dram, base_addr=8 * MIB, n_pages=64, ssk_bytes=SSK, events=Counter())
 
 
+def test_a_tree_is_not_stored_over_its_own_pages():
+    # the tree binds page i at i * PAGE_SIZE, so its nodes must lie past them
+    lay = MemoryLayout.build(total_size=16 * MIB, epc_size=4 * MIB)
+    with pytest.raises(ValueError, match="overlap the 64 pages"):
+        EpcMerkle(
+            EmulatedDram(lay), base_addr=63 * PAGE_SIZE, n_pages=64, ssk_bytes=SSK,
+            events=Counter(),
+        )
+    EpcMerkle(
+        EmulatedDram(lay), base_addr=64 * PAGE_SIZE, n_pages=64, ssk_bytes=SSK,
+        events=Counter(),
+    )
+
+
 def _zero_node(tree, dram, level, idx):
     dram.poke(tree.node_addr(level, idx), ZERO_NODE)
     tree._cache.clear()  # the adversary reaches DRAM only
@@ -415,7 +470,7 @@ def _zero_node(tree, dram, level, idx):
 @pytest.mark.parametrize("level", [0, 1, 2])
 def test_a_zeroed_written_node_is_caught(level):
     tree, dram = make_tree(THREE_LEVELS)
-    tree.write_update(40, b"\x22" * 4096)
+    bind(tree, 40, b"\x22" * 4096)
     _zero_node(tree, dram, level, 40 // ARITY**level)
     with pytest.raises(
         CatastrophicFailure, match=f"MAC mismatch at level {level} node {40 // ARITY**level}"
@@ -439,29 +494,29 @@ def test_a_zeroed_never_written_node_verifies_as_boot(eager):
     # page 41's leaf was never written, under a parent that was: zeros in
     # its place are its boot value, in a lazy tree and in an eager twin alike
     tree, dram = (make_eager_tree if eager else make_tree)(THREE_LEVELS)
-    tree.write_update(40, b"\x22" * 4096)
+    bind(tree, 40, b"\x22" * 4096)
     before = tree.read_verify(41)
     _zero_node(tree, dram, 0, 41)
     after = tree.read_verify(41)
-    assert (after.major, after.data_mac) == (before.major, before.data_mac)
-    assert after.major == 0
-    tree.check_data(41, 0, ZERO_PAGE, after.data_mac)
+    assert after[:2] == before[:2]
+    assert after[0] == 0
+    check_as(tree, 41, 0, ZERO_PAGE, after[1])
 
 
 @pytest.mark.parametrize("cache", [True, False])
 def test_check_data_on_a_boot_leaf_passes_only_the_zero_page(cache):
     tree, _ = make_tree(THREE_LEVELS, cache=cache)
     eager, _ = make_eager_tree(THREE_LEVELS, cache=cache)
-    tree.write_update(40, b"\x22" * 4096)  # a written sibling
+    bind(tree, 40, b"\x22" * 4096)  # a written sibling
     for page in (0, 41, THREE_LEVELS - 1):
-        res = tree.read_verify(page)
-        assert res.data_mac == eager.read_verify(page).data_mac
-        tree.check_data(page, 0, ZERO_PAGE, res.data_mac)
+        _, dmac, _ = tree.read_verify(page)
+        assert dmac == eager.read_verify(page)[1]
+        check_as(tree, page, 0, ZERO_PAGE, dmac)
         for wrong in (b"\x01" + bytes(4095), bytes(4095) + b"\x80", b"\x22" * 4096):
             with pytest.raises(CatastrophicFailure, match="data MAC mismatch"):
-                tree.check_data(page, 0, wrong, res.data_mac)
+                check_as(tree, page, 0, wrong, dmac)
         with pytest.raises(CatastrophicFailure, match="data MAC mismatch"):
-            tree.check_data(page, 1, ZERO_PAGE, res.data_mac)
+            check_as(tree, page, 1, ZERO_PAGE, dmac)
 
 
 # The differential runs the same operations on a tree built lazily and on
@@ -484,19 +539,17 @@ def _outcome(fn):
 
 
 def _read(tree, page):
-    res = tree.read_verify(page)
-    return res.major, res.data_mac, res.dram_reads
+    return tree.read_verify(page)
 
 
 def _write(tree, page, pt):
-    res = tree.write_update(page, pt)
-    return res.major, res.dram_reads, res.dram_writes
+    return bind(tree, page, pt)
 
 
 def _check(tree, page, pt):
-    res = tree.read_verify(page)
-    tree.check_data(page, res.major, pt, res.data_mac)
-    return res.major, res.dram_reads
+    major, dmac, reads = tree.read_verify(page)
+    check_as(tree, page, major, pt, dmac)
+    return major, reads
 
 
 def _counter_of(tree, level, page):
@@ -515,7 +568,7 @@ def test_lazy_boot_behaves_like_an_eager_one(seed, cache, tamper):
     rng = random.Random(seed)
     trees = [make_tree(THREE_LEVELS, cache), make_eager_tree(THREE_LEVELS, cache)]
     for _, dram in trees:
-        dram.reads.clear()  # the eager twin's boot pokes are unmetered anyway
+        assert dram.total_accesses() == 0  # the eager twin's boot pokes are unmetered
     snaps = [{}, {}]  # per tree: step -> {node address: bytes}
     contents: dict[int, bytes] = {}
     hot = rng.sample(range(THREE_LEVELS), 12)  # pages that collide often
@@ -567,6 +620,7 @@ def test_lazy_boot_behaves_like_an_eager_one(seed, cache, tamper):
             if undo:  # a write that went through has rewritten the node
                 for (_, dram), raw in zip(trees, saved):
                     dram.poke(addr, raw)
+                    dram.poke(page * PAGE_SIZE, contents.get(page, ZERO_PAGE))
         elif kind < 0.55:
             contents[page] = bytes([step % 251 + 1]) * 4096
             both(_write, page, contents[page])
@@ -578,6 +632,8 @@ def test_lazy_boot_behaves_like_an_eager_one(seed, cache, tamper):
                 pt = pt[:100] + bytes([pt[100] ^ 4]) + pt[101:]
             out = both(_check, page, pt)
             assert isinstance(out, str) == (pt != contents.get(page, ZERO_PAGE))
+            for _, dram in trees:  # put back the page the tree binds
+                dram.poke(page * PAGE_SIZE, contents.get(page, ZERO_PAGE))
     (lazy, lazy_dram), (eager, eager_dram) = trees
     assert lazy_dram.reads == eager_dram.reads
     assert lazy_dram.writes == eager_dram.writes
@@ -598,13 +654,207 @@ def test_lazy_boot_behaves_like_an_eager_one(seed, cache, tamper):
 )
 def test_a_leaf_replayed_across_a_counter_wrap_is_caught():
     tree, dram = make_tree(64, cache=False)
-    tree.write_update(0, b"X" * 4096)
+    bind(tree, 0, b"X" * 4096)
     addr = tree.node_addr(0, 0)
     snapshot = dram.peek(addr, NODE_BYTES)
     for _ in range(1 << COUNTER_BITS):
-        tree.write_update(0, b"Y" * 4096)
+        bind(tree, 0, b"Y" * 4096)
     assert tree.events["overflow_rekeys"] == 1
     dram.poke(addr, snapshot)
     with pytest.raises(CatastrophicFailure):
-        res = tree.read_verify(0)
-        tree.check_data(0, res.major, b"X" * 4096, res.data_mac)
+        major, dmac, _ = tree.read_verify(0)
+        check_as(tree, 0, major, b"X" * 4096, dmac)
+
+
+# ------------------------------------- differential against a byte-taking tree
+class _ByteTakingTree(EpcMerkle):
+    """The tree as it stood while its callers handed it page bytes:
+    `write_update(page, plaintext)`, `read_verify(page)` and
+    `check_data(page, major, plaintext, stored_mac)`, with the walk they
+    shared, copied as they were but for returning tuples.  Node layout,
+    MACs, paths and the cache are the tree's own."""
+
+    def _walk(self, page, full=False):
+        path = self._path(page)
+        trusted = {}
+        fetched = []  # (level, raw), leaf first
+        for level, (_, addr) in enumerate(path):
+            cached = self._cache_get(addr)
+            if cached is not None:
+                trusted[level] = cached
+                if not full:
+                    break
+            else:
+                fetched.append((level, self.dram.read(addr, NODE_BYTES, "merkle")))
+        top = len(path) - 1
+        for level, raw in reversed(fetched):
+            idx, addr = path[level]
+            if level == top:
+                parent_counter = self.root_counters[idx]
+            else:
+                parent_counter = _slots(trusted[level + 1])[idx % ARITY]
+            if parent_counter or raw != ZERO_NODE:
+                if level == 0:
+                    major, dmac, stored = self._leaf_fields(raw)
+                    expect = self._leaf_mac(idx, parent_counter, major, dmac)
+                else:
+                    stored = raw[COUNTER_AREA_BYTES:]
+                    expect = self._node_mac(
+                        level, idx, parent_counter, raw[:COUNTER_AREA_BYTES]
+                    )
+                if stored != expect:
+                    raise CatastrophicFailure(
+                        f"counter-tree node MAC mismatch at level {level} node {idx}",
+                        page=page,
+                    )
+            trusted[level] = raw
+            self._cache_put(addr, raw)
+        return path, trusted, len(fetched)
+
+    def read_verify(self, page):
+        _, trusted, reads = self._walk(page)
+        major, dmac = self._bound_data(page, trusted[0])
+        return major, dmac, reads
+
+    def check_data(self, page, major, plaintext, stored_mac):
+        if self.data_mac(page, major, plaintext) != stored_mac:
+            raise CatastrophicFailure(
+                f"page-cache data MAC mismatch for slot {page}", page=page
+            )
+
+    def write_update(self, page, plaintext):
+        path, trusted, reads = self._walk(page, full=True)
+        major = int.from_bytes(trusted[0][:8], "little") + 1
+        if major >= 1 << LEAF_MAJOR_BITS:
+            raise CatastrophicFailure("page major counter exhausted", page=page)
+        dmac = self.data_mac(page, major, plaintext)
+        top = len(path) - 1
+        word = 0
+        for level, (idx, addr) in enumerate(path):
+            if level == top:
+                self.root_counters[idx] += 1
+                parent_counter = self.root_counters[idx]
+            else:
+                parent_word = int.from_bytes(trusted[level + 1][:COUNTER_AREA_BYTES], "little")
+                shift = idx % ARITY * COUNTER_BITS
+                parent_counter = (parent_word >> shift) & COUNTER_MAX
+                if parent_counter == COUNTER_MAX:
+                    parent_word -= COUNTER_MAX << shift
+                    parent_counter = 0
+                    self.events["overflow_rekeys"] += 1
+                else:
+                    parent_word += 1 << shift
+                    parent_counter += 1
+            if level == 0:
+                raw = self._leaf_bytes(
+                    major, dmac, self._leaf_mac(idx, parent_counter, major, dmac)
+                )
+            else:
+                blob = word.to_bytes(COUNTER_AREA_BYTES, "little")
+                raw = blob + self._node_mac(level, idx, parent_counter, blob)
+            if level != top:
+                word = parent_word
+            self.dram.write(addr, raw, "merkle")
+            self._cache_put(addr, raw)
+        return major, reads, len(path)
+
+
+WRAP_PAGE = 0  # its next write wraps its parent's slot and its grandparent's
+
+
+@functools.lru_cache(maxsize=None)
+def _one_write_short_of_a_wrap():
+    """Node storage, page bytes and root counters after COUNTER_MAX writes
+    of WRAP_PAGE on the byte-taking tree: one more write wraps."""
+    tree, dram = make_tree(THREE_LEVELS, cls=_ByteTakingTree)
+    for i in range(COUNTER_MAX):
+        pt = i.to_bytes(8, "little") * (PAGE_SIZE // 8)
+        dram.poke(WRAP_PAGE * PAGE_SIZE, pt)
+        tree.write_update(WRAP_PAGE, pt)
+    assert not tree.events["overflow_rekeys"]
+    return (
+        dram.peek(NODE_BASE, tree.storage_bytes),
+        dram.peek(WRAP_PAGE * PAGE_SIZE, PAGE_SIZE),
+        tuple(tree.root_counters),
+    )
+
+
+_diff_pages = st.one_of(
+    st.integers(0, THREE_LEVELS - 1),
+    st.sampled_from([WRAP_PAGE, 1, 31, 32, 78, 1023, 1024, 1099]),
+)
+_diff_ops = st.one_of(
+    # write: an 8-byte store into the page, then bind it
+    st.tuples(st.just("write"), _diff_pages, st.integers(0, 511), st.binary(min_size=8, max_size=8)),
+    st.tuples(st.just("read"), _diff_pages),
+    st.tuples(st.just("check"), _diff_pages),
+    # the adversary: flip bits of a page, or of a node on a page's path
+    # (then, or not, the cache loses its lines, as on eviction)
+    st.tuples(st.just("poke_page"), _diff_pages, st.integers(0, 4095), st.integers(1, 255)),
+    st.tuples(
+        st.just("poke_node"), _diff_pages, st.integers(0, 2), st.integers(0, 63),
+        st.integers(1, 255), st.booleans(),
+    ),
+)
+
+
+@pytest.mark.parametrize("cache", [True, False])
+@settings(max_examples=30, deadline=None)
+@given(ops=st.lists(_diff_ops, max_size=30), wrap_at=st.integers(0, 30))
+def test_binding_pages_in_place_matches_the_byte_taking_tree(cache, ops, wrap_at):
+    nodes, wrap_page, roots = _one_write_short_of_a_wrap()
+    new, new_dram = make_tree(THREE_LEVELS, cache)
+    ref, ref_dram = make_tree(THREE_LEVELS, cache, cls=_ByteTakingTree)
+    for tree, dram in ((new, new_dram), (ref, ref_dram)):
+        dram.poke(NODE_BASE, nodes)
+        dram.poke(WRAP_PAGE * PAGE_SIZE, wrap_page)
+        tree.root_counters[:] = roots
+    drams = (new_dram, ref_dram)
+
+    def flip(addr, xor):
+        for dram in drams:
+            dram.poke(addr, bytes([dram.peek(addr, 1)[0] ^ xor]))
+
+    def page_bytes(page):
+        return ref_dram.peek(page * PAGE_SIZE, PAGE_SIZE)
+
+    def read_and_check(tree, page):
+        major, dmac, reads = tree.read_verify(page)
+        tree.check_data(page, major, page_bytes(page), dmac)
+        return reads
+
+    steps = list(ops)
+    wrap = ("write", WRAP_PAGE, 0, b"wrapping")
+    steps.insert(min(wrap_at, len(steps)), wrap)
+    for step in steps:
+        op, page, *args = step
+        if op == "write":
+            for dram in drams:
+                dram.poke(page * PAGE_SIZE + args[0] * 8, args[1])
+            out = (
+                _outcome(lambda: new.write_update(page)),
+                _outcome(lambda: ref.write_update(page, page_bytes(page))),
+            )
+        elif op == "read":
+            out = _outcome(lambda: new.read_verify(page)), _outcome(lambda: ref.read_verify(page))
+        elif op == "check":
+            out = _outcome(lambda: new.check(page)), _outcome(lambda: read_and_check(ref, page))
+        elif op == "poke_page":
+            flip(page * PAGE_SIZE + args[0], args[1])
+            continue
+        else:
+            level, offset, xor, evict = args
+            flip(new.node_addr(level, page // ARITY**level) + offset, xor)
+            if evict:
+                new._cache.clear()
+                ref._cache.clear()
+            continue
+        assert out[0] == out[1], (op, page)
+        if step is wrap and not isinstance(out[0], str):
+            assert new.events["overflow_rekeys"] >= 1  # the write wrapped
+        assert new_dram.peek(NODE_BASE, new.storage_bytes) == ref_dram.peek(
+            NODE_BASE, ref.storage_bytes
+        )
+        assert new.root_counters == ref.root_counters
+        assert (new_dram.reads, new_dram.writes) == (ref_dram.reads, ref_dram.writes)
+    assert new.events == ref.events
