@@ -24,34 +24,46 @@ key K, upper forest levels and the EPC integrity tree by the SSK.  Domain
 tags and node indices in the MAC input defeat cross-use and relocation.
 The SSK never changes during a run, so its users hold it as a `MacKey`: the
 SHA-256 states of its inner and outer pads, hashed once (RFC 2104 section
-4), which halves the cost of a short MAC.  A page key is used once or
-twice before the next write-back replaces it, so page MACs take the raw key.
+4), which halves the cost of a short MAC.  The counter tree's data MACs end
+in a page, so they hold the SSK as a `PageMacKey`, which hashes the page
+where it lies instead of copying it into the message.  A page key is used
+once or twice before the next write-back replaces it, so page MACs take the
+raw key.
 
-AES-256-ECB runs in OpenSSL's libcrypto, loaded through cffi.  A single page
-transfer touches 64 distinct block keys, so building a cipher object per key
-would dominate the run; instead the module holds one EVP context per
-direction.  For each 64-byte block it re-keys that context
-(`EVP_EncryptInit` / `EVP_DecryptInit` with a NULL cipher, which keeps the
-context as set up) and ciphers the block (`EVP_Cipher`).  ECB has no
-chaining state, so nothing carries from one key to the next, and there is
-no cache of contexts.  A page is thus 128 calls into C, and most of its time
-is cffi's cost per call and per argument, not AES: the same calls from a C
-loop take a small fraction of it.  So the loop passes as few arguments as
-it can, checks the lengths once per page, and does no other Python work per
-key.  Data is ciphered in place in one static page-sized buffer.  The two
-shared contexts and that buffer make this module not thread-safe; nothing
-in enclavesim uses threads.
+AES-256-ECB runs in OpenSSL's libcrypto.  A single page transfer touches 64
+distinct block keys, so building a cipher object per key would dominate the
+run; instead the module holds one EVP context per direction and re-keys it
+for each 64-byte block (`EVP_EncryptInit` / `EVP_DecryptInit` with a NULL
+cipher, which keeps the context as set up) before ciphering the block
+(`EVP_Cipher`).  ECB has no chaining state, so nothing carries from one key
+to the next.  Driven from Python through cffi, a page would be 128 calls
+into C, and cffi's cost per call and per argument, not AES, most of its
+time.  So that loop is C: one small function, compiled through cffi's API
+mode, takes a page and its key, and sets each block key's last byte,
+re-keys, ciphers and checks every return code itself; a key wrap, an unwrap
+and a PRNG draw are the same function over one slice under one key.  Python
+checks every length before C reads anything.  The function calls EVP through
+pointers taken from the libcrypto loaded here through cffi's ABI mode, so it
+needs a C compiler and Python's headers but no OpenSSL headers and no
+libcrypto to link against.  The loop and libcrypto's declarations are built
+once, at first import, in a separate process, and cached (see
+`_load_built`).  The two shared contexts and the static page-sized output
+buffer make this module not thread-safe; nothing in enclavesim uses threads.
 """
 
 from __future__ import annotations
 
 import hashlib
 import hmac
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 
-import cffi
+import _cffi_backend
 
-from .layout import BLOCK_SIZE, BLOCKS_PER_PAGE, PAGE_SIZE
+from .layout import BLOCKS_PER_PAGE, PAGE_SIZE
 
 HW_KEY_BITS = 64
 ENCLAVE_ID_BITS = 31
@@ -75,23 +87,161 @@ FRESHNESS_MODES = ("prng", "counter")
 _AES_KEY_BYTES = 32
 _AES_BLOCK_BYTES = 16
 
-_ffi = cffi.FFI()
-_ffi.cdef(
+# libcrypto's functions, called through cffi's ABI mode: no OpenSSL headers
+_LIBCRYPTO_CDEF = """
+typedef struct evp_cipher_st EVP_CIPHER;
+typedef struct evp_cipher_ctx_st EVP_CIPHER_CTX;
+unsigned long OpenSSL_version_num(void);
+const EVP_CIPHER *EVP_aes_256_ecb(void);
+EVP_CIPHER_CTX *EVP_CIPHER_CTX_new(void);
+void EVP_CIPHER_CTX_free(EVP_CIPHER_CTX *ctx);
+int EVP_EncryptInit(EVP_CIPHER_CTX *ctx, const EVP_CIPHER *cipher,
+                    const unsigned char *key, const unsigned char *iv);
+int EVP_DecryptInit(EVP_CIPHER_CTX *ctx, const EVP_CIPHER *cipher,
+                    const unsigned char *key, const unsigned char *iv);
+int EVP_Cipher(EVP_CIPHER_CTX *ctx, unsigned char *out,
+               const unsigned char *in, unsigned int inl);
+"""
+# The page cipher's loop.  The source has no OpenSSL headers, so a context is
+# a `void *` and the EVP functions are pointers, set below from the libcrypto
+# loaded through the declarations above.
+_ECB_CDEF = """
+typedef int (*evp_init_fn)(void *, const void *, const unsigned char *,
+                           const unsigned char *);
+typedef int (*evp_cipher_fn)(void *, unsigned char *, const unsigned char *,
+                             unsigned int);
+extern evp_init_fn evp_encrypt_init, evp_decrypt_init;
+extern evp_cipher_fn evp_cipher;
+extern void *evp_ctx[2];          /* indexed by enc */
+extern int cipher_returns_count;  /* EVP_Cipher's success value: n, else 1 */
+extern unsigned char ecb_out[4096];
+int ecb(int enc, const unsigned char *key, const unsigned char *in,
+        unsigned int n, int page);
+"""
+_ECB_SOURCE = _ECB_CDEF + r"""
+#include <string.h>
+
+evp_init_fn evp_encrypt_init, evp_decrypt_init;
+evp_cipher_fn evp_cipher;
+void *evp_ctx[2];
+int cipher_returns_count;
+unsigned char ecb_out[4096];
+
+/* AES-256-ECB of n bytes of `in` into ecb_out.  With `page` set, each
+   64-byte block b is ciphered under the key with its last byte's low 6 bits
+   set to b; else all n bytes under the key itself.  The caller has checked
+   the lengths.  Returns 0, 1 if a re-key failed, 2 if a cipher call did. */
+int ecb(int enc, const unsigned char *key, const unsigned char *in,
+        unsigned int n, int page)
+{
+    evp_init_fn init = enc ? evp_encrypt_init : evp_decrypt_init;
+    void *ctx = evp_ctx[enc ? 1 : 0];
+    unsigned int step = page ? 64 : n, off;
+    int ok = cipher_returns_count ? (int)step : 1;
+    unsigned char k[32];
+
+    memcpy(k, key, sizeof k);
+    if (page)
+        k[31] &= 0xC0;
+    for (off = 0; off < n; off += step, k[31]++) {
+        /* a NULL cipher re-keys only: the context is not reset */
+        if (init(ctx, NULL, k, NULL) != 1)
+            return 1;
+        if (evp_cipher(ctx, ecb_out + off, in + off, step) != ok)
+            return 2;
+    }
+    return 0;
+}
+"""
+# Run by `sys.executable`, so that cffi's C parser and setuptools, which it
+# builds with, never enter the simulator's process.  The declarations become
+# a Python module (cffi's out-of-line ABI mode) and the loop an extension;
+# `os.replace` installs each atomically, the extension last.
+_BUILD = """
+import os, sys, cffi
+abi_name, ecb_name, scratch, abi_path, ecb_path = sys.argv[1:6]
+abi, ecb = cffi.FFI(), cffi.FFI()
+abi.cdef(sys.argv[6])
+abi.set_source(abi_name, None)
+abi.emit_python_code(os.path.join(scratch, abi_name + ".py"))
+ecb.cdef(sys.argv[7])
+ecb.set_source(ecb_name, sys.argv[8])
+built = ecb.compile(tmpdir=scratch)
+os.replace(os.path.join(scratch, abi_name + ".py"), abi_path)
+os.replace(built, ecb_path)
+"""
+
+
+def _build(names: tuple[str, str], scratch: str, paths: tuple[str, str]):
+    import subprocess
+
+    out = subprocess.run(
+        [sys.executable, "-c", _BUILD, *names, scratch, *paths,
+         _LIBCRYPTO_CDEF, _ECB_CDEF, _ECB_SOURCE],
+        stdin=subprocess.DEVNULL, capture_output=True, text=True,
+    )
+    if out.returncode:
+        import sysconfig
+
+        cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
+        raise ImportError(
+            f"enclavesim.crypto builds its page cipher at first import and needs "
+            f"a C compiler ({cc}) and Python's headers; the build failed:\n"
+            f"{out.stdout}{out.stderr}"
+        )
+
+
+def _load_built():
+    """libcrypto's declarations and the page-cipher loop, as two modules
+    built on first use and cached.
+
+    The build is keyed by a hash of libcrypto's declarations, the loop's
+    source (which begins with its cdef), the cffi version and the
+    interpreter's cache tag, and kept in ``$XDG_CACHE_HOME/enclavesim``
+    (else ``~/.cache/enclavesim``).  Where that cannot be written, it is
+    built in a fresh temporary directory, loaded, and the directory
+    removed.  Each build works in its own scratch directory, so processes
+    that build at once do not collide.  Only a build imports what it needs
+    (`subprocess`, `tempfile`, `shutil`), so an import that finds the build
+    cached loads none of them.
     """
-    typedef struct evp_cipher_st EVP_CIPHER;
-    typedef struct evp_cipher_ctx_st EVP_CIPHER_CTX;
-    unsigned long OpenSSL_version_num(void);
-    const EVP_CIPHER *EVP_aes_256_ecb(void);
-    EVP_CIPHER_CTX *EVP_CIPHER_CTX_new(void);
-    void EVP_CIPHER_CTX_free(EVP_CIPHER_CTX *ctx);
-    int EVP_EncryptInit(EVP_CIPHER_CTX *ctx, const EVP_CIPHER *cipher,
-                        const unsigned char *key, const unsigned char *iv);
-    int EVP_DecryptInit(EVP_CIPHER_CTX *ctx, const EVP_CIPHER *cipher,
-                        const unsigned char *key, const unsigned char *iv);
-    int EVP_Cipher(EVP_CIPHER_CTX *ctx, unsigned char *out,
-                   const unsigned char *in, unsigned int inl);
-    """
-)
+    tag = "\0".join((_LIBCRYPTO_CDEF, _ECB_SOURCE,
+                     _cffi_backend.__version__, str(sys.implementation.cache_tag)))
+    stem = "_enclavesim_" + hashlib.sha256(tag.encode()).hexdigest()[:16]
+    names = (stem + "_libcrypto", stem + "_ecb")
+    files = (names[0] + ".py", names[1] + importlib.machinery.EXTENSION_SUFFIXES[0])
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    cache = os.path.join(base, "enclavesim")
+    paths = tuple(os.path.join(cache, f) for f in files)
+    if os.path.exists(paths[1]):
+        return _load(names, paths)
+    import shutil
+    import tempfile
+
+    try:
+        os.makedirs(cache, exist_ok=True)
+        scratch = tempfile.mkdtemp(prefix="build-", dir=cache)
+    except OSError:
+        scratch = tempfile.mkdtemp(prefix="enclavesim-")
+        paths = tuple(os.path.join(scratch, f) for f in files)
+    try:
+        _build(names, scratch, paths)
+        return _load(names, paths)
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+
+
+def _load(names, paths) -> list:
+    modules = []
+    for name, path in zip(names, paths):
+        spec = importlib.util.spec_from_file_location(name, path)
+        modules.append(importlib.util.module_from_spec(spec))
+        spec.loader.exec_module(modules[-1])
+    return modules
+
+
+_abi, _ecb = _load_built()
+_ffi = _abi.ffi
 
 
 def _load_libcrypto():
@@ -132,17 +282,19 @@ def _ecb_context(enc: int):
     return ctx
 
 
-_CONTEXTS = (_ecb_context(0), _ecb_context(1))  # indexed by enc
+_CONTEXTS = (_ecb_context(0), _ecb_context(1))  # indexed by enc; kept alive here
+_ecb.lib.evp_ctx[0], _ecb.lib.evp_ctx[1] = _CONTEXTS
+_ecb.lib.evp_encrypt_init = _ecb.ffi.cast("evp_init_fn", _ffi.addressof(_lib, "EVP_EncryptInit"))
+_ecb.lib.evp_decrypt_init = _ecb.ffi.cast("evp_init_fn", _ffi.addressof(_lib, "EVP_DecryptInit"))
+_ecb.lib.evp_cipher = _ecb.ffi.cast("evp_cipher_fn", _ffi.addressof(_lib, "EVP_Cipher"))
 # EVP_Cipher's success value: the byte count under OpenSSL 3, 1 under 1.1
-_CIPHER_RETURNS_COUNT = _lib.OpenSSL_version_num() >= 0x30000000
-# the one working buffer, ciphered in place (EVP allows out == in but not a
-# partial overlap), with a pointer to each of a page's blocks built once
-_BUF = _ffi.new("unsigned char[]", PAGE_SIZE)
-_WHOLE = (_BUF,)
-_PAGE_BLOCKS = tuple(_BUF + off for off in range(0, PAGE_SIZE, BLOCK_SIZE))
-# a page's block keys differ from its page key only in the last byte; a table
-# lookup is about twice as fast as building bytes([b]) each time
-_ONE_BYTE = tuple(bytes((i,)) for i in range(256))
+_ecb.lib.cipher_returns_count = _lib.OpenSSL_version_num() >= 0x30000000
+_ecb_run, _BUF, _buffer = _ecb.lib.ecb, _ecb.lib.ecb_out, _ecb.ffi.buffer
+_C_FAILURES = (
+    None,
+    "OpenSSL EVP_EncryptInit/EVP_DecryptInit failed",
+    "OpenSSL EVP_Cipher failed",
+)
 
 
 def _aes_ecb(enc: int, key: bytes, data: bytes, page: bool) -> bytes:
@@ -150,8 +302,8 @@ def _aes_ecb(enc: int, key: bytes, data: bytes, page: bool) -> bytes:
 
     With ``page`` false, all of ``data`` is ciphered under ``key``.  With
     ``page`` true, ``data`` is a page and 64-byte block b is ciphered under
-    ``derive_block_key(key, b)``.  The lengths are checked here, once, before
-    C reads them: the key must be exactly 32 bytes, a page exactly a page,
+    ``derive_block_key(key, b)``.  The lengths are checked here, before C
+    reads them: the key must be exactly 32 bytes, a page exactly a page,
     and other data a positive multiple of 16 bytes no longer than a page.
     """
     if len(key) != _AES_KEY_BYTES:
@@ -160,27 +312,15 @@ def _aes_ecb(enc: int, key: bytes, data: bytes, page: bool) -> bytes:
     if page:
         if n != PAGE_SIZE:
             raise ValueError(f"page must be {PAGE_SIZE} bytes")
-        slices, low = _PAGE_BLOCKS, key[31] & 0xC0  # block 0's last key byte
     else:
         if n == 0 or n % _AES_BLOCK_BYTES:
             raise ValueError(f"AES data must be a positive multiple of {_AES_BLOCK_BYTES} bytes")
         if n > PAGE_SIZE:
             raise ValueError(f"AES data must be at most {PAGE_SIZE} bytes, got {n}")
-        slices, low = _WHOLE, key[31]  # one slice under the key itself
-    step = n // len(slices)
-    ok = step if _CIPHER_RETURNS_COUNT else 1
-    ctx = _CONTEXTS[enc]
-    init = _lib.EVP_EncryptInit if enc else _lib.EVP_DecryptInit
-    cipher, null, head, one = _lib.EVP_Cipher, _ffi.NULL, key[:31], _ONE_BYTE
-    _ffi.memmove(_BUF, data, n)
-    for p in slices:
-        # a NULL cipher re-keys only: the context is not reset
-        if init(ctx, null, head + one[low], null) != 1:
-            raise RuntimeError("OpenSSL EVP_EncryptInit/EVP_DecryptInit failed")
-        if cipher(ctx, p, p, step) != ok:
-            raise RuntimeError("OpenSSL EVP_Cipher failed")
-        low += 1
-    return _ffi.buffer(_BUF, n)[:]
+    failed = _ecb_run(enc, key, data, n, page)
+    if failed:
+        raise RuntimeError(_C_FAILURES[failed])
+    return _buffer(_BUF, n)[:]
 
 
 def aes_encrypt(key: bytes, data: bytes) -> bytes:
@@ -219,7 +359,7 @@ def derive_block_key(page_key: bytes, block: int) -> bytes:
         raise ValueError(f"page key must be {_AES_KEY_BYTES} bytes")
     if not 0 <= block < BLOCKS_PER_PAGE:
         raise ValueError("block index out of range")
-    return page_key[:31] + _ONE_BYTE[(page_key[31] & 0xC0) | block]
+    return page_key[:31] + bytes(((page_key[31] & 0xC0) | block,))
 
 
 @dataclass(frozen=True)
@@ -282,16 +422,32 @@ class MacKey:
         self.outer = hashlib.sha256(key.translate(_OPAD))
 
 
+class PageMacKey(MacKey):
+    """A `MacKey` for messages that end in a page.
+
+    `keyed_mac8` hashes the short header and then the page, where it lies,
+    as two updates, where a `MacKey` joins its message into one: a page
+    would be copied twice, and the extra update would slow a short MAC.
+    """
+
+    __slots__ = ()
+
+
 def keyed_mac8(key: MacKey | bytes, domain: bytes, *parts: bytes) -> bytes:
     """8-byte truncated HMAC-SHA-256 with a domain separation tag.
 
-    ``key`` is a `MacKey` or the raw key bytes; both give the same MAC.
+    ``key`` is a `MacKey`, a `PageMacKey` (whose last part is the page) or
+    the raw key bytes; all give the same MAC.
     """
-    msg = domain + b"".join(parts)
-    if type(key) is not MacKey:
-        return hmac.digest(key, msg, "sha256")[:MAC_BYTES]
-    inner = key.inner.copy()
-    inner.update(msg)
+    if type(key) is MacKey:
+        inner = key.inner.copy()
+        inner.update(domain + b"".join(parts))
+    elif type(key) is PageMacKey:
+        inner = key.inner.copy()
+        inner.update(domain + b"".join(parts[:-1]))
+        inner.update(parts[-1])
+    else:
+        return hmac.digest(key, domain + b"".join(parts), "sha256")[:MAC_BYTES]
     outer = key.outer.copy()
     outer.update(inner.digest())
     return outer.digest()[:MAC_BYTES]

@@ -54,7 +54,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .crypto import MacKey, keyed_mac8
+from .crypto import MacKey, PageMacKey, keyed_mac8
 from .layout import PAGE_SIZE, ZERO_PAGE, ConfigError, EmulatedDram
 from .verifier import CatastrophicFailure
 
@@ -141,6 +141,7 @@ class EpcMerkle:
         self.base = base_addr
         self.n_pages = n_pages
         self.ssk = MacKey(ssk_bytes)
+        self.data_key = PageMacKey(ssk_bytes)  # the same key, for data MACs
         self.cache_enabled = cache
         self.counts = level_counts(n_pages, ARITY)
         self.offsets = []
@@ -218,7 +219,7 @@ class EpcMerkle:
 
     def data_mac(self, page: int, major: int, plaintext: bytes) -> bytes:
         return keyed_mac8(
-            self.ssk,
+            self.data_key,
             b"tree-data",
             page.to_bytes(8, "big"),
             major.to_bytes(8, "little"),

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import types
 
 import pytest
 from cryptography.hazmat.primitives import hashes
@@ -18,6 +19,7 @@ from enclavesim import crypto
 from enclavesim.crypto import (
     FreshnessSource,
     MacKey,
+    PageMacKey,
     Ssk,
     compose_page_key,
     derive_block_key,
@@ -104,6 +106,57 @@ def test_interleaved_calls_leak_no_state(key_a, key_b, page_a, page_b):
     assert ecb_decrypt_page(key_a, first) == page_a
 
 
+# ------------------------------- differential: the per-block Python loop
+
+_REF_CONTEXTS = (crypto._ecb_context(0), crypto._ecb_context(1))
+_REF_BUF = crypto._ffi.new("unsigned char[]", 4096)
+
+
+def _python_loop(enc: int, key: bytes, data: bytes, page: bool) -> bytes:
+    """The page cipher's loop as it ran in Python, one call into libcrypto
+    per re-key and per block, on contexts of its own."""
+    ffi, lib = crypto._ffi, crypto._lib
+    if page:
+        slices, low = [_REF_BUF + off for off in range(0, 4096, 64)], key[31] & 0xC0
+    else:
+        slices, low = [_REF_BUF], key[31]
+    step = len(data) // len(slices)
+    ok = step if crypto._ecb.lib.cipher_returns_count else 1
+    ctx = _REF_CONTEXTS[enc]
+    init = lib.EVP_EncryptInit if enc else lib.EVP_DecryptInit
+    ffi.memmove(_REF_BUF, data, len(data))
+    for p in slices:
+        assert init(ctx, ffi.NULL, key[:31] + bytes((low,)), ffi.NULL) == 1
+        assert lib.EVP_Cipher(ctx, p, p, step) == ok
+        low += 1
+    return ffi.buffer(_REF_BUF, len(data))[:]
+
+
+@pytest.mark.parametrize("top", range(4))
+@given(st.binary(min_size=31, max_size=31), st.integers(0, 63), pages)
+@settings(max_examples=25)
+def test_compiled_page_loop_matches_the_python_loop(top, head, low, page):
+    # the block bits are replaced whatever they held, under each value of the
+    # last key byte's top two bits
+    key = head + bytes(((top << 6) | low,))
+    assert ecb_encrypt_page(key, page) == _python_loop(1, key, page, True)
+    assert ecb_decrypt_page(key, page) == _python_loop(0, key, page, True)
+
+
+@given(
+    keys32,
+    st.tuples(st.integers(1, 256), st.integers(0, 2**64 - 1)).map(
+        lambda t: random.Random(t[1]).randbytes(16 * t[0])
+    ),
+)
+@example(KAT_KEY, KAT_PT)
+@example(KAT_KEY, bytes(4096))
+@settings(max_examples=100)
+def test_compiled_slice_loop_matches_the_python_loop(key, data):
+    assert crypto.aes_encrypt(key, data) == _python_loop(1, key, data, False)
+    assert crypto.aes_decrypt(key, data) == _python_loop(0, key, data, False)
+
+
 # ------------------------------------------------ checks at the C boundary
 
 
@@ -133,32 +186,28 @@ def test_bad_data_length_is_rejected(data_len):
         ecb_decrypt_page(KAT_KEY, data)
 
 
-class _LibStub:
-    """The loaded libcrypto with some of its functions replaced."""
-
-    def __init__(self, **replaced):
-        self.__dict__.update(replaced)
-
-    def __getattr__(self, name):
-        return getattr(_REAL_LIB, name)
-
-
-_REAL_LIB = crypto._lib
+_ECB = crypto._ecb  # the compiled loop: its EVP pointers are C globals
+_REAL_CIPHER = _ECB.lib.evp_cipher
 
 
 def _other_success_value(ctx, out, inp, inl):
     # EVP_Cipher as it would succeed under the other OpenSSL major version:
     # 1.1 returns 1 and 3.x the byte count, and each must be refused by the other
-    got = _REAL_LIB.EVP_Cipher(ctx, out, inp, inl)
+    got = _REAL_CIPHER(ctx, out, inp, inl)
     return 1 if got == inl else inl
 
 
+# callbacks stand in for the loop's EVP pointers; they are built once and
+# kept here, alive for as long as the C code may call them
 C_FAILURES = {
-    "re-key-returns-0": _LibStub(
-        EVP_EncryptInit=lambda *args: 0, EVP_DecryptInit=lambda *args: 0
-    ),
-    "cipher-returns-minus-1": _LibStub(EVP_Cipher=lambda *args: -1),
-    "cipher-returns-the-other-versions-success": _LibStub(EVP_Cipher=_other_success_value),
+    "re-key-returns-0": {
+        "evp_encrypt_init": _ECB.ffi.callback("evp_init_fn", lambda *args: 0),
+        "evp_decrypt_init": _ECB.ffi.callback("evp_init_fn", lambda *args: 0),
+    },
+    "cipher-returns-minus-1": {"evp_cipher": _ECB.ffi.callback("evp_cipher_fn", lambda *args: -1)},
+    "cipher-returns-the-other-versions-success": {
+        "evp_cipher": _ECB.ffi.callback("evp_cipher_fn", _other_success_value)
+    },
 }
 
 
@@ -170,7 +219,8 @@ def test_a_failed_c_call_raises_and_returns_no_bytes(monkeypatch, name):
         lambda: crypto.aes_encrypt(KAT_KEY, KAT_PT),
         lambda: crypto.aes_decrypt(KAT_KEY, KAT_CT),
     )
-    monkeypatch.setattr(crypto, "_lib", C_FAILURES[name])
+    for pointer, stand_in in C_FAILURES[name].items():
+        monkeypatch.setattr(_ECB.lib, pointer, stand_in)
     for call in calls:
         with pytest.raises(RuntimeError, match="OpenSSL"):
             call()
@@ -288,7 +338,9 @@ def test_keyed_mac8_is_truncated_hmac_over_domain_then_parts(parts):
     ref = oracle_hmac.HMAC(key, hashes.SHA256())
     for chunk in (b"forest-mid", *parts):
         ref.update(chunk)
-    assert keyed_mac8(key, b"forest-mid", *parts) == ref.finalize()[:8]
+    expect = ref.finalize()[:8]
+    assert keyed_mac8(key, b"forest-mid", *parts) == expect
+    assert keyed_mac8(PageMacKey(key), b"forest-mid", *parts) == expect
 
 
 @given(
@@ -308,6 +360,11 @@ def test_mac_key_gives_the_raw_key_hmac(key, domain, parts):
     assert keyed_mac8(held, domain, *parts) == expect
     # the held pad states are copied, never advanced
     assert keyed_mac8(held, domain, *parts) == expect
+    if parts:  # a PageMacKey hashes the last part where it lies, a view too
+        page_held = PageMacKey(key)
+        last = memoryview(bytearray(parts[-1])).toreadonly()
+        assert keyed_mac8(page_held, domain, *parts[:-1], last) == expect
+        assert keyed_mac8(page_held, domain, *parts) == expect
 
 
 def test_page_cipher_buffer_holds_at_most_a_page():
@@ -402,7 +459,9 @@ def test_missing_libcrypto_is_an_import_error_that_names_it(monkeypatch):
     def no_library(name):
         raise OSError(f"cannot load library {name!r}")
 
-    monkeypatch.setattr(crypto._ffi, "dlopen", no_library)
+    # the declarations' FFI is built by cffi and its methods are read-only,
+    # so a stand-in whose dlopen finds nothing replaces it
+    monkeypatch.setattr(crypto, "_ffi", types.SimpleNamespace(dlopen=no_library))
     monkeypatch.setattr(ctypes.util, "find_library", lambda name: None)
     with pytest.raises(ImportError, match="libcrypto"):
         crypto._load_libcrypto()
@@ -424,3 +483,62 @@ def test_a_found_soname_leaves_ctypes_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+# ------------------------------------------------- building the loop
+
+_SRC = os.path.dirname(os.path.dirname(crypto.__file__))
+
+
+def _fresh_process(code: str, cache, **env) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=_SRC, XDG_CACHE_HOME=str(cache), **env)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
+
+def test_first_import_builds_quietly_and_later_imports_reuse_the_build(tmp_path):
+    code = (
+        "import sys, enclavesim.sim; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('setuptools', 'distutils', 'ctypes', 'pycparser')))"
+    )
+    cold = _fresh_process(code, tmp_path)
+    assert cold.returncode == 0, cold.stderr
+    # the build's output is captured, and setuptools and cffi's C parser stay
+    # in the build process
+    assert cold.stdout == "[]\n"
+    built = sorted((tmp_path / "enclavesim").iterdir())
+    assert [p.suffix for p in built] == [".so", ".py"]
+    stamps = [p.stat().st_mtime_ns for p in built]
+    # a compiler that cannot start proves that the second process builds nothing
+    warm = _fresh_process(code, tmp_path, CC="/nonexistent")
+    assert warm.returncode == 0, warm.stderr
+    assert warm.stdout == "[]\n"
+    assert sorted((tmp_path / "enclavesim").iterdir()) == built
+    assert [p.stat().st_mtime_ns for p in built] == stamps
+
+
+def test_a_missing_compiler_is_an_import_error_that_names_it(tmp_path):
+    out = _fresh_process("import enclavesim.crypto", tmp_path, CC="/nonexistent")
+    assert out.returncode != 0
+    assert out.stdout == ""
+    message, build_output = out.stderr.split("ImportError: ", 1)[1].split("\n", 1)
+    assert "C compiler (/nonexistent)" in message
+    assert "/nonexistent" in build_output
+
+
+def test_an_unwritable_cache_falls_back_to_a_temporary_dir(tmp_path):
+    (tmp_path / "file").write_text("")
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    code = (
+        "from enclavesim import crypto; "
+        "assert crypto.aes_encrypt(bytes(range(32)), bytes.fromhex('00112233445566778899aabbccddeeff'))"
+        " == bytes.fromhex('8ea2b7ca516745bfeafc49904b496089'); "
+        "print(crypto._ecb.__file__)"
+    )
+    # a cache under a regular file cannot be made, whoever runs the test
+    out = _fresh_process(code, tmp_path / "file", TMPDIR=str(tmp))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith(str(tmp) + os.sep)
+    # the temporary build is removed once it is loaded
+    assert list(tmp.iterdir()) == []
