@@ -24,11 +24,14 @@ key K, upper forest levels and the EPC integrity tree by the SSK.  Domain
 tags and node indices in the MAC input defeat cross-use and relocation.
 The SSK never changes during a run, so its users hold it as a `MacKey`: the
 SHA-256 states of its inner and outer pads, hashed once (RFC 2104 section
-4), which halves the cost of a short MAC.  The counter tree's data MACs end
-in a page, so they hold the SSK as a `PageMacKey`, which hashes the page
-where it lies instead of copying it into the message.  A page key is used
-once or twice before the next write-back replaces it, so page MACs take the
-raw key.
+4), which halves the cost of a short MAC.  A page key is used once or twice
+before the next write-back replaces it, so page MACs take the raw key, whose
+pads are worked out on each call.  Every MAC is one C call through
+`keyed_mac8`.  A forest or page MAC passes a domain tag and the message's
+parts (the tag form).  The counter tree passes its fields instead, in one of
+three packed formats: the integers as integers and the page as a pointer to
+where it lies, and C lays out the same bytes as the tag form spells out, so
+no tree MAC builds its message in Python.
 
 AES-256-ECB runs in OpenSSL's libcrypto.  A single page transfer touches 64
 distinct block keys, so building a cipher object per key would dominate the
@@ -41,20 +44,21 @@ into C, and cffi's cost per call and per argument, not AES, most of its
 time.  So that loop is C: one small function, compiled through cffi's API
 mode, takes a page and its key, and sets each block key's last byte,
 re-keys, ciphers and checks every return code itself; a key wrap, an unwrap
-and a PRNG draw are the same function over one slice under one key.  Python
-checks every length before C reads anything.  The function calls EVP through
-pointers taken from the libcrypto loaded here through cffi's ABI mode, so it
-needs a C compiler and Python's headers but no OpenSSL headers and no
-libcrypto to link against.  The loop and libcrypto's declarations are built
-once, at first import, in a separate process, and cached (see
-`_load_built`).  The two shared contexts and the static page-sized output
-buffer make this module not thread-safe; nothing in enclavesim uses threads.
+and a PRNG draw are the same function over one slice under one key.  The
+MACs are C in the same module, over libcrypto's `SHA256_Init`,
+`SHA256_Update` and `SHA256_Final`.  Python checks every length before C
+reads anything.  The C code calls libcrypto through pointers taken from the
+libcrypto loaded here through cffi's ABI mode, so it needs a C compiler and
+Python's headers but no OpenSSL headers and no libcrypto to link against.
+The C code and libcrypto's declarations are built once, at first import, in
+a separate process, and cached (see `_load_built`).  The two shared cipher
+contexts and the static page-sized output buffer make this module not
+thread-safe; nothing in enclavesim uses threads.
 """
 
 from __future__ import annotations
 
 import hashlib
-import hmac
 import importlib.machinery
 import importlib.util
 import os
@@ -91,6 +95,7 @@ _AES_BLOCK_BYTES = 16
 _LIBCRYPTO_CDEF = """
 typedef struct evp_cipher_st EVP_CIPHER;
 typedef struct evp_cipher_ctx_st EVP_CIPHER_CTX;
+typedef struct SHA256state_st SHA256_CTX;
 unsigned long OpenSSL_version_num(void);
 const EVP_CIPHER *EVP_aes_256_ecb(void);
 EVP_CIPHER_CTX *EVP_CIPHER_CTX_new(void);
@@ -101,11 +106,15 @@ int EVP_DecryptInit(EVP_CIPHER_CTX *ctx, const EVP_CIPHER *cipher,
                     const unsigned char *key, const unsigned char *iv);
 int EVP_Cipher(EVP_CIPHER_CTX *ctx, unsigned char *out,
                const unsigned char *in, unsigned int inl);
+int SHA256_Init(SHA256_CTX *c);
+int SHA256_Update(SHA256_CTX *c, const void *data, size_t len);
+int SHA256_Final(unsigned char *md, SHA256_CTX *c);
 """
-# The page cipher's loop.  The source has no OpenSSL headers, so a context is
-# a `void *` and the EVP functions are pointers, set below from the libcrypto
-# loaded through the declarations above.
-_ECB_CDEF = """
+# The page cipher's loop and the MACs.  The source has no OpenSSL headers, so
+# a cipher context is a `void *`, a SHA-256 state is laid out here as
+# OpenSSL's public sha.h lays out SHA256_CTX, and libcrypto's functions are
+# pointers, set below from the libcrypto loaded through the declarations above.
+_CORE_CDEF = """
 typedef int (*evp_init_fn)(void *, const void *, const unsigned char *,
                            const unsigned char *);
 typedef int (*evp_cipher_fn)(void *, unsigned char *, const unsigned char *,
@@ -117,8 +126,35 @@ extern int cipher_returns_count;  /* EVP_Cipher's success value: n, else 1 */
 extern unsigned char ecb_out[4096];
 int ecb(int enc, const unsigned char *key, const unsigned char *in,
         unsigned int n, int page);
+
+typedef struct {
+    unsigned int h[8];
+    unsigned int Nl;
+    unsigned int Nh;
+    unsigned int data[16];
+    unsigned int num;
+    unsigned int md_len;
+} sha256_ctx;
+typedef struct { sha256_ctx inner; sha256_ctx outer; } mac_pads;
+typedef int (*sha256_init_fn)(sha256_ctx *);
+typedef int (*sha256_update_fn)(sha256_ctx *, const void *, size_t);
+typedef int (*sha256_final_fn)(unsigned char *, sha256_ctx *);
+extern sha256_init_fn sha256_init;
+extern sha256_update_fn sha256_update;
+extern sha256_final_fn sha256_final;
+extern int mac_failed;
+int mac_pads_init(mac_pads *pads, const unsigned char *key, size_t n);
+uint64_t mac_msg(const mac_pads *pads, const unsigned char *msg, size_t n);
+uint64_t mac_raw(const unsigned char *key, size_t key_n,
+                 const unsigned char *msg, size_t n);
+uint64_t mac_tree_leaf(const mac_pads *pads, uint64_t idx, uint64_t parent,
+                       uint64_t major, const unsigned char *dmac);
+uint64_t mac_tree_node(const mac_pads *pads, uint8_t level, uint64_t idx,
+                       uint64_t parent, const unsigned char *blob);
+uint64_t mac_tree_data(const mac_pads *pads, uint64_t page, uint64_t major,
+                       const unsigned char *data);
 """
-_ECB_SOURCE = _ECB_CDEF + r"""
+_CORE_SOURCE = "#include <stdint.h>\n#include <stddef.h>\n" + _CORE_CDEF + r"""
 #include <string.h>
 
 evp_init_fn evp_encrypt_init, evp_decrypt_init;
@@ -152,23 +188,162 @@ int ecb(int enc, const unsigned char *key, const unsigned char *in,
     }
     return 0;
 }
+
+/* HMAC-SHA-256 (RFC 2104) truncated to its first 8 bytes, returned as a
+   big-endian integer.  A failed libcrypto call sets mac_failed and returns
+   0, so a caller checks mac_failed only when a MAC reads 0.  The caller
+   has checked every length that it does not pass. */
+sha256_init_fn sha256_init;
+sha256_update_fn sha256_update;
+sha256_final_fn sha256_final;
+int mac_failed;
+
+static uint64_t failed(void)
+{
+    mac_failed = 1;
+    return 0;
+}
+
+/* the pads of a key of n bytes; a key longer than the 64-byte block is
+   hashed first.  Returns 1, else 0 if a libcrypto call failed. */
+int mac_pads_init(mac_pads *pads, const unsigned char *key, size_t n)
+{
+    unsigned char k[64] = {0}, pad[64];
+    sha256_ctx c;
+    int i;
+
+    if (n > sizeof k) {
+        if (sha256_init(&c) != 1 || sha256_update(&c, key, n) != 1
+            || sha256_final(k, &c) != 1)
+            return 0;
+    } else if (n) {
+        memcpy(k, key, n);
+    }
+    for (i = 0; i < 64; i++)
+        pad[i] = k[i] ^ 0x36;
+    if (sha256_init(&pads->inner) != 1 || sha256_update(&pads->inner, pad, 64) != 1)
+        return 0;
+    for (i = 0; i < 64; i++)
+        pad[i] = k[i] ^ 0x5C;
+    return sha256_init(&pads->outer) == 1 && sha256_update(&pads->outer, pad, 64) == 1;
+}
+
+/* the MAC of head || tail from held pads, which are copied, never advanced */
+static uint64_t mac2(const mac_pads *pads, const unsigned char *head, size_t head_n,
+                     const unsigned char *tail, size_t tail_n)
+{
+    sha256_ctx inner, outer;
+    unsigned char d[32];
+    uint64_t m = 0;
+    int i;
+
+    mac_failed = 0;
+    if (!pads)
+        return failed();
+    inner = pads->inner;
+    outer = pads->outer;
+    if (sha256_update(&inner, head, head_n) != 1
+        || (tail_n && sha256_update(&inner, tail, tail_n) != 1)
+        || sha256_final(d, &inner) != 1
+        || sha256_update(&outer, d, sizeof d) != 1
+        || sha256_final(d, &outer) != 1)
+        return failed();
+    for (i = 0; i < 8; i++)
+        m = m << 8 | d[i];
+    return m;
+}
+
+uint64_t mac_msg(const mac_pads *pads, const unsigned char *msg, size_t n)
+{
+    return mac2(pads, msg, n, NULL, 0);
+}
+
+uint64_t mac_raw(const unsigned char *key, size_t key_n,
+                 const unsigned char *msg, size_t n)
+{
+    mac_pads pads;
+
+    if (!mac_pads_init(&pads, key, key_n))
+        return failed();
+    return mac2(&pads, msg, n, NULL, 0);
+}
+
+/* The packed formats lay out exactly the bytes of the tag form: the tag,
+   then each field as the counter tree spells it. */
+static unsigned char *put_be64(unsigned char *p, uint64_t v)
+{
+    int i;
+
+    for (i = 7; i >= 0; i--, v >>= 8)
+        p[i] = (unsigned char)v;
+    return p + 8;
+}
+
+static unsigned char *put_le64(unsigned char *p, uint64_t v)
+{
+    int i;
+
+    for (i = 0; i < 8; i++, v >>= 8)
+        p[i] = (unsigned char)v;
+    return p + 8;
+}
+
+/* "tree-leaf" || idx BE64 || parent BE64 || major LE64 || dmac[8] */
+uint64_t mac_tree_leaf(const mac_pads *pads, uint64_t idx, uint64_t parent,
+                       uint64_t major, const unsigned char *dmac)
+{
+    unsigned char msg[9 + 8 + 8 + 8 + 8], *p = msg + 9;
+
+    memcpy(msg, "tree-leaf", 9);
+    p = put_be64(p, idx);
+    p = put_be64(p, parent);
+    p = put_le64(p, major);
+    memcpy(p, dmac, 8);
+    return mac2(pads, msg, sizeof msg, NULL, 0);
+}
+
+/* "tree-node" || level[1] || idx BE64 || parent BE64 || counters[56] */
+uint64_t mac_tree_node(const mac_pads *pads, uint8_t level, uint64_t idx,
+                       uint64_t parent, const unsigned char *blob)
+{
+    unsigned char msg[9 + 1 + 8 + 8 + 56], *p = msg + 10;
+
+    memcpy(msg, "tree-node", 9);
+    msg[9] = level;
+    p = put_be64(p, idx);
+    p = put_be64(p, parent);
+    memcpy(p, blob, 56);
+    return mac2(pads, msg, sizeof msg, NULL, 0);
+}
+
+/* "tree-data" || page BE64 || major LE64 || the page[4096], where it lies */
+uint64_t mac_tree_data(const mac_pads *pads, uint64_t page, uint64_t major,
+                       const unsigned char *data)
+{
+    unsigned char head[9 + 8 + 8], *p = head + 9;
+
+    memcpy(head, "tree-data", 9);
+    p = put_be64(p, page);
+    put_le64(p, major);
+    return mac2(pads, head, sizeof head, data, 4096);
+}
 """
 # Run by `sys.executable`, so that cffi's C parser and setuptools, which it
 # builds with, never enter the simulator's process.  The declarations become
-# a Python module (cffi's out-of-line ABI mode) and the loop an extension;
+# a Python module (cffi's out-of-line ABI mode) and the C code an extension;
 # `os.replace` installs each atomically, the extension last.
 _BUILD = """
 import os, sys, cffi
-abi_name, ecb_name, scratch, abi_path, ecb_path = sys.argv[1:6]
-abi, ecb = cffi.FFI(), cffi.FFI()
+abi_name, core_name, scratch, abi_path, core_path = sys.argv[1:6]
+abi, core = cffi.FFI(), cffi.FFI()
 abi.cdef(sys.argv[6])
 abi.set_source(abi_name, None)
 abi.emit_python_code(os.path.join(scratch, abi_name + ".py"))
-ecb.cdef(sys.argv[7])
-ecb.set_source(ecb_name, sys.argv[8])
-built = ecb.compile(tmpdir=scratch)
+core.cdef(sys.argv[7])
+core.set_source(core_name, sys.argv[8])
+built = core.compile(tmpdir=scratch)
 os.replace(os.path.join(scratch, abi_name + ".py"), abi_path)
-os.replace(built, ecb_path)
+os.replace(built, core_path)
 """
 
 
@@ -177,7 +352,7 @@ def _build(names: tuple[str, str], scratch: str, paths: tuple[str, str]):
 
     out = subprocess.run(
         [sys.executable, "-c", _BUILD, *names, scratch, *paths,
-         _LIBCRYPTO_CDEF, _ECB_CDEF, _ECB_SOURCE],
+         _LIBCRYPTO_CDEF, _CORE_CDEF, _CORE_SOURCE],
         stdin=subprocess.DEVNULL, capture_output=True, text=True,
     )
     if out.returncode:
@@ -185,30 +360,33 @@ def _build(names: tuple[str, str], scratch: str, paths: tuple[str, str]):
 
         cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
         raise ImportError(
-            f"enclavesim.crypto builds its page cipher at first import and needs "
+            f"enclavesim.crypto builds its page cipher and MACs at first import and needs "
             f"a C compiler ({cc}) and Python's headers; the build failed:\n"
             f"{out.stdout}{out.stderr}"
         )
 
 
 def _load_built():
-    """libcrypto's declarations and the page-cipher loop, as two modules
-    built on first use and cached.
+    """libcrypto's declarations and the C code, as two modules built on
+    first use and cached.
 
-    The build is keyed by a hash of libcrypto's declarations, the loop's
-    source (which begins with its cdef), the cffi version and the
-    interpreter's cache tag, and kept in ``$XDG_CACHE_HOME/enclavesim``
-    (else ``~/.cache/enclavesim``).  Where that cannot be written, it is
-    built in a fresh temporary directory, loaded, and the directory
-    removed.  Each build works in its own scratch directory, so processes
-    that build at once do not collide.  Only a build imports what it needs
-    (`subprocess`, `tempfile`, `shutil`), so an import that finds the build
-    cached loads none of them.
+    The build is keyed by a hash of libcrypto's declarations, the C source
+    (which begins with its cdef), the cffi version and the interpreter's
+    cache tag, and kept in ``$XDG_CACHE_HOME/enclavesim`` (else
+    ``~/.cache/enclavesim``).  Once a build is installed there, the
+    ``_enclavesim_*`` files of every other build are removed, so switching
+    between versions rebuilds rather than piling up builds; another
+    process's ``build-*`` scratch directory is left alone.  Where the cache
+    cannot be written, the build is made in a fresh temporary directory,
+    loaded, and the directory removed.  Each build works in its own scratch
+    directory, so processes that build at once do not collide.  Only a
+    build imports what it needs (`subprocess`, `tempfile`, `shutil`), so an
+    import that finds the build cached loads none of them.
     """
-    tag = "\0".join((_LIBCRYPTO_CDEF, _ECB_SOURCE,
+    tag = "\0".join((_LIBCRYPTO_CDEF, _CORE_SOURCE,
                      _cffi_backend.__version__, str(sys.implementation.cache_tag)))
     stem = "_enclavesim_" + hashlib.sha256(tag.encode()).hexdigest()[:16]
-    names = (stem + "_libcrypto", stem + "_ecb")
+    names = (stem + "_libcrypto", stem + "_core")
     files = (names[0] + ".py", names[1] + importlib.machinery.EXTENSION_SUFFIXES[0])
     base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
     cache = os.path.join(base, "enclavesim")
@@ -224,11 +402,20 @@ def _load_built():
     except OSError:
         scratch = tempfile.mkdtemp(prefix="enclavesim-")
         paths = tuple(os.path.join(scratch, f) for f in files)
+        cache = None
     try:
         _build(names, scratch, paths)
-        return _load(names, paths)
+        modules = _load(names, paths)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
+    if cache is not None:
+        for name in os.listdir(cache):
+            if name.startswith("_enclavesim_") and name not in files:
+                try:
+                    os.remove(os.path.join(cache, name))
+                except OSError:  # gone already, or not ours to remove
+                    pass
+    return modules
 
 
 def _load(names, paths) -> list:
@@ -240,7 +427,7 @@ def _load(names, paths) -> list:
     return modules
 
 
-_abi, _ecb = _load_built()
+_abi, _core = _load_built()
 _ffi = _abi.ffi
 
 
@@ -282,14 +469,21 @@ def _ecb_context(enc: int):
     return ctx
 
 
+def _set_pointer(name: str, fn_type: str, symbol: str):
+    setattr(_core.lib, name, _core.ffi.cast(fn_type, _ffi.addressof(_lib, symbol)))
+
+
 _CONTEXTS = (_ecb_context(0), _ecb_context(1))  # indexed by enc; kept alive here
-_ecb.lib.evp_ctx[0], _ecb.lib.evp_ctx[1] = _CONTEXTS
-_ecb.lib.evp_encrypt_init = _ecb.ffi.cast("evp_init_fn", _ffi.addressof(_lib, "EVP_EncryptInit"))
-_ecb.lib.evp_decrypt_init = _ecb.ffi.cast("evp_init_fn", _ffi.addressof(_lib, "EVP_DecryptInit"))
-_ecb.lib.evp_cipher = _ecb.ffi.cast("evp_cipher_fn", _ffi.addressof(_lib, "EVP_Cipher"))
+_core.lib.evp_ctx[0], _core.lib.evp_ctx[1] = _CONTEXTS
+_set_pointer("evp_encrypt_init", "evp_init_fn", "EVP_EncryptInit")
+_set_pointer("evp_decrypt_init", "evp_init_fn", "EVP_DecryptInit")
+_set_pointer("evp_cipher", "evp_cipher_fn", "EVP_Cipher")
+_set_pointer("sha256_init", "sha256_init_fn", "SHA256_Init")
+_set_pointer("sha256_update", "sha256_update_fn", "SHA256_Update")
+_set_pointer("sha256_final", "sha256_final_fn", "SHA256_Final")
 # EVP_Cipher's success value: the byte count under OpenSSL 3, 1 under 1.1
-_ecb.lib.cipher_returns_count = _lib.OpenSSL_version_num() >= 0x30000000
-_ecb_run, _BUF, _buffer = _ecb.lib.ecb, _ecb.lib.ecb_out, _ecb.ffi.buffer
+_core.lib.cipher_returns_count = _lib.OpenSSL_version_num() >= 0x30000000
+_ecb_run, _BUF, _buffer = _core.lib.ecb, _core.lib.ecb_out, _core.ffi.buffer
 _C_FAILURES = (
     None,
     "OpenSSL EVP_EncryptInit/EVP_DecryptInit failed",
@@ -398,9 +592,21 @@ def ecb_decrypt_page(page_key: bytes, page: bytes) -> bytes:
 # -------------------------------------------------------------------- MACs
 
 
-_SHA256_BLOCK = 64
-_IPAD = bytes(b ^ 0x36 for b in range(256))  # translate tables: XOR each byte
-_OPAD = bytes(b ^ 0x5C for b in range(256))
+# The counter tree's packed formats: names, not tags.  C lays out the tag
+# and the fields, exactly as the tag form spells them (see `keyed_mac8`).
+TREE_LEAF = "tree-leaf"
+TREE_NODE = "tree-node"
+TREE_DATA = "tree-data"
+_COUNTER_BLOB_BYTES = 56  # an internal tree node's counter area
+
+_mac_pads_init, _mac_msg, _mac_raw = (
+    _core.lib.mac_pads_init, _core.lib.mac_msg, _core.lib.mac_raw
+)
+_mac_leaf, _mac_node, _mac_data = (
+    _core.lib.mac_tree_leaf, _core.lib.mac_tree_node, _core.lib.mac_tree_data
+)
+_from_buffer = _core.ffi.from_buffer
+_SHA_FAILED = "OpenSSL SHA256_Init/SHA256_Update/SHA256_Final failed"
 
 
 class MacKey:
@@ -408,49 +614,67 @@ class MacKey:
 
     RFC 2104 section 4: the SHA-256 states after absorbing ``key ^ ipad``
     and ``key ^ opad`` can be kept and copied for every message, which
-    saves two compression calls per MAC.  A key longer than the 64-byte
+    saves two compression calls per MAC.  C works the pads out once, into
+    a ``mac_pads`` struct that only C reads; a key longer than the 64-byte
     hash block is hashed first, as HMAC does.
     """
 
-    __slots__ = ("inner", "outer")
+    __slots__ = ("pads",)
 
     def __init__(self, key: bytes):
-        if len(key) > _SHA256_BLOCK:
-            key = hashlib.sha256(key).digest()
-        key = bytes(key).ljust(_SHA256_BLOCK, b"\0")
-        self.inner = hashlib.sha256(key.translate(_IPAD))
-        self.outer = hashlib.sha256(key.translate(_OPAD))
+        key = bytes(key)
+        pads = _core.ffi.new("mac_pads *")
+        if not _mac_pads_init(pads, key, len(key)):
+            raise RuntimeError(_SHA_FAILED)
+        self.pads = pads
 
 
-class PageMacKey(MacKey):
-    """A `MacKey` for messages that end in a page.
+def keyed_mac8(key: MacKey | bytes, domain: bytes | str, *parts) -> bytes:
+    """8-byte truncated HMAC-SHA-256, in one C call.
 
-    `keyed_mac8` hashes the short header and then the page, where it lies,
-    as two updates, where a `MacKey` joins its message into one: a page
-    would be copied twice, and the extra update would slow a short MAC.
+    In the tag form ``domain`` is a domain separation tag (bytes), the MAC
+    is over ``domain`` and then ``parts`` joined, and ``key`` is a `MacKey`
+    or the raw key bytes; both give the same MAC.
+
+    The packed formats take a `MacKey` and the counter tree's fields, and
+    give the MAC of the tag form that spells them out:
+
+      TREE_LEAF, idx, parent, major, dmac  as  b"tree-leaf", idx 8 bytes
+          big-endian, parent 8 big-endian, major 8 little-endian, dmac
+      TREE_NODE, level, idx, parent, blob  as  b"tree-node", level 1 byte,
+          idx 8 big-endian, parent 8 big-endian, blob
+      TREE_DATA, page, major, data  as  b"tree-data", page 8 big-endian,
+          major 8 little-endian, data
+
+    ``dmac`` must be 8 bytes, ``blob`` 56 and ``data`` a page (any buffer,
+    hashed where it lies); a field of another length is a ValueError, and
+    an integer that does not fit its width an OverflowError, before C reads
+    anything.
     """
-
-    __slots__ = ()
-
-
-def keyed_mac8(key: MacKey | bytes, domain: bytes, *parts: bytes) -> bytes:
-    """8-byte truncated HMAC-SHA-256 with a domain separation tag.
-
-    ``key`` is a `MacKey`, a `PageMacKey` (whose last part is the page) or
-    the raw key bytes; all give the same MAC.
-    """
-    if type(key) is MacKey:
-        inner = key.inner.copy()
-        inner.update(domain + b"".join(parts))
-    elif type(key) is PageMacKey:
-        inner = key.inner.copy()
-        inner.update(domain + b"".join(parts[:-1]))
-        inner.update(parts[-1])
+    if domain is TREE_LEAF:
+        idx, parent, major, dmac = parts
+        if len(dmac) != MAC_BYTES:
+            raise ValueError(f"a data MAC must be {MAC_BYTES} bytes")
+        m = _mac_leaf(key.pads, idx, parent, major, dmac)
+    elif domain is TREE_NODE:
+        level, idx, parent, blob = parts
+        if len(blob) != _COUNTER_BLOB_BYTES:
+            raise ValueError(f"a counter blob must be {_COUNTER_BLOB_BYTES} bytes")
+        m = _mac_node(key.pads, level, idx, parent, blob)
+    elif domain is TREE_DATA:
+        page, major, data = parts
+        if len(data) != PAGE_SIZE:
+            raise ValueError(f"page must be {PAGE_SIZE} bytes")
+        m = _mac_data(key.pads, page, major, _from_buffer(data))
     else:
-        return hmac.digest(key, domain + b"".join(parts), "sha256")[:MAC_BYTES]
-    outer = key.outer.copy()
-    outer.update(inner.digest())
-    return outer.digest()[:MAC_BYTES]
+        msg = domain + b"".join(parts)
+        if key.__class__ is MacKey:
+            m = _mac_msg(key.pads, msg, len(msg))
+        else:
+            m = _mac_raw(key, len(key), msg, len(msg))
+    if not m and _core.lib.mac_failed:
+        raise RuntimeError(_SHA_FAILED)
+    return m.to_bytes(MAC_BYTES, "big")
 
 
 def page_mac(page_key: bytes, plaintext_page: bytes) -> bytes:

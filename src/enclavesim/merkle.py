@@ -16,6 +16,14 @@ bytes and no copy of a page stands between DRAM and its MAC.  The tree
 meters its own node reads and writes; a page's data traffic is its
 callers' to make and meter.
 
+All three MACs are keyed by the SSK, held once as a `crypto.MacKey`.  A
+leaf's MAC covers its index, its parent's counter for it, its major counter
+and its data MAC; a node's covers its level, index, parent counter and
+counter area; a data MAC covers the page index, its major counter and the
+page.  Each is one `keyed_mac8` call in a packed format (`TREE_LEAF`,
+`TREE_NODE`, `TREE_DATA`), which takes those fields as they are and lays
+out the tagged message in C; the page is hashed where it lies.
+
 Narrow internal counters can wrap: a wrap resets the slot to 0 and re-keys
 the affected child MAC in the same update (the re-encryption such designs
 charge), counted as the run event `overflow_rekeys`.  A wrap re-keys only
@@ -54,7 +62,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .crypto import MacKey, PageMacKey, keyed_mac8
+from .crypto import TREE_DATA, TREE_LEAF, TREE_NODE, MacKey, keyed_mac8
 from .layout import PAGE_SIZE, ZERO_PAGE, ConfigError, EmulatedDram
 from .verifier import CatastrophicFailure
 
@@ -141,7 +149,6 @@ class EpcMerkle:
         self.base = base_addr
         self.n_pages = n_pages
         self.ssk = MacKey(ssk_bytes)
-        self.data_key = PageMacKey(ssk_bytes)  # the same key, for data MACs
         self.cache_enabled = cache
         self.counts = level_counts(n_pages, ARITY)
         self.offsets = []
@@ -198,33 +205,13 @@ class EpcMerkle:
 
     # ------------------------------------------------------------- MACs
     def _leaf_mac(self, idx: int, parent_counter: int, major: int, data_mac: bytes) -> bytes:
-        return keyed_mac8(
-            self.ssk,
-            b"tree-leaf",
-            idx.to_bytes(8, "big"),
-            parent_counter.to_bytes(8, "big"),
-            major.to_bytes(8, "little"),
-            data_mac,
-        )
+        return keyed_mac8(self.ssk, TREE_LEAF, idx, parent_counter, major, data_mac)
 
     def _node_mac(self, level: int, idx: int, parent_counter: int, counters_blob: bytes) -> bytes:
-        return keyed_mac8(
-            self.ssk,
-            b"tree-node",
-            level.to_bytes(1, "big"),
-            idx.to_bytes(8, "big"),
-            parent_counter.to_bytes(8, "big"),
-            counters_blob,
-        )
+        return keyed_mac8(self.ssk, TREE_NODE, level, idx, parent_counter, counters_blob)
 
-    def data_mac(self, page: int, major: int, plaintext: bytes) -> bytes:
-        return keyed_mac8(
-            self.data_key,
-            b"tree-data",
-            page.to_bytes(8, "big"),
-            major.to_bytes(8, "little"),
-            plaintext,
-        )
+    def data_mac(self, page: int, major: int, plaintext: bytes | memoryview) -> bytes:
+        return keyed_mac8(self.ssk, TREE_DATA, page, major, plaintext)
 
     # ------------------------------------------------------------ cache
     def _cache_get(self, addr: int) -> bytes | None:

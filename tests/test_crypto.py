@@ -18,8 +18,10 @@ from hypothesis import strategies as st
 from enclavesim import crypto
 from enclavesim.crypto import (
     FreshnessSource,
+    TREE_DATA,
+    TREE_LEAF,
+    TREE_NODE,
     MacKey,
-    PageMacKey,
     Ssk,
     compose_page_key,
     derive_block_key,
@@ -121,7 +123,7 @@ def _python_loop(enc: int, key: bytes, data: bytes, page: bool) -> bytes:
     else:
         slices, low = [_REF_BUF], key[31]
     step = len(data) // len(slices)
-    ok = step if crypto._ecb.lib.cipher_returns_count else 1
+    ok = step if crypto._core.lib.cipher_returns_count else 1
     ctx = _REF_CONTEXTS[enc]
     init = lib.EVP_EncryptInit if enc else lib.EVP_DecryptInit
     ffi.memmove(_REF_BUF, data, len(data))
@@ -186,8 +188,8 @@ def test_bad_data_length_is_rejected(data_len):
         ecb_decrypt_page(KAT_KEY, data)
 
 
-_ECB = crypto._ecb  # the compiled loop: its EVP pointers are C globals
-_REAL_CIPHER = _ECB.lib.evp_cipher
+_CORE = crypto._core  # the compiled code: its libcrypto pointers are C globals
+_REAL_CIPHER = _CORE.lib.evp_cipher
 
 
 def _other_success_value(ctx, out, inp, inl):
@@ -201,12 +203,12 @@ def _other_success_value(ctx, out, inp, inl):
 # kept here, alive for as long as the C code may call them
 C_FAILURES = {
     "re-key-returns-0": {
-        "evp_encrypt_init": _ECB.ffi.callback("evp_init_fn", lambda *args: 0),
-        "evp_decrypt_init": _ECB.ffi.callback("evp_init_fn", lambda *args: 0),
+        "evp_encrypt_init": _CORE.ffi.callback("evp_init_fn", lambda *args: 0),
+        "evp_decrypt_init": _CORE.ffi.callback("evp_init_fn", lambda *args: 0),
     },
-    "cipher-returns-minus-1": {"evp_cipher": _ECB.ffi.callback("evp_cipher_fn", lambda *args: -1)},
+    "cipher-returns-minus-1": {"evp_cipher": _CORE.ffi.callback("evp_cipher_fn", lambda *args: -1)},
     "cipher-returns-the-other-versions-success": {
-        "evp_cipher": _ECB.ffi.callback("evp_cipher_fn", _other_success_value)
+        "evp_cipher": _CORE.ffi.callback("evp_cipher_fn", _other_success_value)
     },
 }
 
@@ -220,7 +222,7 @@ def test_a_failed_c_call_raises_and_returns_no_bytes(monkeypatch, name):
         lambda: crypto.aes_decrypt(KAT_KEY, KAT_CT),
     )
     for pointer, stand_in in C_FAILURES[name].items():
-        monkeypatch.setattr(_ECB.lib, pointer, stand_in)
+        monkeypatch.setattr(_CORE.lib, pointer, stand_in)
     for call in calls:
         with pytest.raises(RuntimeError, match="OpenSSL"):
             call()
@@ -340,7 +342,7 @@ def test_keyed_mac8_is_truncated_hmac_over_domain_then_parts(parts):
         ref.update(chunk)
     expect = ref.finalize()[:8]
     assert keyed_mac8(key, b"forest-mid", *parts) == expect
-    assert keyed_mac8(PageMacKey(key), b"forest-mid", *parts) == expect
+    assert keyed_mac8(MacKey(key), b"forest-mid", *parts) == expect
 
 
 @given(
@@ -360,11 +362,146 @@ def test_mac_key_gives_the_raw_key_hmac(key, domain, parts):
     assert keyed_mac8(held, domain, *parts) == expect
     # the held pad states are copied, never advanced
     assert keyed_mac8(held, domain, *parts) == expect
-    if parts:  # a PageMacKey hashes the last part where it lies, a view too
-        page_held = PageMacKey(key)
+    if parts:  # a part may be any buffer, a read-only view too
         last = memoryview(bytearray(parts[-1])).toreadonly()
-        assert keyed_mac8(page_held, domain, *parts[:-1], last) == expect
-        assert keyed_mac8(page_held, domain, *parts) == expect
+        assert keyed_mac8(held, domain, *parts[:-1], last) == expect
+        assert keyed_mac8(key, domain, *parts[:-1], last) == expect
+
+
+# ------------------------------------------------ the packed tree formats
+
+U64 = 2**64 - 1
+MAJOR_MAX = 2**56 - 1
+
+
+def _oracle_mac(key: bytes, *chunks) -> bytes:
+    ref = oracle_hmac.HMAC(key, hashes.SHA256())
+    for chunk in chunks:
+        ref.update(bytes(chunk))
+    return ref.finalize()[:8]
+
+
+def _tag_form(fmt, *fields):
+    """The fields of a packed format as the tag form spells them out."""
+    if fmt is TREE_LEAF:
+        idx, parent, major, dmac = fields
+        parts = (idx.to_bytes(8, "big"), parent.to_bytes(8, "big"),
+                 major.to_bytes(8, "little"), dmac)
+    elif fmt is TREE_NODE:
+        level, idx, parent, blob = fields
+        parts = (level.to_bytes(1, "big"), idx.to_bytes(8, "big"),
+                 parent.to_bytes(8, "big"), blob)
+    else:
+        page, major, data = fields
+        parts = (page.to_bytes(8, "big"), major.to_bytes(8, "little"), data)
+    return fmt.encode(), parts
+
+
+u64s = st.integers(0, U64)
+majors = st.integers(0, MAJOR_MAX)
+packed_calls = st.one_of(
+    st.tuples(st.just(TREE_LEAF), u64s, u64s, majors, st.binary(min_size=8, max_size=8)),
+    st.tuples(st.just(TREE_NODE), st.integers(0, 255), u64s, u64s,
+              st.binary(min_size=56, max_size=56)),
+    st.tuples(st.just(TREE_DATA), u64s, majors, pages),
+)
+
+
+@given(st.binary(max_size=100), packed_calls)
+@example(bytes(range(32)), (TREE_LEAF, 0, 0, 0, bytes(8)))
+@example(bytes(range(32)), (TREE_LEAF, U64, U64, MAJOR_MAX, b"\xff" * 8))
+@example(bytes(range(32)), (TREE_NODE, 0, 0, 0, bytes(56)))
+@example(bytes(range(32)), (TREE_NODE, 255, U64, U64, b"\xff" * 56))
+@example(bytes(range(32)), (TREE_DATA, 0, 0, bytes(4096)))
+@example(bytes(range(32)), (TREE_DATA, U64, MAJOR_MAX, memoryview(bytes(4096))))
+@example(bytes(65), (TREE_DATA, 7, 1, memoryview(bytearray(range(256)) * 16).toreadonly()))
+@settings(max_examples=150)
+def test_packed_formats_give_the_tag_forms_mac(key, call):
+    fmt, *fields = call
+    domain, parts = _tag_form(fmt, *fields)
+    expect = _oracle_mac(key, domain, *parts)
+    held = MacKey(key)
+    assert keyed_mac8(held, fmt, *fields) == expect
+    assert keyed_mac8(key, domain, *parts) == expect
+    assert keyed_mac8(held, domain, *parts) == expect
+    # the held pad states are copied, never advanced
+    assert keyed_mac8(held, fmt, *fields) == expect
+
+
+_WRONG_LENGTHS = [
+    (TREE_LEAF, lambda n: (1, 2, 3, bytes(n)), (0, 7, 9, 16)),
+    (TREE_NODE, lambda n: (1, 2, 3, bytes(n)), (0, 55, 57, 64)),
+    (TREE_DATA, lambda n: (1, 2, bytes(n)), (0, 4095, 4097, 8192)),
+]
+
+
+@pytest.mark.parametrize(
+    "fmt, fields",
+    [(fmt, make(n)) for fmt, make, lengths in _WRONG_LENGTHS for n in lengths],
+)
+def test_a_packed_field_of_the_wrong_length_is_rejected(fmt, fields):
+    with pytest.raises(ValueError):
+        keyed_mac8(MacKey(KAT_KEY), fmt, *fields)
+
+
+@pytest.mark.parametrize("bad", [-1, 2**64])
+@pytest.mark.parametrize(
+    "fmt, fields, at",
+    [
+        (TREE_LEAF, (1, 2, 3, bytes(8)), range(3)),
+        (TREE_NODE, (1, 2, 3, bytes(56)), range(1, 3)),
+        (TREE_DATA, (1, 2, bytes(4096)), range(2)),
+    ],
+)
+def test_a_packed_integer_out_of_range_is_rejected(fmt, fields, at, bad):
+    key = MacKey(KAT_KEY)
+    for i in at:
+        with pytest.raises(OverflowError):
+            keyed_mac8(key, fmt, *fields[:i], bad, *fields[i + 1 :])
+    # a node's level is one byte
+    with pytest.raises(OverflowError):
+        keyed_mac8(key, TREE_NODE, 256, 2, 3, bytes(56))
+
+
+def test_a_packed_format_takes_a_held_key_only():
+    # C reads a `mac_pads` that C built, and nothing in its place
+    with pytest.raises(AttributeError):
+        keyed_mac8(KAT_KEY, TREE_LEAF, 1, 2, 3, bytes(8))
+    fake = MacKey(KAT_KEY)
+    fake.pads = bytes(224)
+    with pytest.raises(TypeError):
+        keyed_mac8(fake, TREE_LEAF, 1, 2, 3, bytes(8))
+
+
+_SHA_FAILURES = {
+    "sha256_init": _CORE.ffi.callback("sha256_init_fn", lambda *args: 0),
+    "sha256_update": _CORE.ffi.callback("sha256_update_fn", lambda *args: 0),
+    "sha256_final": _CORE.ffi.callback("sha256_final_fn", lambda *args: 0),
+}
+
+
+@pytest.mark.parametrize("pointer", sorted(_SHA_FAILURES))
+def test_a_failed_sha256_call_raises_and_returns_no_mac(monkeypatch, pointer):
+    held = MacKey(KAT_KEY)
+    calls = [
+        lambda: keyed_mac8(KAT_KEY, b"page-mac", bytes(4096)),
+        lambda: keyed_mac8(bytes(65), b"x"),  # a long key is hashed first
+    ]
+    if pointer != "sha256_init":  # a held key makes no fresh state
+        calls += [
+            lambda: keyed_mac8(held, b"forest-mid", bytes(72)),
+            lambda: keyed_mac8(held, TREE_LEAF, 1, 2, 3, bytes(8)),
+            lambda: keyed_mac8(held, TREE_NODE, 1, 2, 3, bytes(56)),
+            lambda: keyed_mac8(held, TREE_DATA, 1, 2, bytes(4096)),
+        ]
+    monkeypatch.setattr(_CORE.lib, pointer, _SHA_FAILURES[pointer])
+    for call in calls:
+        with pytest.raises(RuntimeError, match="SHA256"):
+            call()
+    with pytest.raises(RuntimeError, match="SHA256"):
+        MacKey(bytes(65))
+    monkeypatch.undo()
+    assert keyed_mac8(held, b"x") == _oracle_mac(KAT_KEY, b"x")
 
 
 def test_page_cipher_buffer_holds_at_most_a_page():
@@ -517,6 +654,29 @@ def test_first_import_builds_quietly_and_later_imports_reuse_the_build(tmp_path)
     assert [p.stat().st_mtime_ns for p in built] == stamps
 
 
+def test_a_new_build_removes_the_other_builds(tmp_path):
+    # two real builds: a changed cffi version keys a second one
+    code = "import enclavesim.crypto as c; print(c._core.__file__)"
+    first = _fresh_process(code, tmp_path)
+    assert first.returncode == 0, first.stderr
+    cache = tmp_path / "enclavesim"
+    first_files = sorted(cache.iterdir())
+    assert len(first_files) == 2
+    # another process's build in progress
+    (cache / "build-other").mkdir()
+    (cache / "build-other" / "_enclavesim_0000000000000000_core.c").write_text("")
+    second = _fresh_process(
+        "import _cffi_backend; _cffi_backend.__version__ += '-other'; " + code, tmp_path
+    )
+    assert second.returncode == 0, second.stderr
+    assert second.stdout != first.stdout
+    built = {p.name for p in cache.iterdir()} - {"build-other"}
+    # only the second build's pair is left, beside the other process's build
+    assert len(built) == 2 and not built & {p.name for p in first_files}
+    assert os.path.basename(second.stdout.strip()) in built
+    assert list((cache / "build-other").iterdir())
+
+
 def test_a_missing_compiler_is_an_import_error_that_names_it(tmp_path):
     out = _fresh_process("import enclavesim.crypto", tmp_path, CC="/nonexistent")
     assert out.returncode != 0
@@ -534,7 +694,7 @@ def test_an_unwritable_cache_falls_back_to_a_temporary_dir(tmp_path):
         "from enclavesim import crypto; "
         "assert crypto.aes_encrypt(bytes(range(32)), bytes.fromhex('00112233445566778899aabbccddeeff'))"
         " == bytes.fromhex('8ea2b7ca516745bfeafc49904b496089'); "
-        "print(crypto._ecb.__file__)"
+        "print(crypto._core.__file__)"
     )
     # a cache under a regular file cannot be made, whoever runs the test
     out = _fresh_process(code, tmp_path / "file", TMPDIR=str(tmp))
