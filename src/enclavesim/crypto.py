@@ -26,12 +26,14 @@ The SSK never changes during a run, so its users hold it as a `MacKey`: the
 SHA-256 states of its inner and outer pads, hashed once (RFC 2104 section
 4), which halves the cost of a short MAC.  A page key is used once or twice
 before the next write-back replaces it, so page MACs take the raw key, whose
-pads are worked out on each call.  Every MAC is one C call through
-`keyed_mac8`.  A forest or page MAC passes a domain tag and the message's
+pads are worked out on each call.  Outside a counter-tree bind, every MAC
+is one C call through `keyed_mac8`.  A forest or page MAC passes a domain tag and the message's
 parts (the tag form).  The counter tree passes its fields instead, in one of
 three packed formats: the integers as integers and the page as a pointer to
 where it lies, and C lays out the same bytes as the tag form spells out, so
-no tree MAC builds its message in Python.
+no tree MAC builds its message in Python.  A counter-tree bind is one C call
+too, `tree_bind`: the counter bumps and wraps along a page's path and its
+three kinds of MAC, in those packed formats, from the trusted path's bytes.
 
 AES-256-ECB runs in OpenSSL's libcrypto.  A single page transfer touches 64
 distinct block keys, so building a cipher object per key would dominate the
@@ -52,8 +54,8 @@ libcrypto loaded here through cffi's ABI mode, so it needs a C compiler and
 Python's headers but no OpenSSL headers and no libcrypto to link against.
 The C code and libcrypto's declarations are built once, at first import, in
 a separate process, and cached (see `_load_built`).  The two shared cipher
-contexts and the static page-sized output buffer make this module not
-thread-safe; nothing in enclavesim uses threads.
+contexts and the static output buffers (a page's, a bound path's) make
+this module not thread-safe; nothing in enclavesim uses threads.
 """
 
 from __future__ import annotations
@@ -153,6 +155,17 @@ uint64_t mac_tree_node(const mac_pads *pads, uint8_t level, uint64_t idx,
                        uint64_t parent, const unsigned char *blob);
 uint64_t mac_tree_data(const mac_pads *pads, uint64_t page, uint64_t major,
                        const unsigned char *data);
+
+#define TREE_ARITY_BITS 5
+#define TREE_COUNTER_BITS 14
+#define TREE_MAJOR_BITS 56
+#define TREE_NODE_BYTES 64
+#define TREE_MAX_LEVELS 8
+#define TREE_EXHAUSTED -1
+#define TREE_SHA_FAILED -2
+extern unsigned char tree_out[512];  /* TREE_MAX_LEVELS nodes */
+int tree_bind(const mac_pads *pads, uint64_t page, const unsigned char *data,
+              const unsigned char *nodes, int levels, uint64_t root);
 """
 _CORE_SOURCE = "#include <stdint.h>\n#include <stddef.h>\n" + _CORE_CDEF + r"""
 #include <string.h>
@@ -326,6 +339,83 @@ uint64_t mac_tree_data(const mac_pads *pads, uint64_t page, uint64_t major,
     p = put_be64(p, page);
     put_le64(p, major);
     return mac2(pads, head, sizeof head, data, 4096);
+}
+
+/* One counter-tree bind.  `nodes` is the page's path as trusted, leaf
+   first, `levels` nodes of 64 bytes; level l's node is page >> 5l, and the
+   top's parent counter is `root`, already bumped.  The leaf takes the next
+   major and the page's data MAC; every level's counter for the path child
+   is bumped, or reset to 0 on a wrap; each node is re-MACed under its new
+   parent counter.  The new nodes land in tree_out, leaf first.  Returns the
+   wraps made, else TREE_EXHAUSTED before any MAC when the major has no
+   value left, or TREE_SHA_FAILED.  The caller has checked the lengths. */
+unsigned char tree_out[512];
+typedef char tree_out_holds_the_deepest_path[
+    sizeof tree_out == TREE_MAX_LEVELS * TREE_NODE_BYTES ? 1 : -1];
+
+#define TREE_COUNTER_MAX ((1u << TREE_COUNTER_BITS) - 1)
+
+/* bump the 14-bit little-endian slot of a 56-byte counter area, which
+   spans two or three bytes; a wrap resets it to 0 */
+static uint64_t bump(unsigned char *area, unsigned int slot, int *wraps)
+{
+    unsigned int bit = slot * TREE_COUNTER_BITS, at = bit >> 3, shift = bit & 7;
+    unsigned int n = (shift + TREE_COUNTER_BITS + 7) >> 3, i;
+    uint32_t word = 0, c;
+
+    for (i = 0; i < n; i++)
+        word |= (uint32_t)area[at + i] << 8 * i;
+    c = word >> shift & TREE_COUNTER_MAX;
+    if (c == TREE_COUNTER_MAX) {
+        c = 0;
+        ++*wraps;
+    } else {
+        c++;
+    }
+    word = (word & ~(TREE_COUNTER_MAX << shift)) | c << shift;
+    for (i = 0; i < n; i++)
+        area[at + i] = (unsigned char)(word >> 8 * i);
+    return c;
+}
+
+int tree_bind(const mac_pads *pads, uint64_t page, const unsigned char *data,
+              const unsigned char *nodes, int levels, uint64_t root)
+{
+    unsigned char dmac[8], *node;
+    uint64_t major = 0, idx, parent, m;
+    int level, i, wraps = 0;
+
+    for (i = 7; i >= 0; i--)
+        major = major << 8 | nodes[i];
+    if (major >= ((uint64_t)1 << TREE_MAJOR_BITS) - 1)
+        return TREE_EXHAUSTED;
+    major++;
+    m = mac_tree_data(pads, page, major, data);
+    if (!m && mac_failed)
+        return TREE_SHA_FAILED;
+    put_be64(dmac, m);
+    memcpy(tree_out, nodes, (size_t)levels * TREE_NODE_BYTES);
+    /* bottom-up: level l's counter area was bumped at level l - 1 */
+    for (level = 0, node = tree_out; level < levels; level++, node += TREE_NODE_BYTES) {
+        idx = page >> TREE_ARITY_BITS * level;
+        if (level == levels - 1)
+            parent = root;
+        else
+            parent = bump(node + TREE_NODE_BYTES,
+                          (unsigned int)(idx & ((1u << TREE_ARITY_BITS) - 1)), &wraps);
+        if (level) {
+            m = mac_tree_node(pads, (uint8_t)level, idx, parent, node);
+        } else {
+            put_le64(node, major);
+            memcpy(node + 8, dmac, 8);
+            memset(node + 16, 0, TREE_NODE_BYTES - 24);
+            m = mac_tree_leaf(pads, idx, parent, major, dmac);
+        }
+        if (!m && mac_failed)
+            return TREE_SHA_FAILED;
+        put_be64(node + TREE_NODE_BYTES - 8, m);
+    }
+    return wraps;
 }
 """
 # Run by `sys.executable`, so that cffi's C parser and setuptools, which it
@@ -675,6 +765,49 @@ def keyed_mac8(key: MacKey | bytes, domain: bytes | str, *parts) -> bytes:
     if not m and _core.lib.mac_failed:
         raise RuntimeError(_SHA_FAILED)
     return m.to_bytes(MAC_BYTES, "big")
+
+
+# The counter tree's bind, one C call (`tree_bind`), and the layout C fixes
+# for it, which the tree checks against its own at import
+TREE_ARITY = 1 << _core.lib.TREE_ARITY_BITS
+TREE_COUNTER_BITS = _core.lib.TREE_COUNTER_BITS
+TREE_MAJOR_BITS = _core.lib.TREE_MAJOR_BITS
+TREE_NODE_BYTES = _core.lib.TREE_NODE_BYTES
+TREE_MAX_LEVELS = _core.lib.TREE_MAX_LEVELS
+_tree_bind, _TREE_OUT = _core.lib.tree_bind, _core.lib.tree_out
+_TREE_EXHAUSTED = _core.lib.TREE_EXHAUSTED
+# a path's length in bytes -> its level count, for every path C takes
+_TREE_LEVELS = {n * TREE_NODE_BYTES: n for n in range(1, TREE_MAX_LEVELS + 1)}
+
+
+def tree_bind(key: MacKey, page: int, data, nodes: bytes, root: int) -> tuple[bytes, int] | None:
+    """One counter-tree bind of ``page``, in one C call.
+
+    ``nodes`` is the page's path as trusted, its nodes joined leaf first
+    (level l's node is ``page >> 5 * l``), ``data`` the page (any buffer,
+    hashed where it lies) and ``root`` the top's root counter, already
+    bumped.  C bumps the leaf's major counter, MACs the page under it with
+    ``TREE_DATA``, bumps each level's counter for the path child (a wrap
+    resets it to 0) and re-MACs each node with ``TREE_LEAF`` or
+    ``TREE_NODE`` under its new parent counter.  Returns the new nodes,
+    joined leaf first, and the wraps made; or None, before any MAC, when
+    the leaf's major counter has no value left.  Nothing is kept: the
+    caller commits the result.  A path that is not 1 to `TREE_MAX_LEVELS`
+    whole nodes, or a page that is not a page, is a ValueError before C
+    reads anything.
+    """
+    n = len(nodes)
+    levels = _TREE_LEVELS.get(n)
+    if levels is None:
+        raise ValueError(f"a path must be 1 to {TREE_MAX_LEVELS} nodes of {TREE_NODE_BYTES} bytes")
+    if len(data) != PAGE_SIZE:
+        raise ValueError(f"page must be {PAGE_SIZE} bytes")
+    wraps = _tree_bind(key.pads, page, _from_buffer(data), nodes, levels, root)
+    if wraps < 0:
+        if wraps == _TREE_EXHAUSTED:
+            return None
+        raise RuntimeError(_SHA_FAILED)
+    return _buffer(_TREE_OUT, n)[:], wraps
 
 
 def page_mac(page_key: bytes, plaintext_page: bytes) -> bytes:

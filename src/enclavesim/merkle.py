@@ -20,9 +20,14 @@ All three MACs are keyed by the SSK, held once as a `crypto.MacKey`.  A
 leaf's MAC covers its index, its parent's counter for it, its major counter
 and its data MAC; a node's covers its level, index, parent counter and
 counter area; a data MAC covers the page index, its major counter and the
-page.  Each is one `keyed_mac8` call in a packed format (`TREE_LEAF`,
-`TREE_NODE`, `TREE_DATA`), which takes those fields as they are and lays
-out the tagged message in C; the page is hashed where it lies.
+page.  The trusted walk and `check_data` make each as one `keyed_mac8`
+call in a packed format (`TREE_LEAF`, `TREE_NODE`, `TREE_DATA`), which
+takes those fields as they are and lays out the tagged message in C; the
+page is hashed where it lies.  A bind (`write_update`) is one
+`crypto.tree_bind` call: C bumps the major and the path's counters, resets
+a wrapped one, and makes the data, leaf and node MACs over the same bytes.
+The tree commits what it returns -- root counter, wraps, node writes, cache
+lines -- only once the call has succeeded, so a failed bind changes nothing.
 
 Narrow internal counters can wrap: a wrap resets the slot to 0 and re-keys
 the affected child MAC in the same update (the re-encryption such designs
@@ -62,7 +67,8 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .crypto import TREE_DATA, TREE_LEAF, TREE_NODE, MacKey, keyed_mac8
+from . import crypto
+from .crypto import TREE_DATA, TREE_LEAF, TREE_NODE, MacKey, keyed_mac8, tree_bind
 from .layout import PAGE_SIZE, ZERO_PAGE, ConfigError, EmulatedDram
 from .verifier import CatastrophicFailure
 
@@ -76,7 +82,10 @@ COUNTER_BITS = COUNTER_AREA_BITS // ARITY  # 14: per-child counter width
 COUNTER_MAX = (1 << COUNTER_BITS) - 1
 CACHE_LINES = 32768 // NODE_BYTES  # a 32 KiB counter cache
 ZERO_NODE = bytes(NODE_BYTES)  # under a parent counter of 0: a boot node
-_LEAF_PAD = bytes(NODE_BYTES - 24)  # a leaf's bytes 16-55, which no MAC covers
+# the bind runs in C (`crypto.tree_bind`), which fixes the same layout
+if (crypto.TREE_ARITY, crypto.TREE_COUNTER_BITS, crypto.TREE_MAJOR_BITS,
+        crypto.TREE_NODE_BYTES) != (ARITY, COUNTER_BITS, LEAF_MAJOR_BITS, NODE_BYTES):
+    raise ImportError("enclavesim.crypto's tree bind disagrees with the counter tree's layout")
 
 
 def level_counts(n_leaves: int, arity: int) -> list[int]:
@@ -151,6 +160,11 @@ class EpcMerkle:
         self.ssk = MacKey(ssk_bytes)
         self.cache_enabled = cache
         self.counts = level_counts(n_pages, ARITY)
+        if len(self.counts) > crypto.TREE_MAX_LEVELS:
+            raise ValueError(
+                f"a counter tree over {n_pages} pages has {len(self.counts)} stored "
+                f"levels; the bind takes at most {crypto.TREE_MAX_LEVELS}"
+            )
         self.offsets = []
         off = 0
         for c in self.counts:
@@ -195,10 +209,6 @@ class EpcMerkle:
         return path
 
     # ------------------------------------------------------- node codecs
-    @staticmethod
-    def _leaf_bytes(major: int, data_mac: bytes, mac: bytes) -> bytes:
-        return major.to_bytes(8, "little") + data_mac + _LEAF_PAD + mac
-
     @staticmethod
     def _leaf_fields(raw: bytes) -> tuple[int, bytes, bytes]:
         return int.from_bytes(raw[:8], "little"), raw[8:16], raw[56:64]
@@ -315,7 +325,8 @@ class EpcMerkle:
 
     def write_update(self, page: int) -> tuple[int, int, int]:
         """Bump the page's major counter, bind the page as it lies in DRAM
-        and refresh the MAC path; returns (major, DRAM reads, DRAM writes)."""
+        and refresh the MAC path in one `tree_bind` call, then commit it;
+        returns (major, DRAM reads, DRAM writes)."""
         path = self._paths.get(page) or self._path(page)
         cache = self._cache
         nodes = ()  # every level from the cache, else from the full walk
@@ -327,46 +338,23 @@ class EpcMerkle:
             nodes += (hit[1],)
         else:
             reads = 0
-        major = int.from_bytes(nodes[0][:8], "little") + 1
-        if major >= 1 << LEAF_MAJOR_BITS:
+        top = path[-1][0]
+        root = self.root_counters[top] + 1
+        bound = tree_bind(self.ssk, page, self.dram.page_view(page), b"".join(nodes), root)
+        if bound is None:
             raise CatastrophicFailure("page major counter exhausted", page=page)
-
-        # Bottom-up: bump the counter each parent holds for the path child,
-        # then re-MAC the child under it.  `word` is this level's counter
-        # area, already bumped by the level below.
-        dmac = self.data_mac(page, major, self.dram.page_view(page))
-        top = len(path) - 1
+        out, wraps = bound
+        self.root_counters[top] = root
+        if wraps:
+            self.events["overflow_rekeys"] += wraps
         write = self.dram.write
         if not self.cache_enabled:
             cache = None
-        word = level = 0
-        for idx, addr in path:
-            if level == top:
-                self.root_counters[idx] += 1
-                parent_counter = self.root_counters[idx]
-            else:
-                parent_word = int.from_bytes(nodes[level + 1][:COUNTER_AREA_BYTES], "little")
-                shift = idx % ARITY * COUNTER_BITS
-                parent_counter = (parent_word >> shift) & COUNTER_MAX
-                if parent_counter == COUNTER_MAX:
-                    # wrap: reset the slot alone, re-keying the child MAC
-                    parent_word -= COUNTER_MAX << shift
-                    parent_counter = 0
-                    self.events["overflow_rekeys"] += 1
-                else:
-                    parent_word += 1 << shift
-                    parent_counter += 1
-            if level:
-                blob = word.to_bytes(COUNTER_AREA_BYTES, "little")
-                raw = blob + self._node_mac(level, idx, parent_counter, blob)
-            else:
-                raw = self._leaf_bytes(
-                    major, dmac, self._leaf_mac(idx, parent_counter, major, dmac)
-                )
-            if level != top:
-                word = parent_word
+        at = 0
+        for _, addr in path:
+            raw = out[at : at + NODE_BYTES]
             write(addr, raw, "merkle")
             if cache is not None:  # _cache_put, inline
                 cache[addr // NODE_BYTES % CACHE_LINES] = (addr, raw)
-            level += 1
-        return major, reads, level
+            at += NODE_BYTES
+        return int.from_bytes(out[:8], "little"), reads, len(path)

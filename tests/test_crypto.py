@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import types
+from collections import Counter
 
 import pytest
 from cryptography.hazmat.primitives import hashes
@@ -33,6 +34,8 @@ from enclavesim.crypto import (
     unwrap_key,
     wrap_key,
 )
+from enclavesim.layout import EmulatedDram, MemoryLayout
+from enclavesim.merkle import COUNTER_MAX, EpcMerkle
 
 # Published AES-256 known-answer vector (FIPS-197 appendix C.3).
 KAT_KEY = bytes.fromhex(
@@ -493,6 +496,7 @@ def test_a_failed_sha256_call_raises_and_returns_no_mac(monkeypatch, pointer):
             lambda: keyed_mac8(held, TREE_LEAF, 1, 2, 3, bytes(8)),
             lambda: keyed_mac8(held, TREE_NODE, 1, 2, 3, bytes(56)),
             lambda: keyed_mac8(held, TREE_DATA, 1, 2, bytes(4096)),
+            lambda: crypto.tree_bind(held, 1, bytes(4096), bytes(64), 1),
         ]
     monkeypatch.setattr(_CORE.lib, pointer, _SHA_FAILURES[pointer])
     for call in calls:
@@ -502,6 +506,112 @@ def test_a_failed_sha256_call_raises_and_returns_no_mac(monkeypatch, pointer):
         MacKey(bytes(65))
     monkeypatch.undo()
     assert keyed_mac8(held, b"x") == _oracle_mac(KAT_KEY, b"x")
+
+
+def _oracle_packed(key, fmt, *fields):
+    domain, parts = _tag_form(fmt, *fields)
+    return _oracle_mac(key, domain, *parts)
+
+
+def _oracle_bind(key, page, data, nodes, root):
+    """`crypto.tree_bind` spelled out over the HMAC oracle: the new path,
+    leaf first, and the wraps."""
+    levels = len(nodes) // 64
+    major = int.from_bytes(nodes[:8], "little") + 1
+    dmac = _oracle_packed(key, TREE_DATA, page, major, data)
+    words = [int.from_bytes(nodes[64 * level : 64 * level + 56], "little")
+             for level in range(levels)]
+    out, wraps = [], 0
+    for level in range(levels):
+        idx = page // 32**level
+        if level == levels - 1:
+            parent = root
+        else:
+            shift = idx % 32 * 14
+            parent = (words[level + 1] >> shift) & 0x3FFF
+            if parent == 0x3FFF:
+                words[level + 1] -= parent << shift
+                parent, wraps = 0, wraps + 1
+            else:
+                words[level + 1] += 1 << shift
+                parent += 1
+        if level:
+            blob = words[level].to_bytes(56, "little")
+            out.append(blob + _oracle_packed(key, TREE_NODE, level, idx, parent, blob))
+        else:
+            mac = _oracle_packed(key, TREE_LEAF, idx, parent, major, dmac)
+            out.append(major.to_bytes(8, "little") + dmac + bytes(40) + mac)
+    return b"".join(out), wraps
+
+
+@st.composite
+def bind_calls(draw):
+    """A path of 1 to 8 nodes whose leaf has a major left, some of its
+    counters for the path child at their last value, and a root counter."""
+    levels = draw(st.integers(1, crypto.TREE_MAX_LEVELS))
+    page = draw(st.integers(0, 32**levels - 1))
+    nodes = bytearray(draw(st.binary(min_size=64 * levels, max_size=64 * levels)))
+    nodes[:8] = draw(st.integers(0, MAJOR_MAX - 1)).to_bytes(8, "little")
+    for level in range(1, levels):
+        if draw(st.booleans()):  # this level's counter for the path child wraps
+            word = int.from_bytes(nodes[64 * level : 64 * level + 56], "little")
+            word |= 0x3FFF << (page // 32 ** (level - 1) % 32 * 14)
+            nodes[64 * level : 64 * level + 56] = word.to_bytes(56, "little")
+    return page, draw(pages), bytes(nodes), draw(st.integers(1, U64))
+
+
+@given(st.binary(max_size=100), bind_calls())
+@settings(max_examples=100)
+def test_a_tree_bind_gives_the_oracles_path(key, call):
+    page, data, nodes, root = call
+    assert crypto.tree_bind(MacKey(key), page, data, nodes, root) == _oracle_bind(
+        key, page, data, nodes, root
+    )
+
+
+def test_a_tree_bind_stops_at_the_last_major_before_any_mac(monkeypatch):
+    # a leaf at major 2^56 - 2 binds to the last value; one there has none
+    # left, and C returns before a MAC, so a failing SHA256_Update is never met
+    held = MacKey(KAT_KEY)
+    last = MAJOR_MAX.to_bytes(8, "little")
+    penultimate = (MAJOR_MAX - 1).to_bytes(8, "little")
+    out, _ = crypto.tree_bind(held, 3, bytes(4096), penultimate + bytes(56), 1)
+    assert out[:8] == last
+    monkeypatch.setattr(_CORE.lib, "sha256_update", _SHA_FAILURES["sha256_update"])
+    assert crypto.tree_bind(held, 3, bytes(4096), last + bytes(56), 1) is None
+
+
+@pytest.mark.parametrize(
+    "nodes, data",
+    [(bytes(n), bytes(4096)) for n in (0, 63, 65, 128 + 1, 64 * (crypto.TREE_MAX_LEVELS + 1))]
+    + [(bytes(64), bytes(n)) for n in (0, 4095, 4097)],
+)
+def test_a_tree_bind_of_the_wrong_length_is_rejected(nodes, data):
+    with pytest.raises(ValueError):
+        crypto.tree_bind(MacKey(KAT_KEY), 1, data, nodes, 1)
+
+
+@pytest.mark.parametrize("pointer", ["sha256_update", "sha256_final"])
+def test_a_failed_bind_raises_and_changes_nothing(monkeypatch, pointer):
+    # a held key makes no fresh state, so a bind never calls SHA256_Init
+    dram = EmulatedDram(MemoryLayout.build(total_size=16 << 20, epc_size=4 << 20))
+    tree = EpcMerkle(dram, 8 << 20, 64, KAT_KEY, events=Counter())
+    dram.poke(5 * 4096, b"\x5a" * 4096)
+    for _ in range(COUNTER_MAX):
+        tree.write_update(5)  # the next bind of page 5 wraps its slot
+
+    def state():
+        return (dram.peek(8 << 20, tree.storage_bytes), dict(dram.reads), dict(dram.writes),
+                list(tree.root_counters), dict(tree._cache), Counter(tree.events))
+
+    before = state()
+    monkeypatch.setattr(_CORE.lib, pointer, _SHA_FAILURES[pointer])
+    with pytest.raises(RuntimeError, match="SHA256"):
+        tree.write_update(5)
+    assert state() == before
+    monkeypatch.undo()
+    assert tree.write_update(5) == (COUNTER_MAX + 1, 0, 2)
+    assert tree.events == Counter(overflow_rekeys=1)
 
 
 def test_page_cipher_buffer_holds_at_most_a_page():

@@ -33,11 +33,11 @@ SSK = bytes(range(32))
 NODE_BASE = 8 * MIB  # past every tree's pages; a multiple of the cache size
 
 
-def make_tree(n_pages=64, cache=True, cls=EpcMerkle):
-    lay = MemoryLayout.build(total_size=16 * MIB, epc_size=4 * MIB)
+def make_tree(n_pages=64, cache=True, cls=EpcMerkle, base=NODE_BASE):
+    lay = MemoryLayout.build(total_size=2 * base, epc_size=4 * MIB)
     dram = EmulatedDram(lay)
     tree = cls(
-        dram, base_addr=NODE_BASE, n_pages=n_pages, ssk_bytes=SSK, events=Counter(),
+        dram, base_addr=base, n_pages=n_pages, ssk_bytes=SSK, events=Counter(),
         cache=cache,
     )
     return tree, dram
@@ -56,6 +56,12 @@ def check_as(tree, page, major, pt, data_mac):
     tree.check_data(page, major, data_mac)
 
 
+def _leaf_bytes(major, dmac, mac):
+    """A leaf as stored: major (8 bytes little-endian), data MAC, 40 bytes
+    no MAC covers, leaf MAC."""
+    return major.to_bytes(8, "little") + dmac + bytes(NODE_BYTES - 24) + mac
+
+
 def make_eager_tree(n_pages=64, cache=True):
     """The eager twin: a tree whose DRAM holds every boot node up front.
     Each leaf binds major 0 over the zero page, and every node carries its
@@ -66,7 +72,7 @@ def make_eager_tree(n_pages=64, cache=True):
         for idx in range(count):
             if level == 0:
                 dmac = tree.data_mac(idx, 0, ZERO_PAGE)
-                raw = tree._leaf_bytes(0, dmac, tree._leaf_mac(idx, 0, 0, dmac))
+                raw = _leaf_bytes(0, dmac, tree._leaf_mac(idx, 0, 0, dmac))
             else:
                 raw = zeros + tree._node_mac(level, idx, 0, zeros)
             dram.poke(tree.node_addr(level, idx), raw)
@@ -281,7 +287,7 @@ def test_an_exhausted_major_counter_is_caught_and_changes_nothing():
     parent = dram.peek(tree.node_addr(1, 0), NODE_BYTES)
     major = (1 << LEAF_MAJOR_BITS) - 1
     dmac = tree.data_mac(5, major, dram.peek(5 * PAGE_SIZE, PAGE_SIZE))
-    leaf = tree._leaf_bytes(major, dmac, tree._leaf_mac(5, _slots(parent)[5], major, dmac))
+    leaf = _leaf_bytes(major, dmac, tree._leaf_mac(5, _slots(parent)[5], major, dmac))
     dram.poke(tree.node_addr(0, 5), leaf)
     assert tree.check(5) == len(tree.counts)  # the poked leaf verifies
 
@@ -746,7 +752,7 @@ class _ByteTakingTree(EpcMerkle):
                     parent_word += 1 << shift
                     parent_counter += 1
             if level == 0:
-                raw = self._leaf_bytes(
+                raw = _leaf_bytes(
                     major, dmac, self._leaf_mac(idx, parent_counter, major, dmac)
                 )
             else:
@@ -858,3 +864,124 @@ def test_binding_pages_in_place_matches_the_byte_taking_tree(cache, ops, wrap_at
         assert new.root_counters == ref.root_counters
         assert (new_dram.reads, new_dram.writes) == (ref_dram.reads, ref_dram.writes)
     assert new.events == ref.events
+
+
+# ------------------------------------ the compiled bind against the Python loop
+FOUR_LEVELS = ARITY**3 + 1  # level_counts: [32769, 1025, 33, 2]
+# page s * SAME_SLOT is the child in slot s of its parent, grandparent and
+# great-grandparent
+SAME_SLOT = 1 + ARITY + ARITY**2
+BIG_NODE_BASE = 256 * MIB  # past FOUR_LEVELS' pages
+
+
+def _with_slot(area, slot, value):
+    """A 56-byte counter area with child slot `slot` set to `value`."""
+    word = int.from_bytes(area, "little")
+    shift = slot * COUNTER_BITS
+    word = word & ~(COUNTER_MAX << shift) | value << shift
+    return word.to_bytes(COUNTER_AREA_BYTES, "little")
+
+
+def _forge_path(tree, page, held, leaf, rng):
+    """MAC-valid bytes for `page`'s path, leaf first, and its root counter.
+
+    `held[l]` is the counter stored level l + 1 holds for the path's level-l
+    node (None: a random one); every other slot is random.  `leaf` is the
+    leaf's major counter, or None for the boot leaf (64 zero bytes, which
+    verify only under a parent counter of 0).  Each node is MACed under its
+    parent counter, as the tree would have written it."""
+    path = tree._path(page)
+    top = len(path) - 1
+    root = rng.randrange(1, 1 << 40)
+    areas = [None] + [rng.randbytes(COUNTER_AREA_BYTES) for _ in path[1:]]
+    for level in range(top):
+        if held[level] is not None:
+            areas[level + 1] = _with_slot(areas[level + 1], path[level][0] % ARITY, held[level])
+    raws = []
+    for level, (idx, _) in enumerate(path):
+        parent = root if level == top else _slots(areas[level + 1])[idx % ARITY]
+        if level:
+            raws.append(areas[level] + tree._node_mac(level, idx, parent, areas[level]))
+        elif leaf is None:
+            assert parent == 0
+            raws.append(ZERO_NODE)
+        else:
+            dmac = rng.randbytes(8)
+            raws.append(_leaf_bytes(leaf, dmac, tree._leaf_mac(idx, parent, leaf, dmac)))
+    return raws, root
+
+
+def _bind_both(pair, page, raws, root):
+    """Lay the forged path into both trees, bind the page on each twice
+    (the second bind on a warm cache, when there is one) and compare every
+    outcome, the node storage, the root counters, the DRAM traffic and the
+    events after each."""
+    (new, new_dram), (ref, ref_dram) = pair
+    for tree, dram in pair:
+        for (_, addr), raw in zip(tree._path(page), raws):
+            dram.poke(addr, raw)
+        tree.root_counters[tree._path(page)[-1][0]] = root
+        tree._cache.clear()
+        dram.poke(page * PAGE_SIZE, page.to_bytes(4, "little") * (PAGE_SIZE // 4))
+    outcomes = []
+    for _ in range(2):
+        out = (
+            _outcome(lambda: new.write_update(page)),
+            _outcome(lambda: ref.write_update(page, ref_dram.peek(page * PAGE_SIZE, PAGE_SIZE))),
+        )
+        assert out[0] == out[1]
+        assert new_dram.peek(BIG_NODE_BASE, new.storage_bytes) == ref_dram.peek(
+            BIG_NODE_BASE, ref.storage_bytes
+        )
+        assert new.root_counters == ref.root_counters
+        assert (new_dram.reads, new_dram.writes) == (ref_dram.reads, ref_dram.writes)
+        assert new.events == ref.events
+        assert new._cache == ref._cache
+        outcomes.append(out[0])
+    return outcomes
+
+
+@pytest.mark.parametrize("cache", [True, False])
+def test_the_compiled_bind_matches_the_python_loop_at_every_slot_and_wrap(cache):
+    pair = (
+        make_tree(FOUR_LEVELS, cache, base=BIG_NODE_BASE),
+        make_tree(FOUR_LEVELS, cache, _ByteTakingTree, base=BIG_NODE_BASE),
+    )
+    new = pair[0][0]
+    stored_parents = len(new.counts) - 1  # levels 1-3 hold counters; the root is on-chip
+    assert stored_parents == 3
+    rng = random.Random(25)
+    wrap_cases = [()] + [(level,) for level in range(stored_parents)] + [
+        tuple(range(stored_parents))
+    ]
+    for slot in range(ARITY):
+        # slot 31's counter ends at byte 55, and the 14-bit fields at bit
+        # offsets 6 mod 8 (slots 3, 7, ...) span three bytes
+        page = slot * SAME_SLOT
+        for wraps in wrap_cases:
+            held = [COUNTER_MAX if level in wraps else rng.randrange(COUNTER_MAX)
+                    for level in range(stored_parents)]
+            before = sum(new.events.values())
+            raws, root = _forge_path(new, page, held, rng.randrange(1 << 50), rng)
+            first, _ = _bind_both(pair, page, raws, root)
+            assert not isinstance(first, str), (slot, wraps)
+            assert new.events["overflow_rekeys"] - before == len(wraps), (slot, wraps)
+    # a boot leaf under a held counter of 0, at the last slot, and paths
+    # that are boot nodes all the way up, under a root counter of 0
+    raws, root = _forge_path(new, 31 * SAME_SLOT, [0, None, None], None, rng)
+    first, _ = _bind_both(pair, 31 * SAME_SLOT, raws, root)
+    assert first[0] == 1  # the boot leaf's major 0, bumped
+    for page in (0, 31 * SAME_SLOT, FOUR_LEVELS - 1):
+        first, _ = _bind_both(pair, page, [ZERO_NODE] * 4, 0)
+        assert first == (1, 4, 4)  # major 1, four node reads and writes
+    # the last major a leaf can hold is bound to; past it, nothing changes
+    last = (1 << LEAF_MAJOR_BITS) - 1
+    exhausted = "caught: page major counter exhausted"
+    for leaf, expect in (
+        (last - 2, [last - 1, last]),
+        (last - 1, [last, exhausted]),
+        (last, [exhausted, exhausted]),
+    ):
+        raws, root = _forge_path(new, 7, [COUNTER_MAX, None, None], leaf, rng)
+        outcomes = _bind_both(pair, 7, raws, root)
+        assert [o if isinstance(o, str) else o[0] for o in outcomes] == expect, leaf
